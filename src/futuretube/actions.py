@@ -36,6 +36,8 @@ __all__ = [
     "sample_sl2",
     "sample_su2",
     "sample_algebra",
+    "damped_newton",
+    "descend",
 ]
 
 _E1 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -44,12 +46,12 @@ _E3 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 BASIS = np.stack([_E1, _E2, _E3, 1j * _E1, 1j * _E2, 1j * _E3])
 BASIS_DAG = np.conj(np.swapaxes(BASIS, -1, -2))
+_BASIS_ROWS = BASIS.reshape(6, 4)
 
 
 def realize(xi):
     """Matrix of an algebra vector: sum of c_k e_k (traceless by basis)."""
-    xi = np.asarray(xi, dtype=float)
-    return np.tensordot(xi, BASIS, axes=(0, 0))
+    return np.dot(np.asarray(xi, dtype=float), _BASIS_ROWS).reshape(2, 2)
 
 
 def coefficients(X):
@@ -223,3 +225,60 @@ def orbit_fields(Z):
     return np.einsum("kab,nbc->knac", BASIS, Z) + np.einsum(
         "nab,kbc->knac", Z, BASIS_DAG
     )
+
+
+def damped_newton(grad, H, lam):
+    """Step d solving (H + lam I) d = -grad, with the derivative grad . d.
+
+    Falls back to steepest descent -grad when the solve fails or does not
+    give a descent direction, so the returned derivative is always < 0
+    for a nonzero gradient.
+    """
+    fallback = -grad, -float(grad @ grad)
+    try:
+        d = np.linalg.solve(H + lam * np.eye(len(grad)), -grad)
+    except np.linalg.LinAlgError:
+        return fallback
+    deriv = float(grad @ d)
+    if not np.isfinite(deriv) or deriv >= 0.0:
+        return fallback
+    return d, deriv
+
+
+def descend(Y, value, model, chart, objective, max_iters):
+    """Armijo descent of an objective over an exponential chart of SL2 x SL2.
+
+    model(Y, value, pair) is called at the start and after every accepted
+    move, so its last call describes the returned point; the GroupPair
+    carries the start to Y.  It returns None to stop, or a function giving a
+    direction d and the derivative (< 0) of the objective along it, called
+    only while iterations remain.  chart(d, s) gives the pair (A, B) of
+    the step s d; the trial point is A Y B^t.  objective(Yt) is inf
+    outside its domain.
+
+    Steps start at 1 and halve until objective(Yt) <= value + 1e-4 s deriv;
+    a step below 1e-18 ends the descent.  The pair is renormalized to
+    det 1 after every move.  Returns the final point, its value, the pair
+    and the number of accepted moves.
+    """
+    pair = GroupPair.identity()
+    it = 0
+    while True:
+        direction = model(Y, value, pair)
+        if direction is None or it >= max_iters:
+            break
+        d, deriv = direction()
+        s = 1.0
+        while s >= 1e-18:
+            A, B = chart(d, s)
+            Yt = A @ Y @ B.T
+            vt = objective(Yt)
+            if vt <= value + 1e-4 * s * deriv:
+                break
+            s *= 0.5
+        else:
+            break
+        Y, value = Yt, vt
+        pair = GroupPair.make(A @ pair.g, B @ pair.h)
+        it += 1
+    return Y, value, pair, it

@@ -1,7 +1,8 @@
 """Command line entry point for experiments and point utilities.
 
-Exit codes: 0 all requested checks passed, 1 some suite failed,
-2 usage or configuration error.  The TUBE_SEED environment variable
+Exit codes: 0 all requested checks passed, 1 some suite failed or
+`reduce` did not converge, 2 usage or configuration error (including
+non-finite point entries).  The TUBE_SEED environment variable
 overrides config seeds when set; --json switches stdout to the
 machine-readable encoding.
 """
@@ -48,6 +49,15 @@ def _emit(payload, as_json, text_lines):
             print(line)
 
 
+def _summary(name, report):
+    agg = report.aggregate
+    return (
+        f"{name}: {report.verdict} "
+        f"(pass {agg['pass_count']}, fail {agg['fail_count']}, "
+        f"inconclusive {agg['inconclusive_count']}, {report.wall_time:.2f}s)"
+    )
+
+
 def _cmd_run(args):
     doc = _load_json(args.config)
     cfg = ExperimentConfig.from_dict(doc)
@@ -59,12 +69,7 @@ def _cmd_run(args):
     if args.json:
         print(serialize.canonical_dumps(payload))
     else:
-        agg = report.aggregate
-        print(
-            f"{cfg.suite}: {report.verdict} "
-            f"(pass {agg['pass_count']}, fail {agg['fail_count']}, "
-            f"inconclusive {agg['inconclusive_count']}, {report.wall_time:.2f}s)"
-        )
+        print(_summary(cfg.suite, report))
     return 0 if report.verdict == "pass" else SUITE_FAILURE
 
 
@@ -85,12 +90,7 @@ def _cmd_run_all(args):
         if report.verdict != "pass":
             worst = SUITE_FAILURE
         if not args.json:
-            agg = report.aggregate
-            print(
-                f"{name}: {report.verdict} "
-                f"(pass {agg['pass_count']}, fail {agg['fail_count']}, "
-                f"inconclusive {agg['inconclusive_count']}, {report.wall_time:.2f}s)"
-            )
+            print(_summary(name, report))
     if args.json:
         print(serialize.canonical_dumps(payloads))
     return worst
@@ -138,7 +138,7 @@ def _cmd_reduce(args):
             f"converged = {r.converged} in {r.iterations} iterations",
         ],
     )
-    return 0
+    return 0 if r.converged else SUITE_FAILURE
 
 
 def _cmd_gram(args):

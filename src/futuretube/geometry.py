@@ -99,25 +99,30 @@ def inv2(M):
     return adj2(M) / d[..., None, None]
 
 
+def _im_parts(Z):
+    """Diagonal a, d of hermitian_im(Z) and b = i times its (0,1) entry."""
+    a = Z[..., 0, 0].imag
+    d = Z[..., 1, 1].imag
+    b = (Z[..., 0, 1] - np.conj(Z[..., 1, 0])) * 0.5
+    return a, d, b
+
+
 def hermitian_im(Z):
     """(Z - Z^H)/2i, built exactly Hermitian: real diagonal, one stored
     off-diagonal value and its conjugate."""
     Z = np.asarray(Z, dtype=complex)
+    a, d, b = _im_parts(Z)
     H = np.empty_like(Z)
-    H[..., 0, 0] = Z[..., 0, 0].imag
-    H[..., 1, 1] = Z[..., 1, 1].imag
-    b = (Z[..., 0, 1] - np.conj(Z[..., 1, 0])) * (-0.5j)
-    H[..., 0, 1] = b
-    H[..., 1, 0] = np.conj(b)
+    H[..., 0, 0] = a
+    H[..., 1, 1] = d
+    H[..., 0, 1] = -1j * b
+    H[..., 1, 0] = np.conj(H[..., 0, 1])
     return H
 
 
 def det_im(Z):
     """det(hermitian_im(Z)) computed in real arithmetic."""
-    Z = np.asarray(Z, dtype=complex)
-    a = Z[..., 0, 0].imag
-    d = Z[..., 1, 1].imag
-    b = (Z[..., 0, 1] - np.conj(Z[..., 1, 0])) * 0.5
+    a, d, b = _im_parts(np.asarray(Z, dtype=complex))
     return a * d - (b.real**2 + b.imag**2)
 
 
@@ -152,10 +157,7 @@ def tube_margin(Z):
 
     Positive exactly on the tube; used as a robust membership margin.
     """
-    Z = as_tuple_point(Z)
-    a = Z[..., 0, 0].imag
-    d = Z[..., 1, 1].imag
-    b = (Z[..., 0, 1] - np.conj(Z[..., 1, 0])) * 0.5
+    a, d, b = _im_parts(as_tuple_point(Z))
     rad = np.sqrt((a - d) ** 2 + 4.0 * (b.real**2 + b.imag**2))
     return float(np.min((a + d - rad) / 2.0))
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import DomainError, as_tuple_point, det_im, hermitian_im, tube_membership
+from .geometry import DomainError, adj2, as_tuple_point, det_im, hermitian_im, tube_membership
 from .actions import orbit_fields, real_vector_field, apply_J, flow_point
 
 __all__ = [
@@ -44,16 +44,21 @@ class StencilDomainError(DomainError):
     """A finite-difference stencil point left the domain; resample or shrink."""
 
 
+def _positive_det_im(Z):
+    """det Im of each component; DomainError unless all are positive."""
+    d = det_im(Z)
+    if not np.all(d > 0.0):
+        raise DomainError("det Im <= 0: point is outside the tube")
+    return d
+
+
 def phi(Z):
     """Invariant potential; positive on the tube.
 
     Raises DomainError when some det Im(Z^j) <= 0, signaling that the
     point left the tube.
     """
-    d = det_im(as_tuple_point(Z))
-    if not np.all(d > 0.0):
-        raise DomainError("det Im <= 0: point is outside the tube")
-    return float(np.sum(1.0 / d))
+    return float(np.sum(1.0 / _positive_det_im(as_tuple_point(Z))))
 
 
 def _trace_adj_product(P, Q):
@@ -74,9 +79,7 @@ def dphi(Z, V):
     """
     Z = as_tuple_point(Z)
     V = as_tuple_point(V)
-    d = det_im(Z)
-    if not np.all(d > 0.0):
-        raise DomainError("det Im <= 0: point is outside the tube")
+    d = _positive_det_im(Z)
     P = hermitian_im(Z)
     Q = hermitian_im(V)
     return float(-np.sum(_trace_adj_product(P, Q) / d**2))
@@ -107,9 +110,7 @@ def directional_derivative(f, Z, V, h=1e-4):
 def moment_map(Z):
     """Six moment components <mu(Z), e_k> over the fixed basis."""
     Z = as_tuple_point(Z)
-    d = det_im(Z)
-    if not np.all(d > 0.0):
-        raise DomainError("det Im <= 0: point is outside the tube")
+    d = _positive_det_im(Z)
     P = hermitian_im(Z)
     JF = 1j * orbit_fields(Z)  # (6, N, 2, 2)
     Q = hermitian_im(JF)
@@ -192,24 +193,13 @@ def levi_form_phi(Z, directions):
     Matches the finite-difference stencil to the stated stencil tolerance.
     """
     Z = as_tuple_point(Z)
-    d = det_im(Z)
-    if not np.all(d > 0.0):
-        raise DomainError("det Im <= 0: point is outside the tube")
-    P = hermitian_im(Z)
-    adjP = np.empty_like(P)
-    adjP[..., 0, 0] = P[..., 1, 1]
-    adjP[..., 0, 1] = -P[..., 0, 1]
-    adjP[..., 1, 0] = -P[..., 1, 0]
-    adjP[..., 1, 1] = P[..., 0, 0]
+    d = _positive_det_im(Z)
+    adjP = adj2(hermitian_im(Z))
 
     V = np.asarray(directions, dtype=complex)  # (m, N, 2, 2)
     A = V * (-0.5j)
     Bm = np.conj(np.swapaxes(V, -1, -2)) * (0.5j)
-    adjA = np.empty_like(A)
-    adjA[..., 0, 0] = A[..., 1, 1]
-    adjA[..., 0, 1] = -A[..., 0, 1]
-    adjA[..., 1, 0] = -A[..., 1, 0]
-    adjA[..., 1, 1] = A[..., 0, 0]
+    adjA = adj2(A)
 
     a = np.einsum("nij,anji->an", adjP, A)
     b = np.einsum("nij,bnji->bn", adjP, Bm)

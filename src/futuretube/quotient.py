@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import as_tuple_point, det2, tube_membership, tube_margin
-from .actions import BASIS, GroupPair, act_complex, expm_traceless, realize, make_unimodular
+from .actions import BASIS, GroupPair, act_complex, damped_newton, descend, expm_traceless, realize
 
 __all__ = [
     "GRAM_PROXY",
@@ -44,8 +44,7 @@ def gram_map(Z):
 
 def gram_rank(Gm, tol=1e-8):
     """Numeric rank: singular values above tol times the largest."""
-    Gm = np.asarray(Gm, dtype=complex)
-    s = np.linalg.svd(Gm, compute_uv=False)
+    s = np.linalg.svd(np.asarray(Gm), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
@@ -60,10 +59,6 @@ class KempfNessOptions:
     collapse_guard: float = 1e-6
     divergence_bound: float = 1e3
     max_iters: int = 10000
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    step_init: float = 1.0
-    step_floor: float = 1e-18
 
 
 @dataclass
@@ -112,39 +107,22 @@ def _kn_gradient_hessian(Y):
     return grad, H
 
 
-def _kn_direction(grad, H):
-    """Levenberg-damped Newton step; falls back to steepest descent.
-
-    The shift absorbs both the gauge degeneracy near minima and negative
-    curvature away from them; on norm-collapsing configurations, where
-    the gradient scales with the objective, the damped solve yields a
-    direction of magnitude ~ 1/damping, which escapes at a geometric
-    rate where the raw gradient would stall.
-    """
-    gn = float(np.linalg.norm(grad))
-    wmin = float(np.linalg.eigvalsh(H)[0])
-    lam = 0.01 * gn + max(0.0, -wmin) * 1.1 + 1e-300
-    try:
-        d = np.linalg.solve(H + lam * np.eye(12), -grad)
-    except np.linalg.LinAlgError:
-        return -grad, -gn * gn
-    deriv = float(grad @ d)
-    if not np.isfinite(deriv) or deriv >= 0.0:
-        return -grad, -gn * gn
-    dn = float(np.linalg.norm(d))
-    if dn > 100.0:
-        d *= 100.0 / dn
-        deriv = float(grad @ d)
-    return d, deriv
+def _kn_chart(d, s):
+    return expm_traceless(realize(s * d[:6])), expm_traceless(realize(s * d[6:]))
 
 
 def kempf_ness_minimize(Z, opts=None):
     """Minimize the squared Frobenius norm over the complexified orbit.
 
-    Steepest descent over the twelve chart parameters of (g, h) with a
-    backtracking Armijo line search whose trial step doubles after each
-    accepted move; without the doubling, norm-collapsing directions
-    (gradient proportional to the objective) stall hyperbolically.
+    Descends with actions.descend over the twelve chart parameters of
+    (g, h): each move is a Levenberg-damped Newton step, line-searched
+    from a fresh unit trial step.  The shift 0.01 |grad| plus the negative
+    curvature of the Hessian absorbs both the gauge degeneracy near
+    minima and negative curvature away from them.  On norm-collapsing
+    configurations, where the gradient scales with the objective, the
+    damped solve yields a direction of magnitude ~ 1/damping, which
+    escapes at a geometric rate where the raw gradient would stall;
+    steps longer than 100 are cut back to 100.
 
     Classification: `closed` once the chart gradient drops below grad_tol
     at bounded parameters, `non_closed` when the norm collapses below
@@ -154,60 +132,51 @@ def kempf_ness_minimize(Z, opts=None):
     if opts is None:
         opts = KempfNessOptions()
     Z = as_tuple_point(Z)
-    Y = Z.copy()
-    g = np.eye(2, dtype=complex)
-    h = np.eye(2, dtype=complex)
-    F0 = _norm_sq(Y)
-    classification = "inconclusive"
-    converged = False
-    it = 0
-    grad, H = _kn_gradient_hessian(Y)
-    gn = float(np.linalg.norm(grad))
+    F0 = _norm_sq(Z)
     if F0 == 0.0:
-        return OrbitProbeReport(0.0, GroupPair(g, h), True, 0, 0.0, "closed")
+        return OrbitProbeReport(0.0, GroupPair.identity(), True, 0, 0.0, "closed")
 
-    while it < opts.max_iters:
-        F = _norm_sq(Y)
-        param = max(float(np.linalg.norm(g)), float(np.linalg.norm(h)))
+    classification = "inconclusive"
+    gradient_norm = None
+
+    def model(Y, F, pair):
+        nonlocal classification, gradient_norm
+        grad, H = _kn_gradient_hessian(Y)
+        gn = gradient_norm = float(np.linalg.norm(grad))
+        param = max(float(np.linalg.norm(pair.g)), float(np.linalg.norm(pair.h)))
         if F <= opts.collapse_tol * F0:
             classification = "non_closed"
-            break
+            return None
         if gn <= opts.grad_tol and F > opts.collapse_guard * F0:
             if param <= opts.divergence_bound:
                 classification = "closed"
-                converged = True
-            break
+            return None
         if param > opts.divergence_bound:
             # objective is monotone along accepted moves, so this is escape
             classification = "non_closed"
-            break
+            return None
 
-        d, deriv = _kn_direction(grad, H)
-        s = opts.step_init
-        accepted = False
-        while s >= opts.step_floor:
-            Ag = expm_traceless(realize(s * d[:6]))
-            Bh = expm_traceless(realize(s * d[6:]))
-            Yt = Ag @ Y @ Bh.T
-            if _norm_sq(Yt) <= F + opts.armijo * s * deriv:
-                accepted = True
-                break
-            s *= opts.shrink
-        if not accepted:
-            break
-        Y = Yt
-        g = make_unimodular(Ag @ g)
-        h = make_unimodular(Bh @ h)
-        it += 1
-        grad, H = _kn_gradient_hessian(Y)
-        gn = float(np.linalg.norm(grad))
+        def direction():
+            wmin = float(np.linalg.eigvalsh(H)[0])
+            d, deriv = damped_newton(grad, H, 0.01 * gn + max(0.0, -wmin) * 1.1 + 1e-300)
+            dn = float(np.linalg.norm(d))
+            if dn > 100.0:
+                d *= 100.0 / dn
+                deriv = float(grad @ d)
+            return d, deriv
 
+        return direction
+
+    Y, F, pair, it = descend(Z.copy(), F0, model, _kn_chart, _norm_sq, opts.max_iters)
+    if it >= opts.max_iters:
+        # the budget ran out first: no stop rule applies to the last point
+        classification = "inconclusive"
     return OrbitProbeReport(
-        achieved_norm_sq=_norm_sq(Y),
-        minimizer=GroupPair(g, h),
-        converged=converged,
+        achieved_norm_sq=F,
+        minimizer=pair,
+        converged=classification == "closed",
         iterations=it,
-        gradient_norm=gn,
+        gradient_norm=gradient_norm,
         classification=classification,
     )
 
@@ -225,66 +194,23 @@ class SaturationReport:
     proxy: str = GRAM_PROXY
 
 
-def _margin_search(W, iters=400, fd_step=1e-6, step_init=0.5, step_floor=1e-12):
-    """Local ascent of the tube margin over the pair chart around W.
-
-    Returns the best translate found; succeeds once the margin is positive.
-    """
-    Y = W.copy()
-    best = tube_margin(Y)
-    step = step_init
-    for _ in range(iters):
-        if best > 0.0:
-            break
-        grad = np.zeros(12)
-        for k in range(12):
-            da = np.zeros(6)
-            db = np.zeros(6)
-            if k < 6:
-                da[k] = 1.0
-            else:
-                db[k - 6] = 1.0
-            Ap = expm_traceless(realize(fd_step * da))
-            Bp = expm_traceless(realize(fd_step * db))
-            Am = expm_traceless(realize(-fd_step * da))
-            Bm = expm_traceless(realize(-fd_step * db))
-            grad[k] = (tube_margin(Ap @ Y @ Bp.T) - tube_margin(Am @ Y @ Bm.T)) / (2 * fd_step)
-        gn = float(np.linalg.norm(grad))
-        if gn < 1e-14:
-            break
-        d = grad / gn
-        s = step
-        moved = False
-        while s >= step_floor:
-            Ag = expm_traceless(realize(s * d[:6]))
-            Bh = expm_traceless(realize(s * d[6:]))
-            Yt = Ag @ Y @ Bh.T
-            if tube_margin(Yt) > best:
-                Y = Yt
-                best = tube_margin(Yt)
-                moved = True
-                break
-            s *= 0.5
-        if not moved:
-            break
-        step = min(s * 2.0, 2.0)
-    return Y, best
-
-
-def saturation_probe(Z, kn_opts=None, reduce_opts=None, search_iters=400):
+def saturation_probe(Z):
     """Probe whether the closed orbit under the starting point meets the tube.
 
-    Runs the norm minimization, takes the reached point as the stand-in for
-    the closed orbit, hunts for a translate inside the tube and certifies by
-    reducing it with the orbit minimizer.  A failed hunt reports
-    "probe failed", never a refutation.
+    Runs the norm minimization and takes the reached point as the stand-in
+    for the closed orbit.  The witness is that point when it lies in the
+    tube, else, for a `closed` classification, the translate the recorded
+    minimizer carries back to the start.  A witness is certified by
+    reducing it with the orbit minimizer.  Without a witness, or when the
+    reduction does not certify, the probe reports "probe failed", never a
+    refutation.
     """
-    from .reduction import ReduceOptions, orbit_minimize
+    from .reduction import orbit_minimize
 
     Z = as_tuple_point(Z)
     if not tube_membership(Z):
         raise ValueError("saturation probe starts from a tube point")
-    kn = kempf_ness_minimize(Z, kn_opts)
+    kn = kempf_ness_minimize(Z)
     W = act_complex(kn.minimizer, Z)
     gram_distance = float(np.linalg.norm(gram_map(W) - gram_map(Z)))
 
@@ -299,16 +225,11 @@ def saturation_probe(Z, kn_opts=None, reduce_opts=None, search_iters=400):
         kind = "minimizer_inverse"
         if not tube_membership(witness):
             witness = Z.copy()
-    else:
-        Yt, margin = _margin_search(W, iters=search_iters)
-        if margin > 0.0:
-            witness = Yt
-            kind = "margin_search"
 
     certified = False
     reduced_margin = None
     if witness is not None:
-        rr = orbit_minimize(witness, reduce_opts if reduce_opts is not None else ReduceOptions())
+        rr = orbit_minimize(witness)
         if rr.converged and tube_membership(rr.reduced_point):
             certified = True
             reduced_margin = tube_margin(rr.reduced_point)

@@ -15,9 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DomainError, as_tuple_point, tube_membership
-from .actions import GroupPair, apply_J, flow_pair, make_unimodular, orbit_fields, full_tangent_basis
+from .actions import (
+    GroupPair,
+    apply_J,
+    damped_newton,
+    descend,
+    flow_pair,
+    full_tangent_basis,
+    orbit_fields,
+)
 from .psh import dphi, levi_form, levi_form_phi, moment_map, omega_eval, phi
-from .quotient import gram_map
+from .quotient import gram_map, gram_rank
 
 __all__ = [
     "ConvergenceError",
@@ -44,10 +52,6 @@ class ConvergenceError(RuntimeError):
 class ReduceOptions:
     moment_tol: float = 1e-8
     max_iters: int = 2000
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    step_init: float = 1.0
-    step_floor: float = 1e-18
 
 
 @dataclass
@@ -61,39 +65,28 @@ class ReductionResult:
     iterations: int
 
 
-def _transverse_direction(P, m):
-    """Descent direction in the exp(i g) chart from the moment value.
+def _phi_in_tube(P):
+    return phi(P) if tube_membership(P) else np.inf
 
-    The derivative of the moment along the chart is the normal Hessian
-    J_kl = omega(field_k, J field_l) = 4 Re <field_k, field_l>_Levi, so a
-    damped solve of J c = mu gives a Newton step for the zero of the
-    moment.  The damping 0.01 |mu| handles the gauge directions where
-    the fields degenerate (point stabilizers); the raw moment value is
-    the fallback if the solve misbehaves.  Either way <mu, xi> < 0, a
-    phi-descent direction.
-    """
-    F = orbit_fields(P)
-    J = 4.0 * np.real(levi_form_phi(P, F).entries)
-    lam = 0.01 * float(np.linalg.norm(m)) + 1e-300
-    try:
-        c = np.linalg.solve(J + lam * np.eye(6), m)
-    except np.linalg.LinAlgError:
-        return -m, -float(m @ m)
-    deriv = -float(m @ c)
-    if not np.isfinite(deriv) or deriv >= 0.0:
-        return -m, -float(m @ m)
-    return -c, deriv
+
+def _transverse_chart(xi, s):
+    return flow_pair(xi, 1j * s)
 
 
 def orbit_minimize(Z, opts=None):
     """Minimize phi over the local complexified orbit of Z.
 
-    Moves are Z <- exp(i s xi) . Z with xi from the negated moment value,
-    preconditioned by the analytic normal Hessian, accepted under an
-    Armijo test on phi; membership failures reject the trial.  Converged
-    means the moment norm fell below opts.moment_tol.  Non-convergence is
-    reported through the flag, not raised: it signals either an exhausted
-    budget or a fiber whose infimum this probe did not attain.
+    Moves are Z <- exp(i s xi) . Z, descending with actions.descend.  The
+    moment value is the gradient of phi in the exp(i g) chart, and its
+    derivative along the chart is the normal Hessian
+    J_kl = omega(field_k, J field_l) = 4 Re <field_k, field_l>_Levi, so
+    a damped solve of J xi = -mu is a Newton step for the zero of the
+    moment.  The damping 0.01 |mu| handles the gauge directions where
+    the fields degenerate (point stabilizers).  Trial steps leaving the
+    tube are rejected.  Converged means the moment norm fell below
+    opts.moment_tol.  Non-convergence is reported through the flag, not
+    raised: it signals either an exhausted budget or a fiber whose
+    infimum this probe did not attain.
     """
     if opts is None:
         opts = ReduceOptions()
@@ -101,50 +94,31 @@ def orbit_minimize(Z, opts=None):
     if not tube_membership(Z0):
         raise DomainError("orbit_minimize starts from a tube point")
 
-    P = Z0.copy()
-    g = np.eye(2, dtype=complex)
-    h = np.eye(2, dtype=complex)
-    converged = False
-    it = 0
-    m = moment_map(P)
-    mn = float(np.linalg.norm(m))
-    cur = phi(P)
-    while it < opts.max_iters:
-        if mn <= opts.moment_tol:
-            converged = True
-            break
-        xi, deriv = _transverse_direction(P, m)
-        # fresh unit trial step: the damped solve is a natural Newton step
-        s = opts.step_init
-        accepted = False
-        while s >= opts.step_floor:
-            A, B = flow_pair(xi, 1j * s)
-            Pt = A @ P @ B.T
-            if tube_membership(Pt):
-                ft = phi(Pt)
-                if ft <= cur + opts.armijo * s * deriv:
-                    accepted = True
-                    break
-            s *= opts.shrink
-        if not accepted:
-            break
-        P = Pt
-        cur = ft
-        g = make_unimodular(A @ g)
-        h = make_unimodular(B @ h)
-        it += 1
-        m = moment_map(P)
-        mn = float(np.linalg.norm(m))
-    if mn <= opts.moment_tol:
-        converged = True
+    moment_norm = None
 
+    def model(P, value, pair):
+        nonlocal moment_norm
+        m = moment_map(P)
+        mn = moment_norm = float(np.linalg.norm(m))
+        if mn <= opts.moment_tol:
+            return None
+
+        def direction():
+            J = 4.0 * np.real(levi_form_phi(P, orbit_fields(P)).entries)
+            return damped_newton(m, J, 0.01 * mn + 1e-300)
+
+        return direction
+
+    P, phi_min, pair, it = descend(
+        Z0.copy(), phi(Z0), model, _transverse_chart, _phi_in_tube, opts.max_iters
+    )
     return ReductionResult(
         start=Z0,
-        minimizer=GroupPair(g, h),
+        minimizer=pair,
         reduced_point=P,
-        phi_min=cur,
-        moment_norm=mn,
-        converged=converged,
+        phi_min=phi_min,
+        moment_norm=moment_norm,
+        converged=moment_norm <= opts.moment_tol,
         iterations=it,
     )
 
@@ -173,16 +147,6 @@ def big_psi(Z, opts=None, witness=None):
     return r.phi_min
 
 
-def _real_rank(vectors, tol=1e-6):
-    if len(vectors) == 0:
-        return 0
-    M = np.stack([np.concatenate([v.ravel().real, v.ravel().imag]) for v in vectors])
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
-
-
 @dataclass
 class LagrangianReport:
     max_omega: float
@@ -209,8 +173,10 @@ def lagrangian_check(R, tol=1e-5):
     for a in range(len(live)):
         for b in range(a + 1, len(live)):
             worst = max(worst, abs(omega_eval(Zr, F[live[a]], F[live[b]])))
-    rank_real = _real_rank([F[k] for k in live])
-    rank_complex = _real_rank([F[k] for k in live] + [1j * F[k] for k in live])
+    V = F[live].reshape(len(live), F[0].size)
+    Vc = np.concatenate([V, 1j * V])
+    rank_real = gram_rank(np.hstack([V.real, V.imag]), tol=1e-6)
+    rank_complex = gram_rank(np.hstack([Vc.real, Vc.imag]), tol=1e-6)
     dimension_ok = 2 * rank_real == rank_complex
     return LagrangianReport(
         max_omega=worst,
@@ -343,14 +309,7 @@ def section_levi_identity(probe, inner_tol=1e-10, dev_tol=1e-3, eig_tol=1e-6):
         )
 
     inner = ReduceOptions(moment_tol=inner_tol)
-
-    def fiber_min(Y):
-        r = orbit_minimize(Y, inner)
-        if not r.converged:
-            raise ConvergenceError("inner minimization failed at a stencil point")
-        return r.phi_min
-
-    A = levi_form(fiber_min, base, probe.directions, h=probe.radius).entries
+    A = levi_form(lambda Y: big_psi(Y, inner), base, probe.directions, h=probe.radius).entries
     B = levi_form_phi(base, probe.directions).entries
     deviation = float(np.linalg.norm(A - B) / np.linalg.norm(B))
     min_eig = float(np.linalg.eigvalsh((A + A.conj().T) / 2.0)[0])

@@ -2,13 +2,15 @@
 
 Complex scalars are two-element arrays [re, im]; matrices are row-major
 2x2 arrays of complex scalars; tuple points are arrays of matrices;
-algebra vectors are flat arrays of six reals.  Reports serialize by
+algebra vectors are flat arrays of six reals.  Parsing rejects NaN and
+infinite entries with ValueError.  Reports serialize by
 recursing through dataclasses with the same scalar rules.  Canonical
 bytes (sorted keys, no whitespace) back the determinism contract.
 """
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -31,14 +33,18 @@ def encode_complex(z):
     return [z.real, z.imag]
 
 
+def _finite_real(c):
+    return isinstance(c, (int, float)) and math.isfinite(c)
+
+
 def parse_complex(v):
-    if isinstance(v, (int, float)):
+    if _finite_real(v):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2 and all(
-        isinstance(c, (int, float)) for c in v
+        _finite_real(c) for c in v
     ):
         return complex(v[0], v[1])
-    raise ValueError(f"cannot parse complex scalar from {v!r}")
+    raise ValueError(f"cannot parse finite complex scalar from {v!r}")
 
 
 def matrix_to_json(M):
@@ -78,17 +84,17 @@ def parse_point(doc):
         return np.stack([parse_matrix(doc)])
     if isinstance(doc, (list, tuple)) and doc and all(_looks_like_matrix(m) for m in doc):
         return np.stack([parse_matrix(m) for m in doc])
-    raise ValueError("point must be a 2x2 matrix or a nonempty array of them")
+    raise ValueError("point must be a 2x2 matrix of finite entries or a nonempty array of them")
 
 
 def parse_algebra(doc):
     if (
         isinstance(doc, (list, tuple))
         and len(doc) == 6
-        and all(isinstance(c, (int, float)) for c in doc)
+        and all(_finite_real(c) for c in doc)
     ):
         return np.array([float(c) for c in doc])
-    raise ValueError("algebra vector must be an array of six reals")
+    raise ValueError("algebra vector must be an array of six finite reals")
 
 
 def jsonable(obj):

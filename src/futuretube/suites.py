@@ -15,6 +15,7 @@ import numpy as np
 from . import serialize
 from .rng import stream_for
 from .geometry import (
+    IDENTITY,
     det2,
     det_im,
     from_matrix,
@@ -23,7 +24,6 @@ from .geometry import (
     sample_tube_matrix,
     sample_tube_point,
     to_matrix,
-    tube_membership,
 )
 from .actions import (
     act_real,
@@ -39,7 +39,6 @@ from .actions import (
 )
 from .psh import (
     directional_derivative,
-    dphi,
     flow_monotonicity,
     levi_form,
     levi_form_phi,
@@ -69,8 +68,6 @@ __all__ = [
 ]
 
 ARTIFACT_VERSION = "0.1.0"
-
-_IDENTITY = np.eye(2, dtype=complex)
 
 
 @dataclass
@@ -148,33 +145,43 @@ def _verdict(ok):
     return "pass" if ok else "fail"
 
 
-def _suite_coordinate_identities(seed, n, samples, tol):
-    records = []
-    for i in range(samples):
-        s = stream_for(seed, "coordinate-identities", i)
-        z = sample_four_vector(s)
-        Z = to_matrix(z)
-        zz = lorentz_product(z, z)
-        c_det = abs(det2(Z) - zz) <= tol["det_identity"] * (1.0 + abs(zz))
-        c_round = float(np.max(np.abs(from_matrix(Z) - z))) <= tol["roundtrip"] * (
-            1.0 + float(np.max(np.abs(z)))
-        )
-        imzz = lorentz_product(z.imag, z.imag).real
-        c_im = abs(det_im(Z) - imzz) <= tol["det_identity"] * (1.0 + abs(imzz))
-        W = sample_tube_matrix(s)
-        c_bound = det_im(W) <= abs(det2(W)) + tol["det_identity"]
-        ok = bool(c_det and c_round and c_im and c_bound)
-        records.append(
-            {
-                "index": i,
-                "det_identity": bool(c_det),
-                "roundtrip": bool(c_round),
-                "im_identity": bool(c_im),
-                "det_im_bound": bool(c_bound),
-                "verdict": _verdict(ok),
-            }
-        )
-    return records
+def _each_sample(name, sample, units=None):
+    """Runner of a suite whose records are one per sample.
+
+    Sample i is drawn from stream_for(seed, name, i) and
+    sample(stream, n, tol) returns its record, to which the index is
+    added.  units(tol), when given, returns fixed records placed first.
+    """
+
+    def run(seed, n, samples, tol):
+        records = units(tol) if units is not None else []
+        for i in range(samples):
+            records.append({"index": i, **sample(stream_for(seed, name, i), n, tol)})
+        return records
+
+    return run
+
+
+def _coordinate_identities(s, n, tol):
+    z = sample_four_vector(s)
+    Z = to_matrix(z)
+    zz = lorentz_product(z, z)
+    c_det = abs(det2(Z) - zz) <= tol["det_identity"] * (1.0 + abs(zz))
+    c_round = float(np.max(np.abs(from_matrix(Z) - z))) <= tol["roundtrip"] * (
+        1.0 + float(np.max(np.abs(z)))
+    )
+    imzz = lorentz_product(z.imag, z.imag).real
+    c_im = abs(det_im(Z) - imzz) <= tol["det_identity"] * (1.0 + abs(imzz))
+    W = sample_tube_matrix(s)
+    c_bound = det_im(W) <= abs(det2(W)) + tol["det_identity"]
+    ok = bool(c_det and c_round and c_im and c_bound)
+    return {
+        "det_identity": bool(c_det),
+        "roundtrip": bool(c_round),
+        "im_identity": bool(c_im),
+        "det_im_bound": bool(c_bound),
+        "verdict": _verdict(ok),
+    }
 
 
 def _suite_psh_levi(seed, n, samples, tol):
@@ -204,98 +211,77 @@ def _suite_psh_levi(seed, n, samples, tol):
     return records
 
 
-def _suite_moment_oracle(seed, n, samples, tol):
-    records = []
-    for i in range(samples):
-        s = stream_for(seed, "moment-oracle", i)
-        Z = sample_tube_point(s, n)
-        m = moment_map(Z)
-        worst = 0.0
-        for k in range(6):
-            e = np.zeros(6)
-            e[k] = 1.0
-            JF = apply_J(real_vector_field(e, Z))
-            fd = directional_derivative(phi, Z, JF).value
-            worst = max(worst, abs(m[k] - fd) / (1.0 + abs(fd)))
-        A = s.matrix()
-        iP = np.stack([1j * (A @ A.conj().T + 0.2 * _IDENTITY)])
-        zero_norm = float(np.linalg.norm(moment_map(iP)))
-        g = sample_sl2(s)
-        xi = sample_algebra(s)
-        lhs = float(np.dot(moment_map(act_real(g, Z)), xi))
-        rhs = float(np.dot(moment_map(Z), adjoint(adj2(g), xi)))
-        equi = abs(lhs - rhs) / (1.0 + abs(lhs))
-        ok = worst <= tol["fd_match"] and zero_norm <= tol["ip_zero"] and equi <= tol["equivariance"]
-        records.append(
-            {
-                "index": i,
-                "fd_rel_err": worst,
-                "ip_moment_norm": zero_norm,
-                "equivariance_err": equi,
-                "verdict": _verdict(bool(ok)),
-            }
-        )
-    return records
+def _moment_oracle(s, n, tol):
+    Z = sample_tube_point(s, n)
+    m = moment_map(Z)
+    worst = 0.0
+    for k in range(6):
+        e = np.zeros(6)
+        e[k] = 1.0
+        JF = apply_J(real_vector_field(e, Z))
+        fd = directional_derivative(phi, Z, JF).value
+        worst = max(worst, abs(m[k] - fd) / (1.0 + abs(fd)))
+    A = s.matrix()
+    iP = np.stack([1j * (A @ A.conj().T + 0.2 * IDENTITY)])
+    zero_norm = float(np.linalg.norm(moment_map(iP)))
+    g = sample_sl2(s)
+    xi = sample_algebra(s)
+    lhs = float(np.dot(moment_map(act_real(g, Z)), xi))
+    rhs = float(np.dot(moment_map(Z), adjoint(adj2(g), xi)))
+    equi = abs(lhs - rhs) / (1.0 + abs(lhs))
+    ok = worst <= tol["fd_match"] and zero_norm <= tol["ip_zero"] and equi <= tol["equivariance"]
+    return {
+        "fd_rel_err": worst,
+        "ip_moment_norm": zero_norm,
+        "equivariance_err": equi,
+        "verdict": _verdict(bool(ok)),
+    }
 
 
-def _suite_flow_monotone(seed, n, samples, tol):
-    records = []
-    for i in range(samples):
-        s = stream_for(seed, "flow-monotone", i)
-        Z = sample_tube_point(s, n)
-        xi = sample_algebra(s)
-        xi = xi / np.linalg.norm(xi)
-        rep = flow_monotonicity(xi, Z, t_max=0.25, steps=25, slack=tol["slack"])
-        ok = rep.nondecreasing and rep.strict_when_moving and len(rep.values) >= 2
-        records.append(
-            {
-                "index": i,
-                "kept": len(rep.values),
-                "truncated_at": rep.truncated_at,
-                "nondecreasing": rep.nondecreasing,
-                "strict_when_moving": rep.strict_when_moving,
-                "verdict": _verdict(bool(ok)),
-            }
-        )
-    return records
+def _flow_monotone(s, n, tol):
+    Z = sample_tube_point(s, n)
+    xi = sample_algebra(s)
+    xi = xi / np.linalg.norm(xi)
+    rep = flow_monotonicity(xi, Z, t_max=0.25, steps=25, slack=tol["slack"])
+    ok = rep.nondecreasing and rep.strict_when_moving and len(rep.values) >= 2
+    return {
+        "kept": len(rep.values),
+        "truncated_at": rep.truncated_at,
+        "nondecreasing": rep.nondecreasing,
+        "strict_when_moving": rep.strict_when_moving,
+        "verdict": _verdict(bool(ok)),
+    }
 
 
-def _suite_reduce_minimum(seed, n, samples, tol):
-    records = []
+def _reduce_minimum(s, n, tol):
+    Z = sample_tube_point(s, n)
+    g = sample_sl2(s)
     opts = ReduceOptions(moment_tol=tol["moment_tol"])
-    for i in range(samples):
-        s = stream_for(seed, "reduce-minimum", i)
-        Z = sample_tube_point(s, n)
-        g = sample_sl2(s)
-        r0 = orbit_minimize(Z, opts)
-        r1 = orbit_minimize(act_real(g, Z), opts)
-        diff = abs(r0.phi_min - r1.phi_min)
-        lower = float(np.sum(1.0 / np.abs(det2(Z))))
-        ok = (
-            r0.converged
-            and r1.converged
-            and diff <= tol["translate_agreement"]
-            and r0.phi_min >= lower - 1e-9
-            and r0.phi_min <= phi(Z) + 1e-9
-        )
-        records.append(
-            {
-                "index": i,
-                "converged": bool(r0.converged and r1.converged),
-                "phi_min": r0.phi_min,
-                "translate_diff": diff,
-                "lower_bound": lower,
-                "moment_norm": r0.moment_norm,
-                "verdict": _verdict(bool(ok)),
-            }
-        )
-    return records
+    r0 = orbit_minimize(Z, opts)
+    r1 = orbit_minimize(act_real(g, Z), opts)
+    diff = abs(r0.phi_min - r1.phi_min)
+    lower = float(np.sum(1.0 / np.abs(det2(Z))))
+    ok = (
+        r0.converged
+        and r1.converged
+        and diff <= tol["translate_agreement"]
+        and r0.phi_min >= lower - 1e-9
+        and r0.phi_min <= phi(Z) + 1e-9
+    )
+    return {
+        "converged": bool(r0.converged and r1.converged),
+        "phi_min": r0.phi_min,
+        "translate_diff": diff,
+        "lower_bound": lower,
+        "moment_norm": r0.moment_norm,
+        "verdict": _verdict(bool(ok)),
+    }
 
 
 def _suite_levi_identity(seed, n, samples, tol):
     records = []
     rep = section_levi_identity(
-        section_probe(np.stack([1j * _IDENTITY])), dev_tol=tol["deviation"], eig_tol=tol["min_eig"]
+        section_probe(np.stack([1j * IDENTITY])), dev_tol=tol["deviation"], eig_tol=tol["min_eig"]
     )
     records.append(
         {
@@ -326,174 +312,133 @@ def _suite_levi_identity(seed, n, samples, tol):
     return records
 
 
-def _suite_lagrangian(seed, n, samples, tol):
-    records = []
+def _lagrangian(s, n, tol):
+    Z = sample_tube_point(s, n)
     # tight reduction keeps the spurious sixth field direction well under
     # the rank tolerance of the dimension side condition
-    opts = ReduceOptions(moment_tol=1e-10)
-    for i in range(samples):
-        s = stream_for(seed, "lagrangian", i)
-        Z = sample_tube_point(s, n)
-        rr = orbit_minimize(Z, opts)
-        lag = lagrangian_check(rr, tol=tol["omega_tol"])
-        F = orbit_fields(rr.reduced_point)
-        normal_pos = True
-        scale = 1.0 + float(np.linalg.norm(rr.reduced_point))
-        for k in range(6):
-            if np.linalg.norm(F[k]) > 1e-10 * scale:
-                if omega_eval(rr.reduced_point, F[k], apply_J(F[k])) <= 0.0:
-                    normal_pos = False
-        crit = critical_iff_moment_zero(rr.reduced_point)
-        away = critical_iff_moment_zero(Z)
-        ok = rr.converged and lag.passed and normal_pos and crit.consistent and away.consistent
-        records.append(
-            {
-                "index": i,
-                "max_omega": lag.max_omega,
-                "orbit_dim": lag.orbit_dim,
-                "complex_orbit_dim": lag.complex_orbit_dim,
-                "normal_hessian_positive": normal_pos,
-                "verdict": _verdict(bool(ok)),
-            }
-        )
-    return records
+    rr = orbit_minimize(Z, ReduceOptions(moment_tol=1e-10))
+    lag = lagrangian_check(rr, tol=tol["omega_tol"])
+    F = orbit_fields(rr.reduced_point)
+    normal_pos = True
+    scale = 1.0 + float(np.linalg.norm(rr.reduced_point))
+    for k in range(6):
+        if np.linalg.norm(F[k]) > 1e-10 * scale:
+            if omega_eval(rr.reduced_point, F[k], apply_J(F[k])) <= 0.0:
+                normal_pos = False
+    crit = critical_iff_moment_zero(rr.reduced_point)
+    away = critical_iff_moment_zero(Z)
+    ok = rr.converged and lag.passed and normal_pos and crit.consistent and away.consistent
+    return {
+        "max_omega": lag.max_omega,
+        "orbit_dim": lag.orbit_dim,
+        "complex_orbit_dim": lag.complex_orbit_dim,
+        "normal_hessian_positive": normal_pos,
+        "verdict": _verdict(bool(ok)),
+    }
+
+
+# index, point, expected classification and norm; a norm of None asks
+# for a collapse below tol["collapse_norm"]
+_KN_UNITS = (
+    ("unit-diag21", np.diag([2.0, 1.0]).astype(complex), "closed", 4.0),
+    ("unit-nilpotent", np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), "non_closed", None),
+    ("unit-identity", 1j * IDENTITY, "closed", 2.0),
+)
 
 
 def _kn_units(tol):
     out = []
-    r = kempf_ness_minimize(np.diag([2.0, 1.0]).astype(complex))
-    out.append(
-        {
-            "index": "unit-diag21",
-            "classification": r.classification,
-            "achieved_norm_sq": r.achieved_norm_sq,
-            "verdict": _verdict(
-                r.classification == "closed" and abs(r.achieved_norm_sq - 4.0) <= tol["unit_norm"]
-            ),
-        }
-    )
-    r = kempf_ness_minimize(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    out.append(
-        {
-            "index": "unit-nilpotent",
-            "classification": r.classification,
-            "achieved_norm_sq": r.achieved_norm_sq,
-            "verdict": _verdict(
-                r.classification == "non_closed" and r.achieved_norm_sq <= tol["collapse_norm"]
-            ),
-        }
-    )
-    r = kempf_ness_minimize(1j * _IDENTITY)
-    out.append(
-        {
-            "index": "unit-identity",
-            "classification": r.classification,
-            "achieved_norm_sq": r.achieved_norm_sq,
-            "verdict": _verdict(
-                r.classification == "closed" and abs(r.achieved_norm_sq - 2.0) <= tol["unit_norm"]
-            ),
-        }
-    )
+    for index, Z, expect, norm_sq in _KN_UNITS:
+        r = kempf_ness_minimize(Z)
+        if norm_sq is None:
+            norm_ok = r.achieved_norm_sq <= tol["collapse_norm"]
+        else:
+            norm_ok = abs(r.achieved_norm_sq - norm_sq) <= tol["unit_norm"]
+        out.append(
+            {
+                "index": index,
+                "classification": r.classification,
+                "achieved_norm_sq": r.achieved_norm_sq,
+                "verdict": _verdict(r.classification == expect and norm_ok),
+            }
+        )
     return out
 
 
-def _suite_kempf_ness(seed, n, samples, tol):
-    records = _kn_units(tol)
-    for i in range(samples):
-        s = stream_for(seed, "kempf-ness", i)
-        Z = np.stack([s.matrix() for _ in range(max(n, 3))])
-        rank = gram_rank(gram_map(Z))
-        r = kempf_ness_minimize(Z)
-        if rank >= 3:
-            if r.classification == "closed":
-                verdict = "pass"
-            elif r.classification == "inconclusive":
-                verdict = "inconclusive"
-            else:
-                verdict = "fail"
+def _kempf_ness(s, n, tol):
+    Z = np.stack([s.matrix() for _ in range(max(n, 3))])
+    rank = gram_rank(gram_map(Z))
+    r = kempf_ness_minimize(Z)
+    if rank >= 3:
+        if r.classification == "closed":
+            verdict = "pass"
+        elif r.classification == "inconclusive":
+            verdict = "inconclusive"
         else:
-            verdict = "inconclusive"  # non-generic draw, rank criterion not applicable
-        records.append(
-            {
-                "index": i,
-                "gram_rank": rank,
-                "classification": r.classification,
-                "gradient_norm": r.gradient_norm,
-                "iterations": r.iterations,
-                "verdict": verdict,
-            }
-        )
-    return records
+            verdict = "fail"
+    else:
+        verdict = "inconclusive"  # non-generic draw, rank criterion not applicable
+    return {
+        "gram_rank": rank,
+        "classification": r.classification,
+        "gradient_norm": r.gradient_norm,
+        "iterations": r.iterations,
+        "verdict": verdict,
+    }
 
 
-def _suite_saturation_probe(seed, n, samples, tol):
-    records = []
-    deg = np.stack([1j * _IDENTITY, 1j * _IDENTITY + 0.5 * np.array([[0.0, 1.0], [0.0, 0.0]])])
-    sp = saturation_probe(deg)
-    records.append(
-        {
-            "index": "unit-degenerate",
-            "classification": sp.classification,
-            "witness_kind": sp.witness_kind,
-            "gram_distance": sp.gram_distance,
-            "verdict": _verdict(sp.certified_in_extended_tube),
-        }
+def _saturation_record(Z):
+    sp = saturation_probe(Z)
+    return {
+        "classification": sp.classification,
+        "witness_kind": sp.witness_kind,
+        "gram_distance": sp.gram_distance,
+        "verdict": _verdict(sp.certified_in_extended_tube),
+    }
+
+
+def _saturation_unit(tol):
+    shear = 0.5 * np.array([[0.0, 1.0], [0.0, 0.0]])
+    deg = np.stack([1j * IDENTITY, 1j * IDENTITY + shear])
+    return [{"index": "unit-degenerate", **_saturation_record(deg)}]
+
+
+def _saturation_probe(s, n, tol):
+    return _saturation_record(sample_tube_point(s, n))
+
+
+def _normal_form(s, n, tol):
+    W = sample_tube_matrix(s)
+    nf = normal_form(W)
+    recon = float(np.max(np.abs(act_real(nf.group_element(), W) - nf.X)))
+    offdiag = abs(nf.X[1, 0])
+    balance = abs(abs(nf.X[0, 0]) - abs(nf.X[1, 1])) / abs(nf.X[0, 0])
+    Xc = nf.X.copy()
+    Xc[1, 0] = 0.0
+    tb = triangular_bounds_check(Xc)
+    u = sample_su2(s)
+    star_conj = float(np.max(np.abs(act_real(u, W) - u @ W @ u.conj().T)))
+    ok = (
+        recon <= tol["reconstruction"]
+        and offdiag <= tol["offdiag"]
+        and balance <= tol["balance"]
+        and tb.strict_lower_ok
+        and tb.det_upper_ok
+        and star_conj <= tol["star_conjugation"]
     )
-    for i in range(samples):
-        s = stream_for(seed, "saturation-probe", i)
-        Z = sample_tube_point(s, n)
-        sp = saturation_probe(Z)
-        records.append(
-            {
-                "index": i,
-                "classification": sp.classification,
-                "witness_kind": sp.witness_kind,
-                "gram_distance": sp.gram_distance,
-                "verdict": _verdict(sp.certified_in_extended_tube),
-            }
-        )
-    return records
-
-
-def _suite_normal_form(seed, n, samples, tol):
-    records = []
-    for i in range(samples):
-        s = stream_for(seed, "normal-form", i)
-        W = sample_tube_matrix(s)
-        nf = normal_form(W)
-        recon = float(np.max(np.abs(act_real(nf.group_element(), W) - nf.X)))
-        offdiag = abs(nf.X[1, 0])
-        balance = abs(abs(nf.X[0, 0]) - abs(nf.X[1, 1])) / abs(nf.X[0, 0])
-        Xc = nf.X.copy()
-        Xc[1, 0] = 0.0
-        tb = triangular_bounds_check(Xc)
-        u = sample_su2(s)
-        star_conj = float(np.max(np.abs(act_real(u, W) - u @ W @ u.conj().T)))
-        ok = (
-            recon <= tol["reconstruction"]
-            and offdiag <= tol["offdiag"]
-            and balance <= tol["balance"]
-            and tb.strict_lower_ok
-            and tb.det_upper_ok
-            and star_conj <= tol["star_conjugation"]
-        )
-        records.append(
-            {
-                "index": i,
-                "reconstruction_err": recon,
-                "offdiag": offdiag,
-                "balance_rel_err": balance,
-                "bounds_ok": bool(tb.strict_lower_ok and tb.det_upper_ok),
-                "star_conjugation_err": star_conj,
-                "verdict": _verdict(bool(ok)),
-            }
-        )
-    return records
+    return {
+        "reconstruction_err": recon,
+        "offdiag": offdiag,
+        "balance_rel_err": balance,
+        "bounds_ok": bool(tb.strict_lower_ok and tb.det_upper_ok),
+        "star_conjugation_err": star_conj,
+        "verdict": _verdict(bool(ok)),
+    }
 
 
 def _suite_boundary_weak(seed, n, samples, tol):
     zero = np.zeros((2, 2), dtype=complex)
-    comp = {"num": [serialize.matrix_to_json(zero), serialize.matrix_to_json(1j * _IDENTITY)]}
+    comp = {"num": [serialize.matrix_to_json(zero), serialize.matrix_to_json(1j * IDENTITY)]}
     doc = {"type": "curve", "components": [comp] * n, "k_count": samples, "k_start": 1}
     rep = boundary_scan(doc, ScanOptions())
     records = []
@@ -523,40 +468,33 @@ def _suite_boundary_weak(seed, n, samples, tol):
     return records
 
 
-def _suite_boundary_mod_greal(seed, n, samples, tol):
-    records = []
-    for i in range(samples):
-        s = stream_for(seed, "boundary-mod-greal", i)
-        Z0 = sample_tube_point(s, n)
-        doc = {
-            "type": "translate",
-            "base": serialize.point_to_json(Z0),
-            "generator": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-            "times": {"start": 0.0, "step": 0.35, "count": 20},
-        }
-        opts = ScanOptions(
-            phi_bound=max(50.0, 2.0 * phi(Z0)),
-            compact_bound=tol["compact_bound"],
-            det_floor=tol["det_floor"],
-            escape_bound=tol["compact_bound"],
-        )
-        rep = boundary_scan(doc, opts)
-        records.append(
-            {
-                "index": i,
-                "gram_converged": rep.gram_converged,
-                "phi_bounded": rep.phi_bounded,
-                "raw_escapes": rep.raw_escapes,
-                "compact": rep.compact_after_normalization,
-                "verdict": _verdict(bool(rep.mod_real_applicable and rep.mod_real_exhaustion)),
-            }
-        )
-    return records
+def _boundary_mod_greal(s, n, tol):
+    Z0 = sample_tube_point(s, n)
+    doc = {
+        "type": "translate",
+        "base": serialize.point_to_json(Z0),
+        "generator": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        "times": {"start": 0.0, "step": 0.35, "count": 20},
+    }
+    opts = ScanOptions(
+        phi_bound=max(50.0, 2.0 * phi(Z0)),
+        compact_bound=tol["compact_bound"],
+        det_floor=tol["det_floor"],
+        escape_bound=tol["compact_bound"],
+    )
+    rep = boundary_scan(doc, opts)
+    return {
+        "gram_converged": rep.gram_converged,
+        "phi_bounded": rep.phi_bounded,
+        "raw_escapes": rep.raw_escapes,
+        "compact": rep.compact_after_normalization,
+        "verdict": _verdict(bool(rep.mod_real_applicable and rep.mod_real_exhaustion)),
+    }
 
 
 SUITES = {
     "coordinate-identities": _SuiteEntry(
-        _suite_coordinate_identities,
+        _each_sample("coordinate-identities", _coordinate_identities),
         1000,
         1,
         {"det_identity": 1e-12, "roundtrip": 1e-12},
@@ -565,14 +503,16 @@ SUITES = {
         _suite_psh_levi, 40, 2, {"invariance": 1e-10, "stencil_match": 1e-4}
     ),
     "moment-oracle": _SuiteEntry(
-        _suite_moment_oracle,
+        _each_sample("moment-oracle", _moment_oracle),
         150,
         2,
         {"fd_match": 1e-6, "ip_zero": 1e-10, "equivariance": 1e-6},
     ),
-    "flow-monotone": _SuiteEntry(_suite_flow_monotone, 60, 2, {"slack": 1e-9}),
+    "flow-monotone": _SuiteEntry(
+        _each_sample("flow-monotone", _flow_monotone), 60, 2, {"slack": 1e-9}
+    ),
     "reduce-minimum": _SuiteEntry(
-        _suite_reduce_minimum,
+        _each_sample("reduce-minimum", _reduce_minimum),
         15,
         2,
         {"moment_tol": 1e-8, "translate_agreement": 1e-5},
@@ -580,13 +520,20 @@ SUITES = {
     "levi-identity": _SuiteEntry(
         _suite_levi_identity, 1, 2, {"deviation": 1e-3, "min_eig": 1e-6}
     ),
-    "lagrangian": _SuiteEntry(_suite_lagrangian, 8, 2, {"omega_tol": 1e-5}),
-    "kempf-ness": _SuiteEntry(
-        _suite_kempf_ness, 30, 3, {"unit_norm": 1e-6, "collapse_norm": 1e-6}
+    "lagrangian": _SuiteEntry(
+        _each_sample("lagrangian", _lagrangian), 8, 2, {"omega_tol": 1e-5}
     ),
-    "saturation-probe": _SuiteEntry(_suite_saturation_probe, 8, 2, {}),
+    "kempf-ness": _SuiteEntry(
+        _each_sample("kempf-ness", _kempf_ness, units=_kn_units),
+        30,
+        3,
+        {"unit_norm": 1e-6, "collapse_norm": 1e-6},
+    ),
+    "saturation-probe": _SuiteEntry(
+        _each_sample("saturation-probe", _saturation_probe, units=_saturation_unit), 8, 2, {}
+    ),
     "normal-form": _SuiteEntry(
-        _suite_normal_form,
+        _each_sample("normal-form", _normal_form),
         300,
         1,
         {
@@ -600,7 +547,10 @@ SUITES = {
         _suite_boundary_weak, 40, 1, {"phi_exact": 1e-12}
     ),
     "boundary-mod-greal": _SuiteEntry(
-        _suite_boundary_mod_greal, 3, 2, {"compact_bound": 100.0, "det_floor": 1e-6}
+        _each_sample("boundary-mod-greal", _boundary_mod_greal),
+        3,
+        2,
+        {"compact_bound": 100.0, "det_floor": 1e-6},
     ),
 }
 

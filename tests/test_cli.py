@@ -102,3 +102,39 @@ def test_usage_error_on_bad_point(tmp_path, capsys):
     assert cli_entry(["phi", p]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+
+
+def test_non_finite_point_is_a_usage_error(tmp_path, capsys):
+    nan_point = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [float("nan"), 1.0]]]
+    inf_point = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, float("inf")]]]
+    for doc in (nan_point, inf_point):
+        p = write_json(tmp_path / "pt.json", doc)
+        for command in ("phi", "moment", "reduce", "normal-form"):
+            assert cli_entry([command, p]) == 2, command
+            assert "error" in capsys.readouterr().err
+
+    seq = write_json(
+        tmp_path / "seq.json",
+        {
+            "type": "translate",
+            "base": serialize.point_to_json(iI),
+            "generator": [1.0, float("inf"), 0.0, 0.0, 0.0, 0.0],
+            "times": [0.0, 1.0],
+        },
+    )
+    assert cli_entry(["scan", seq]) == 2
+    capsys.readouterr()
+
+
+def test_reduce_exits_1_without_convergence(tmp_path, capsys, monkeypatch):
+    from futuretube import cli
+    from futuretube.reduction import ReduceOptions, orbit_minimize
+
+    def one_step(Z):
+        return orbit_minimize(Z, ReduceOptions(max_iters=1))
+
+    monkeypatch.setattr(cli, "orbit_minimize", one_step)
+    p = write_json(tmp_path / "pt.json", serialize.matrix_to_json(np.array([[1j, 1.0], [0.0, 1j]])))
+    assert cli_entry(["--json", "reduce", p]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["converged"] is False and doc["iterations"] == 1

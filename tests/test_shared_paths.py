@@ -1,0 +1,72 @@
+"""Shared paths: edges of the chart descent (budget exits, stops,
+aliasing) and realize against its tensordot reference."""
+
+import numpy as np
+
+from futuretube import geometry as G
+from futuretube import psh
+from futuretube.actions import BASIS, act_complex, descend, realize
+from futuretube.quotient import KempfNessOptions, kempf_ness_minimize
+from futuretube.reduction import ReduceOptions, orbit_minimize
+from futuretube.rng import stream_for
+
+iI = 1j * np.eye(2)
+
+
+def _unreduced_point():
+    Z = G.sample_tube_point(stream_for(3, "descent-edge", 0), 2)
+    assert np.linalg.norm(psh.moment_map(Z)) > 1e-2
+    return Z
+
+
+def test_orbit_minimize_budget_reports_the_final_point():
+    r = orbit_minimize(_unreduced_point(), ReduceOptions(max_iters=1))
+    assert r.iterations == 1
+    assert not r.converged
+    assert r.moment_norm == float(np.linalg.norm(psh.moment_map(r.reduced_point)))
+    assert r.phi_min == psh.phi(r.reduced_point)
+
+
+def test_kempf_ness_budget_is_inconclusive_at_the_final_point():
+    W = np.stack([stream_for(3, "descent-edge-kn", 0).matrix() for _ in range(3)])
+    r = kempf_ness_minimize(W, KempfNessOptions(max_iters=1))
+    assert r.iterations == 1
+    assert r.classification == "inconclusive"
+    assert not r.converged
+    Y = act_complex(r.minimizer, W)
+    assert abs(r.achieved_norm_sq - float(np.sum(np.abs(Y) ** 2))) <= 1e-8
+
+
+def test_zero_iteration_minimizers_do_not_alias_identity():
+    before = G.IDENTITY.copy()
+    r = orbit_minimize(iI)
+    assert r.iterations == 0
+    r.minimizer.g[0, 0] = 5.0
+    r.minimizer.h[1, 1] = 7.0
+    k = kempf_ness_minimize(iI)
+    assert k.iterations == 0 and k.classification == "closed"
+    k.minimizer.g[0, 1] = 3.0
+    assert np.array_equal(G.IDENTITY, before)
+
+
+def test_descend_stops_when_no_trial_step_is_accepted():
+    Y0 = np.stack([iI])
+    calls = []
+
+    def model(Y, value, pair):
+        calls.append(Y)
+        return lambda: (np.ones(6), -1.0)
+
+    def chart(d, s):
+        return np.eye(2, dtype=complex), np.eye(2, dtype=complex)
+
+    Y, value, pair, it = descend(Y0, 1.0, model, chart, lambda Yt: np.inf, 10)
+    assert it == 0 and value == 1.0
+    assert Y is Y0 and len(calls) == 1
+    assert np.array_equal(pair.g, np.eye(2)) and np.array_equal(pair.h, np.eye(2))
+
+
+def test_realize_matches_tensordot_reference():
+    for i in range(50):
+        xi = stream_for(3, "realize-ref", i).normals(6)
+        assert np.array_equal(realize(xi), np.tensordot(xi, BASIS, axes=(0, 0)))
