@@ -230,6 +230,11 @@ def orbit_fields(Z):
 def damped_newton(grad, H, lam):
     """Step d solving (H + lam I) d = -grad, with the derivative grad . d.
 
+    Both solvers pass a positive semidefinite H taken along non-compact
+    directions only: orbit_minimize the Levi matrix of phi along the
+    transverse fields, kempf_ness_minimize the chart Hessian of the norm
+    restricted to the Hermitian directions.  So lam > 0 is plain
+    Levenberg damping, and no shift for negative curvature is needed.
     Falls back to steepest descent -grad when the solve fails or does not
     give a descent direction, so the returned derivative is always < 0
     for a nonzero gradient.

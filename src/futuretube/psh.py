@@ -15,6 +15,7 @@ On the calibration field |z|^2 over C these conventions give a Levi form
 of 1 and omega(1, i) = 4.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,9 +57,19 @@ def phi(Z):
     """Invariant potential; positive on the tube.
 
     Raises DomainError when some det Im(Z^j) <= 0, signaling that the
-    point left the tube.
+    point left the tube.  When det Im overflows, each component is scaled
+    by its largest |Im| entry s, and 1/det Im(Z^j) = 1/(det Im(Z^j/s) s^2);
+    a potential that underflows to zero raises DomainError as well.
     """
-    return float(np.sum(1.0 / _positive_det_im(as_tuple_point(Z))))
+    Z = as_tuple_point(Z)
+    d = _positive_det_im(Z)
+    if math.isfinite(d.max()):
+        return float(np.sum(1.0 / d))
+    s = np.abs(hermitian_im(Z)).max(axis=(1, 2))
+    value = float(np.sum(1.0 / _positive_det_im(Z / s[:, None, None]) / s / s))
+    if not value > 0.0:
+        raise DomainError("phi underflows: det Im is too large to represent 1/det Im")
+    return value
 
 
 def _trace_adj_product(P, Q):

@@ -76,35 +76,57 @@ def _norm_sq(Y):
     return float(np.sum(Y.real**2 + Y.imag**2))
 
 
+def _kn_map():
+    """Constant map from P = sum_n conj(Y_n) (x) Y_n to the chart derivatives.
+
+    The squared norm is quadratic in Y, so its chart gradient and Hessian
+    at (g, h) = (e, e) are real parts of linear functionals of the 4 x 4
+    matrix P[pq, rs] = sum_n conj(Y_n[p, q]) Y_n[r, s].  With
+    S = sum_j Y_j Y_j^H and T = sum_j Y_j^H Y_j the gradient is
+    (2 Re tr(e_k S), 2 Re tr(e_k^t T)); the Hessian is twice the Gram
+    matrix of the twelve tangents {e_k Y, Y e_k^t} plus the curvature of
+    the exponential chart, tr(e_k e_l S) and tr(e_k^t e_l^t T) symmetrized
+    on the diagonal blocks and 2 Re tr(Y^H e_k Y e_l^t) off them.  Rows
+    are returned stacked, the 12 gradient rows first, as a (156, 16)
+    array acting on P flattened.
+    """
+    B, Bc, eye = BASIS, np.conj(BASIS), np.eye(2)
+    e = np.einsum
+    grad = 2.0 * np.concatenate([e("kpr,qs->kpqrs", B, eye), e("kqs,pr->kpqrs", B, eye)])
+    C_LL = e("kpb,lbr,qs->klpqrs", B, B, eye)
+    C_RR = e("kbs,lqb,pr->klpqrs", B, B, eye)
+    H = np.zeros((12, 12, 2, 2, 2, 2), dtype=complex)
+    H[:6, :6] = 2.0 * e("kbp,lbr,qs->klpqrs", Bc, B, eye) + C_LL + C_LL.swapaxes(0, 1)
+    H[6:, 6:] = 2.0 * e("kaq,las,pr->klpqrs", Bc, B, eye) + C_RR + C_RR.swapaxes(0, 1)
+    H[:6, 6:] = 2.0 * (e("krp,lqs->klpqrs", Bc, B) + e("kpr,lqs->klpqrs", B, B))
+    H[6:, :6] = H[:6, 6:].swapaxes(0, 1)
+    # equal on Hermitian P; averaging makes the returned Hessian exactly symmetric
+    H = 0.5 * (H + H.swapaxes(0, 1))
+    return np.concatenate([grad.reshape(12, 16), H.reshape(144, 16)])
+
+
+_KN_MAP = _kn_map()
+
+
 def _kn_gradient_hessian(Y):
     """Chart gradient and Hessian of the squared norm at (g, h) = (e, e).
 
-    With S = sum_j Y_j Y_j^H and T = sum_j Y_j^H Y_j the gradient is
-    (2 Re tr(e_k S), 2 Re tr(e_k^t T)); the Hessian adds the Gram matrix
-    of the twelve tangents {e_k Y, Y e_k^t} and the curvature of the
-    exponential chart.  Verified against finite differences.
+    One 4 x 4 product P = sum_n conj(Y_n) (x) Y_n, then the constant map
+    _KN_MAP.
     """
-    S = np.einsum("nij,nkj->ik", Y, np.conj(Y))
-    T = np.einsum("nji,njk->ik", np.conj(Y), Y)
-    ga = 2.0 * np.einsum("kij,ji->k", BASIS, S).real
-    gb = 2.0 * np.einsum("kji,ji->k", BASIS, T).real
-    grad = np.concatenate([ga, gb])
+    Yf = Y.reshape(len(Y), 4)
+    gH = (_KN_MAP @ (np.conj(Yf).T @ Yf).ravel()).real
+    return gH[:12], gH[12:].reshape(12, 12)
 
-    VL = np.einsum("kab,nbc->knac", BASIS, Y)
-    VR = np.einsum("nab,kcb->knac", Y, BASIS)
-    V = np.concatenate([VL, VR])
-    G = 2.0 * np.einsum("knab,lnab->kl", np.conj(V), V).real
-    BB = np.einsum("kab,lbc->klac", BASIS, BASIS)
-    C_LL = np.einsum("klac,ca->kl", BB, S)
-    C_LL = (C_LL + C_LL.T).real
-    Bt = np.swapaxes(BASIS, 1, 2)
-    BBt = np.einsum("kab,lbc->klac", Bt, Bt)
-    C_RR = np.einsum("klac,ca->kl", BBt, T)
-    C_RR = (C_RR + C_RR.T).real
-    T1 = np.einsum("nba,kbc,ncd->knad", np.conj(Y), BASIS, Y)
-    C_LR = 2.0 * np.einsum("knad,lad->kl", T1, BASIS).real
-    H = G + np.block([[C_LL, C_LR], [C_LR.T, C_RR]])
-    return grad, H
+
+# Orthonormal chart coordinates of the Hermitian directions, e1,
+# (e2 + e3)/sqrt 2 and (e5 - e6)/sqrt 2 in each factor (rows: e1..e6).
+# The other six directions generate SU(2) x SU(2), which keeps the norm.
+_R = 0.5**0.5
+_HERM = np.kron(
+    np.eye(2),
+    [[1.0, 0.0, 0.0], [0.0, _R, 0.0], [0.0, _R, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, _R], [0.0, 0.0, -_R]],
+)
 
 
 def _kn_chart(d, s):
@@ -114,15 +136,21 @@ def _kn_chart(d, s):
 def kempf_ness_minimize(Z, opts=None):
     """Minimize the squared Frobenius norm over the complexified orbit.
 
-    Descends with actions.descend over the twelve chart parameters of
-    (g, h): each move is a Levenberg-damped Newton step, line-searched
-    from a fresh unit trial step.  The shift 0.01 |grad| plus the negative
-    curvature of the Hessian absorbs both the gauge degeneracy near
-    minima and negative curvature away from them.  On norm-collapsing
-    configurations, where the gradient scales with the objective, the
-    damped solve yields a direction of magnitude ~ 1/damping, which
-    escapes at a geometric rate where the raw gradient would stall;
-    steps longer than 100 are cut back to 100.
+    A damped Newton method on SL2(C)/SU(2) x SL2(C)/SU(2), descending with
+    actions.descend over the chart (g, h) = (exp X, exp X') with X, X'
+    Hermitian.  The norm is SU(2) x SU(2)-invariant, so its gradient has
+    no component along the six skew-Hermitian chart directions; along a
+    Hermitian direction it is a positive sum of exponentials, so the chart
+    Hessian restricted to the six Hermitian directions is positive
+    semidefinite.  Each move solves that 6 x 6 system with Levenberg
+    damping 0.01 |grad| (no curvature shift) and is line-searched from a
+    unit trial step; steps longer than 100 are cut back to 100.  On the
+    full twelve-parameter chart the gauge directions couple to the
+    Hermitian ones through curvature of size ~ |grad|, of either sign;
+    damping by that curvature made the descent crawl near the limit of a
+    non-closed orbit.  Where the norm collapses, it decays exponentially
+    along the escape direction, and the Newton steps keep a bounded
+    length, so it falls at a geometric rate.
 
     Classification: `closed` once the chart gradient drops below grad_tol
     at bounded parameters, `non_closed` when the norm collapses below
@@ -157,13 +185,12 @@ def kempf_ness_minimize(Z, opts=None):
             return None
 
         def direction():
-            wmin = float(np.linalg.eigvalsh(H)[0])
-            d, deriv = damped_newton(grad, H, 0.01 * gn + max(0.0, -wmin) * 1.1 + 1e-300)
+            d, deriv = damped_newton(_HERM.T @ grad, _HERM.T @ H @ _HERM, 0.01 * gn)
             dn = float(np.linalg.norm(d))
             if dn > 100.0:
                 d *= 100.0 / dn
-                deriv = float(grad @ d)
-            return d, deriv
+                deriv *= 100.0 / dn
+            return _HERM @ d, deriv
 
         return direction
 

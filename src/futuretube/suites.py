@@ -67,7 +67,7 @@ __all__ = [
     "report_body_bytes",
 ]
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 
 @dataclass

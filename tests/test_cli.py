@@ -126,6 +126,12 @@ def test_non_finite_point_is_a_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+
+def test_phi_of_huge_point_is_a_usage_error(tmp_path, capsys):
+    p = write_json(tmp_path / "pt.json", serialize.point_to_json(np.stack([1e308 * iI, 1e308 * iI])))
+    assert cli_entry(["phi", p]) == 2
+    assert "error" in capsys.readouterr().err
+
 def test_reduce_exits_1_without_convergence(tmp_path, capsys, monkeypatch):
     from futuretube import cli
     from futuretube.reduction import ReduceOptions, orbit_minimize

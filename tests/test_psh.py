@@ -25,6 +25,18 @@ def test_phi_frozen():
         psh.phi(np.eye(2, dtype=complex))
 
 
+
+def test_phi_when_det_im_overflows():
+    # det Im = 1e310 overflows; its inverse is a subnormal double
+    assert psh.phi(np.diag([1e155j, 1e155j])) == pytest.approx(1e-310, rel=1e-12)
+    assert psh.phi(np.stack([iI, 1e308 * iI])) == 1.0
+    # 1 / det Im underflows to zero: never returned as phi = 0.0
+    for x in (1e200, 1e308):
+        with pytest.raises(G.DomainError):
+            psh.phi(np.diag([x * 1j, x * 1j]))
+        with pytest.raises(G.DomainError):
+            psh.phi(np.stack([x * iI, x * iI]))
+
 def test_dphi_frozen():
     # Hermitian tangents have no Im part, so the derivative vanishes
     s = stream_for(3, "psh-dphi", 0)
