@@ -14,10 +14,8 @@ from .geometry import (
     hermitian_im,
     det_im,
     det2,
-    is_positive_definite,
     tube_membership,
     tube_margin,
-    matrix_lorentz_product,
     as_tuple_point,
 )
 from .actions import (
@@ -36,7 +34,6 @@ from .psh import (
     dphi,
     directional_derivative,
     moment_map,
-    moment_component,
     levi_form,
     levi_form_phi,
     omega_eval,
@@ -72,7 +69,6 @@ from .suites import (
     SUITE_NAMES,
     ExperimentConfig,
     run_suite,
-    run_all,
     report_body_bytes,
 )
 

@@ -8,7 +8,7 @@ fiberwise minimum when the quotient image converges to the boundary, and
 boundedness of normalized representatives when the potential stays low.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .geometry import (
 from .actions import act_real, exp_algebra
 from .psh import phi
 from .quotient import gram_map
-from .reduction import ReduceOptions, orbit_minimize
+from .reduction import orbit_minimize
 from . import serialize
 
 __all__ = [
@@ -189,16 +189,15 @@ def pair_transfer(Z, W):
     )
 
 
+# the threshold ladder of the weak-exhaustion verdict
+_THRESHOLDS = (10.0, 100.0, 1000.0)
+
+
 @dataclass
 class ScanOptions:
-    thresholds: tuple = (10.0, 100.0, 1000.0)
-    gram_tail_tol: float = 1e-3
-    det_drop_tol: float = 1e-2
     phi_bound: float = 50.0
     compact_bound: float = 100.0
     det_floor: float = 1e-6
-    escape_bound: float = 100.0
-    reduce: ReduceOptions = field(default_factory=lambda: ReduceOptions(moment_tol=1e-8))
 
 
 @dataclass
@@ -305,10 +304,11 @@ def boundary_scan(seq, opts=None):
     while some det Im drains to zero; it fires when the tail minimum of
     the fiberwise minimum clears every rung of the threshold ladder.
     Verdict (b), exhaustion mod the real group: applicable when phi stays
-    bounded, the Gram images settle and the raw points escape every box;
-    it holds when the normal-form representatives stay inside the
-    configured compact box.  Sequences triggering neither premise are
-    reported without verdicts.
+    bounded, the Gram images settle and the raw points leave the compact
+    box; it holds when the normal-form representatives stay inside it.
+    Sequences triggering neither premise are reported without verdicts.
+    The Gram tail settles within 1e-3 relative of the last image, and det
+    Im drains when its last minimum is at most 1e-2 and half the first.
     """
     if opts is None:
         opts = ScanOptions()
@@ -335,7 +335,7 @@ def boundary_scan(seq, opts=None):
         )
         if ok:
             rec.phi = phi(Zk)
-            rr = orbit_minimize(Zk, opts.reduce)
+            rr = orbit_minimize(Zk)
             rec.psi = rr.phi_min
             rec.psi_converged = rr.converged
             nf = normal_form(Zk[-1])
@@ -349,14 +349,14 @@ def boundary_scan(seq, opts=None):
     gN = grams[-1]
     tail = grams[-(len(grams) // 3 + 1):]
     gram_converged = all(
-        np.linalg.norm(g - gN) <= opts.gram_tail_tol * (1.0 + np.linalg.norm(gN)) for g in tail
+        np.linalg.norm(g - gN) <= 1e-3 * (1.0 + np.linalg.norm(gN)) for g in tail
     )
     det_mins = [float(np.min(r.det_im)) for r in records]
-    det_im_to_zero = det_mins[-1] <= opts.det_drop_tol and det_mins[-1] <= 0.5 * det_mins[0]
+    det_im_to_zero = det_mins[-1] <= 1e-2 and det_mins[-1] <= 0.5 * det_mins[0]
 
     psis = [r.psi for r in live if r.psi is not None]
     crossed = {}
-    for r in opts.thresholds:
+    for r in _THRESHOLDS:
         suffix_min = float("inf")
         hit = False
         for v in reversed(psis):
@@ -370,7 +370,7 @@ def boundary_scan(seq, opts=None):
 
     phis = [r.phi for r in live if r.phi is not None]
     phi_bounded = bool(phis) and max(phis) <= opts.phi_bound
-    raw_escapes = max(r.raw_max_entry for r in records) >= opts.escape_bound
+    raw_escapes = max(r.raw_max_entry for r in records) >= opts.compact_bound
     compact = bool(live) and all(
         r.rep_max_entry is not None
         and r.rep_max_entry <= opts.compact_bound

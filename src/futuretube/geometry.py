@@ -25,11 +25,9 @@ __all__ = [
     "adj2",
     "hermitian_im",
     "det_im",
-    "is_positive_definite",
     "as_tuple_point",
     "tube_membership",
     "tube_margin",
-    "matrix_lorentz_product",
     "sample_four_vector",
     "sample_hermitian",
     "sample_tube_matrix",
@@ -126,15 +124,6 @@ def det_im(Z):
     return a * d - (b.real**2 + b.imag**2)
 
 
-def is_positive_definite(H):
-    """Leading-minor test for a 2x2 Hermitian matrix."""
-    H = np.asarray(H)
-    a = H[0, 0].real
-    d = H[1, 1].real
-    det = a * d - abs(H[0, 1]) ** 2
-    return bool(a > 0 and det > 0)
-
-
 def as_tuple_point(Z):
     """Coerce a (2,2) matrix or an (N,2,2) stack to tuple-point shape."""
     Z = np.asarray(Z, dtype=complex)
@@ -160,13 +149,6 @@ def tube_margin(Z):
     a, d, b = _im_parts(as_tuple_point(Z))
     rad = np.sqrt((a - d) ** 2 + 4.0 * (b.real**2 + b.imag**2))
     return float(np.min((a + d - rad) / 2.0))
-
-
-def matrix_lorentz_product(Z, W):
-    """Symmetric bilinear form polarizing det: (det(Z+W) - det Z - det W)/2."""
-    Z = np.asarray(Z, dtype=complex)
-    W = np.asarray(W, dtype=complex)
-    return complex((det2(Z + W) - det2(Z) - det2(W)) / 2)
 
 
 def sample_four_vector(rng):

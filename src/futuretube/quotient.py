@@ -50,14 +50,16 @@ def gram_rank(Gm, tol=1e-8):
     return int(np.sum(s > tol * s[0]))
 
 
+_GRAD_TOL = 1e-8
+_COLLAPSE_TOL = 1e-10
+# no `closed` verdict while the norm sits this far below the start:
+# on collapsing orbits the gradient (~ 2F) crosses _GRAD_TOL first
+_COLLAPSE_GUARD = 1e-6
+_DIVERGENCE_BOUND = 1e3
+
+
 @dataclass
 class KempfNessOptions:
-    grad_tol: float = 1e-8
-    collapse_tol: float = 1e-10
-    # no `closed` verdict while the norm sits this far below the start:
-    # on collapsing orbits the gradient (~ 2F) crosses grad_tol first
-    collapse_guard: float = 1e-6
-    divergence_bound: float = 1e3
     max_iters: int = 10000
 
 
@@ -152,10 +154,10 @@ def kempf_ness_minimize(Z, opts=None):
     along the escape direction, and the Newton steps keep a bounded
     length, so it falls at a geometric rate.
 
-    Classification: `closed` once the chart gradient drops below grad_tol
+    Classification: `closed` once the chart gradient drops below 1e-8
     at bounded parameters, `non_closed` when the norm collapses below
-    collapse_tol relative to the start or the parameters leave the
-    divergence bound while still descending, else `inconclusive`.
+    1e-10 relative to the start or the parameters leave the divergence
+    bound 1e3 while still descending, else `inconclusive`.
     """
     if opts is None:
         opts = KempfNessOptions()
@@ -172,14 +174,14 @@ def kempf_ness_minimize(Z, opts=None):
         grad, H = _kn_gradient_hessian(Y)
         gn = gradient_norm = float(np.linalg.norm(grad))
         param = max(float(np.linalg.norm(pair.g)), float(np.linalg.norm(pair.h)))
-        if F <= opts.collapse_tol * F0:
+        if F <= _COLLAPSE_TOL * F0:
             classification = "non_closed"
             return None
-        if gn <= opts.grad_tol and F > opts.collapse_guard * F0:
-            if param <= opts.divergence_bound:
+        if gn <= _GRAD_TOL and F > _COLLAPSE_GUARD * F0:
+            if param <= _DIVERGENCE_BOUND:
                 classification = "closed"
             return None
-        if param > opts.divergence_bound:
+        if param > _DIVERGENCE_BOUND:
             # objective is monotone along accepted moves, so this is escape
             classification = "non_closed"
             return None

@@ -153,6 +153,7 @@ class LagrangianReport:
     orbit_dim: int
     complex_orbit_dim: int
     dimension_ok: bool
+    normal_hessian_positive: bool
     passed: bool
 
 
@@ -161,7 +162,9 @@ def lagrangian_check(R, tol=1e-5):
 
     Evaluates omega on all basis field pairs and checks the dimension side
     condition: the real orbit span is half the real dimension of the
-    complex orbit span (Lagrangian inside the fiber).
+    complex orbit span (Lagrangian inside the fiber).  Also reports whether
+    omega(F, J F) > 0 for every nonzero field F (positive normal Hessian),
+    which `passed` does not include.
     """
     if not R.converged:
         raise ValueError("lagrangian_check needs a converged reduction")
@@ -173,6 +176,7 @@ def lagrangian_check(R, tol=1e-5):
     for a in range(len(live)):
         for b in range(a + 1, len(live)):
             worst = max(worst, abs(omega_eval(Zr, F[live[a]], F[live[b]])))
+    normal_pos = all(omega_eval(Zr, F[k], apply_J(F[k])) > 0.0 for k in live)
     V = F[live].reshape(len(live), F[0].size)
     Vc = np.concatenate([V, 1j * V])
     rank_real = gram_rank(np.hstack([V.real, V.imag]), tol=1e-6)
@@ -183,6 +187,7 @@ def lagrangian_check(R, tol=1e-5):
         orbit_dim=rank_real,
         complex_orbit_dim=rank_complex,
         dimension_ok=dimension_ok,
+        normal_hessian_positive=normal_pos,
         passed=bool(worst <= tol and dimension_ok),
     )
 
@@ -194,7 +199,7 @@ class CriticalityReport:
     consistent: bool
 
 
-def critical_iff_moment_zero(Z, tol=1e-6):
+def critical_iff_moment_zero(Z):
     """Compare the moment norm with the orbit-restricted gradient of phi.
 
     The twelve orbit directions are the six basis fields and their J
@@ -204,10 +209,9 @@ def critical_iff_moment_zero(Z, tol=1e-6):
     Z = as_tuple_point(Z)
     m = moment_map(Z)
     F = orbit_fields(Z)
-    comps = [dphi(Z, F[k]) for k in range(6)]
-    comps += [dphi(Z, apply_J(F[k])) for k in range(6)]
-    gn = float(np.linalg.norm(comps))
+    gn = float(np.linalg.norm(dphi(Z, np.concatenate([F, apply_J(F)]))))
     mn = float(np.linalg.norm(m))
+    tol = 1e-6
     consistent = (mn <= tol and gn <= tol) or (mn > tol and gn > tol)
     return CriticalityReport(moment_norm=mn, orbit_gradient_norm=gn, consistent=consistent)
 
@@ -219,7 +223,7 @@ class SectionProbe:
     radius: float
 
 
-def section_probe(base, radius=1e-3, rank_tol=1e-8):
+def section_probe(base, radius=1e-3):
     """Metric-orthogonal complement of the complex orbit tangent at a
     reduced point, orthonormalized in the Kaehler metric of phi.
 
@@ -244,7 +248,7 @@ def section_probe(base, radius=1e-3, rank_tol=1e-8):
 
     F = orbit_fields(base).reshape(6, dim)
     s = np.linalg.svd(F, compute_uv=False)
-    t = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
+    t = int(np.sum(s > 1e-8 * s[0])) if s.size and s[0] > 0 else 0
     if t == 0:
         T = np.zeros((dim, 0), dtype=complex)
     else:
@@ -285,12 +289,12 @@ class SectionLeviReport:
     passed: bool | None
 
 
-def section_levi_identity(probe, inner_tol=1e-10, dev_tol=1e-3, eig_tol=1e-6):
+def section_levi_identity(probe, dev_tol=1e-3, eig_tol=1e-6):
     """Compare the Levi form of the fiberwise minimum with that of phi.
 
     The fiberwise minimum through the probe is evaluated by nested orbit
-    minimization at every stencil point (inner moment tolerance defaults
-    to 1e-10 to keep second-difference noise under the acceptance band).
+    minimization at every stencil point (inner moment tolerance 1e-10
+    keeps second-difference noise under the acceptance band).
     Passing means relative deviation <= dev_tol with minimum eigenvalue
     >= -eig_tol.  A degenerate radius yields no verdict.
     """
@@ -308,7 +312,7 @@ def section_levi_identity(probe, inner_tol=1e-10, dev_tol=1e-3, eig_tol=1e-6):
             passed=None,
         )
 
-    inner = ReduceOptions(moment_tol=inner_tol)
+    inner = ReduceOptions(moment_tol=1e-10)
     A = levi_form(lambda Y: big_psi(Y, inner), base, probe.directions, h=probe.radius).entries
     B = levi_form_phi(base, probe.directions).entries
     deviation = float(np.linalg.norm(A - B) / np.linalg.norm(B))

@@ -144,3 +144,27 @@ def test_reduce_exits_1_without_convergence(tmp_path, capsys, monkeypatch):
     assert cli_entry(["--json", "reduce", p]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["converged"] is False and doc["iterations"] == 1
+
+
+def test_moment_of_overflowing_point_is_a_usage_error(tmp_path, capsys):
+    big = np.stack([1e155 * iI + 1e154 * np.array([[1.0, 2.0], [3.0, 0.0]]), 1e155 * iI])
+    p = write_json(tmp_path / "pt.json", serialize.point_to_json(big))
+    assert cli_entry(["moment", p]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_unconverged_reductions_fail_their_records(tmp_path, capsys, monkeypatch):
+    from futuretube import suites
+    from futuretube.reduction import ReduceOptions, orbit_minimize
+
+    def capped(Z, opts):
+        return orbit_minimize(Z, ReduceOptions(moment_tol=opts.moment_tol, max_iters=1))
+
+    monkeypatch.setattr(suites, "orbit_minimize", capped)
+    # levi-identity's first record is the fixed n=1 unit, which needs no reduction
+    for suite, first, field in (("lagrangian", 0, "max_omega"), ("levi-identity", 1, "deviation")):
+        p = write_json(tmp_path / f"{suite}.json", {"suite": suite, "samples": 2})
+        assert cli_entry(["--json", "run", p]) == 1
+        records = json.loads(capsys.readouterr().out)["records"][first:]
+        assert len(records) == 2
+        assert all(r["verdict"] == "fail" and r[field] is None for r in records)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from futuretube import geometry as G
+from futuretube.quotient import gram_map
 from futuretube.rng import stream_for
 
 iI = 1j * np.eye(2)
@@ -80,10 +81,11 @@ def test_det_im_matches_lorentz_of_imag_part():
 
 
 def test_positive_definite_criterion():
-    assert G.is_positive_definite(np.eye(2, dtype=complex))
-    assert not G.is_positive_definite(np.diag([1.0, -1.0]).astype(complex))
+    # a Hermitian H is positive definite iff 1j * H lies in the tube
+    assert G.tube_membership(1j * np.eye(2, dtype=complex))
+    assert not G.tube_membership(1j * np.diag([1.0, -1.0]).astype(complex))
     # det < 0 case from the hermitian_im example
-    assert not G.is_positive_definite(np.array([[1.0, -1.5j], [1.5j, 1.0]]))
+    assert not G.tube_membership(1j * np.array([[1.0, -1.5j], [1.5j, 1.0]]))
 
 
 def test_tube_membership():
@@ -94,14 +96,19 @@ def test_tube_membership():
     assert abs(G.det_im(Z) - 0.75) < 1e-15
 
 
+def _polarized_det(Z, W):
+    # the off-diagonal Gram entry (det(Z+W) - det Z - det W)/2
+    return complex(gram_map(np.stack([Z, W]))[0, 1])
+
+
 def test_matrix_lorentz_product():
-    assert G.matrix_lorentz_product(iI, iI) == G.det2(iI)
-    assert G.matrix_lorentz_product(iI, 1j * np.diag([1.0, -1.0])) == 0
+    assert _polarized_det(iI, iI) == G.det2(iI)
+    assert _polarized_det(iI, 1j * np.diag([1.0, -1.0])) == 0
     s = stream_for(1, "geom-pol", 0)
     Z = s.matrix()
-    assert G.matrix_lorentz_product(Z, np.zeros((2, 2))) == 0
+    assert _polarized_det(Z, np.zeros((2, 2))) == 0
     # polarization diagonal identity on random input
-    assert abs(G.matrix_lorentz_product(Z, Z) - G.det2(Z)) <= 1e-12 * (1 + abs(G.det2(Z)))
+    assert abs(_polarized_det(Z, Z) - G.det2(Z)) <= 1e-12 * (1 + abs(G.det2(Z)))
 
 
 def test_tube_sampling_and_det_bound():

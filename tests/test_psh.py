@@ -259,3 +259,27 @@ def test_flow_truncates_at_domain_exit():
     rep = psh.flow_monotonicity(E1, Z, t_max=3.0, steps=60)
     assert rep.truncated_at is not None
     assert len(rep.values) == rep.truncated_at
+
+
+# det Im of both components overflows to inf; phi is 2.0025e-310 by rescaling
+OVERFLOWING = np.stack([1e155 * iI + 1e154 * np.array([[1.0, 2.0], [3.0, 0.0]]), 1e155 * iI])
+
+
+def test_derivative_kernels_reject_det_im_overflow():
+    assert psh.phi(OVERFLOWING) == pytest.approx(2.0025e-310, rel=1e-4)
+    with pytest.raises(G.DomainError):
+        psh.dphi(OVERFLOWING, OVERFLOWING)
+    with pytest.raises(G.DomainError):
+        psh.moment_map(OVERFLOWING)
+    with pytest.raises(G.DomainError):
+        psh.levi_form_phi(OVERFLOWING, A.full_tangent_basis(2))
+
+
+def test_dphi_on_a_stack_matches_each_direction():
+    Z = G.sample_tube_point(stream_for(5, "psh-dphi-stack", 0), 3)
+    F = A.orbit_fields(Z)
+    V = np.concatenate([F, A.apply_J(F)])
+    values = psh.dphi(Z, V)
+    assert values.shape == (12,)
+    assert all(values[k] == psh.dphi(Z, V[k]) for k in range(12))
+    assert np.array_equal(values[6:], psh.moment_map(Z))
