@@ -67,18 +67,31 @@ def expm_traceless(M):
     """exp of a traceless 2x2: cosh(d) I + sinh(d)/d M with d^2 = -det M.
 
     Below |d| = 1e-6 a degree-4 series is used; the two branches agree to
-    better than 1e-12 in the overlap.
+    better than 1e-12 in the overlap.  A stack (m, 2, 2) gives the m
+    exponentials, each with the branch its own |d| selects, equal to the
+    one-matrix calls.
     """
     M = np.asarray(M, dtype=complex)
     dsq = -det2(M)
     d = np.sqrt(dsq)
-    if abs(d) < 1e-6:
-        c = 1.0 + dsq / 2.0 + dsq * dsq / 24.0
-        s = 1.0 + dsq / 6.0 + dsq * dsq / 120.0
-    else:
-        c = np.cosh(d)
-        s = np.sinh(d) / d
-    return c * IDENTITY + s * M
+    if M.ndim == 2:
+        if abs(d) < 1e-6:
+            c = 1.0 + dsq / 2.0 + dsq * dsq / 24.0
+            s = 1.0 + dsq / 6.0 + dsq * dsq / 120.0
+        else:
+            c = np.cosh(d)
+            s = np.sinh(d) / d
+        return c * IDENTITY + s * M
+    c = np.empty_like(d)
+    s = np.empty_like(d)
+    small = np.abs(d) < 1e-6
+    q = dsq[small]
+    c[small] = 1.0 + q / 2.0 + q * q / 24.0
+    s[small] = 1.0 + q / 6.0 + q * q / 120.0
+    big = ~small
+    c[big] = np.cosh(d[big])
+    s[big] = np.sinh(d[big]) / d[big]
+    return c[..., None, None] * IDENTITY + s[..., None, None] * M
 
 
 def exp_algebra(xi, t=1.0):
@@ -145,9 +158,12 @@ def flow_pair(xi, tau):
     """Group pair exp(tau * (xi, conj(xi))) for complex time tau.
 
     Real tau gives the real one-parameter flow, tau = i t the transverse
-    flow along the complexified direction.
+    flow along the complexified direction.  A 1-d array of m times gives
+    the two stacks (m, 2, 2).
     """
     X = realize(xi)
+    if isinstance(tau, np.ndarray):
+        tau = tau[:, None, None]
     return expm_traceless(tau * X), expm_traceless(tau * np.conj(X))
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "hermitian_im",
     "det_im",
     "as_tuple_point",
+    "tube_mask",
     "tube_membership",
     "tube_margin",
     "sample_four_vector",
@@ -134,11 +135,19 @@ def as_tuple_point(Z):
     return Z
 
 
+def tube_mask(Z):
+    """Per-point tube test over a stack (..., N, 2, 2) of tuple points.
+
+    A point is in the tube iff every component has positive definite
+    Hermitian imaginary part; a stack (m, N, 2, 2) gives m booleans.
+    """
+    Z = np.asarray(Z, dtype=complex)
+    return np.all((Z[..., 0, 0].imag > 0) & (det_im(Z) > 0), axis=-1)
+
+
 def tube_membership(Z):
     """True iff every component has positive definite Hermitian imaginary part."""
-    Z = as_tuple_point(Z)
-    a = Z[..., 0, 0].imag
-    return bool(np.all(a > 0) and np.all(det_im(Z) > 0))
+    return bool(tube_mask(as_tuple_point(Z)))
 
 
 def tube_margin(Z):

@@ -21,8 +21,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import DomainError, adj2, as_tuple_point, det_im, hermitian_im, tube_membership
-from .actions import orbit_fields, real_vector_field, apply_J, flow_point
+from .geometry import (
+    DomainError,
+    adj2,
+    as_tuple_point,
+    det_im,
+    hermitian_im,
+    tube_mask,
+    tube_membership,
+)
+from .actions import orbit_fields, real_vector_field, apply_J, flow_pair
 
 __all__ = [
     "StencilDomainError",
@@ -56,20 +64,40 @@ def _positive_det_im(d):
 def phi(Z):
     """Invariant potential; positive on the tube.
 
-    Raises DomainError when some det Im(Z^j) <= 0, signaling that the
-    point left the tube.  When det Im overflows, each component is scaled
-    by its largest |Im| entry s, and 1/det Im(Z^j) = 1/(det Im(Z^j/s) s^2);
-    a potential that underflows to zero raises DomainError as well.
+    A tuple point (N, 2, 2) gives a float, a stack (m, N, 2, 2) the array
+    of its m values, each equal to the one-point call.  Raises
+    DomainError when some det Im(Z^j) <= 0, signaling that a point left
+    the tube.  When det Im of a point overflows, each of its components
+    is scaled by its largest |Im| entry s, and
+    1/det Im(Z^j) = 1/(det Im(Z^j/s) s^2); a potential that underflows
+    to zero raises DomainError as well.
     """
-    Z = as_tuple_point(Z)
+    Z = np.asarray(Z, dtype=complex)
+    stack = Z.ndim == 4
+    if not stack:
+        Z = as_tuple_point(Z)
     d = det_im(Z)
     if math.isfinite(d.max()):
-        return float(np.sum(1.0 / _positive_det_im(d)))
-    s = np.abs(hermitian_im(Z)).max(axis=(1, 2))
-    value = float(np.sum(1.0 / _positive_det_im(det_im(Z / s[:, None, None])) / s / s))
-    if not value > 0.0:
+        values = np.sum(1.0 / _positive_det_im(d), axis=-1)
+    elif stack:
+        values = _phi_rescaled(Z, d)
+    else:
+        values = _phi_rescaled(Z[None], d[None])[0]
+    return values if stack else float(values)
+
+
+def _phi_rescaled(Z, d):
+    # phi of a stack with det Im d, rescaling only the points whose det Im
+    # overflowed; dividing the others by s = 1 leaves their values exact
+    over = ~np.isfinite(d.max(axis=-1))
+    s = np.ones_like(d)
+    s[over] = np.abs(hermitian_im(Z[over])).max(axis=(-2, -1))
+    d = d.copy()
+    d[over] = det_im(Z[over] / s[over][..., None, None])
+    values = np.sum(1.0 / _positive_det_im(d) / s / s, axis=-1)
+    if not np.all(values[over] > 0.0):
         raise DomainError("phi underflows: det Im is too large to represent 1/det Im")
-    return value
+    return values
 
 
 def _trace_adj_product(P, Q):
@@ -86,14 +114,20 @@ def dphi(Z, V):
     """Differential of phi at Z along the tangent tuple V.
 
     Per component: -tr(P^{-1} Q)/det P with P = Im Z^j and Q = Im V^j,
-    both in the Hermitian (Z - Z^H)/2i sense.  A stack V of shape
-    (m, N, 2, 2) gives the array of the m differentials.
+    both in the Hermitian (Z - Z^H)/2i sense.  A stack of shape
+    (m, N, 2, 2) in V, in Z or in both (broadcast against each other)
+    gives the array of the m differentials, each equal to the one-point
+    call.
     """
-    Z = as_tuple_point(Z)
+    Z = np.asarray(Z, dtype=complex)
     V = np.asarray(V, dtype=complex)
-    stack = V.ndim == 4
+    stack = Z.ndim == 4 or V.ndim == 4
+    if Z.ndim != 4:
+        Z = as_tuple_point(Z)
+    if V.ndim != 4:
+        V = as_tuple_point(V)
     d = _positive_det_im(det_im(Z))
-    tr = _trace_adj_product(hermitian_im(Z), hermitian_im(V if stack else as_tuple_point(V)))
+    tr = _trace_adj_product(hermitian_im(Z), hermitian_im(V))
     values = -np.sum(tr / d**2, axis=-1)
     return values if stack else float(values)
 
@@ -103,22 +137,50 @@ class DerivEstimate(NamedTuple):
     error: float
 
 
+def _values(f, points):
+    """f at each point of a stack (K, N, 2, 2), as a list of K values.
+
+    phi takes the whole stack in one call (the one dispatch on f); any
+    other f is called point by point.
+    """
+    if f is phi:
+        return phi(points).tolist()
+    return [f(Y) for Y in points]
+
+
+def _richardson(values_at, Z, V):
+    """Central differences at Z along each direction of the stack V, with
+    steps h = 1e-4 and h/2 and one Richardson step.
+
+    values_at maps the stack (4m, N, 2, 2) of difference points to their
+    values.  Returns the arrays of the m values and Richardson defects.
+    """
+    h = 1e-4
+    points = []
+    for hh in (h, h / 2.0):
+        points += [Z + hh * V, Z - hh * V]
+    f1p, f1m, f2p, f2m = np.reshape(values_at(np.concatenate(points)), (4, -1))
+    d1 = (f1p - f1m) / (2.0 * h)
+    d2 = (f2p - f2m) / (2.0 * (h / 2.0))
+    return (4.0 * d2 - d1) / 3.0, np.abs(d2 - d1) / 3.0
+
+
 def directional_derivative(f, Z, V):
     """Central difference of f along V with one Richardson step.
 
     Uses steps h = 1e-4 and h/2; the error field is the Richardson defect.
-    Domain errors from f propagate so callers can resample.
+    A stack V of m directions (m, N, 2, 2) gives arrays of m values and
+    errors, each equal to the one-direction call.  The 4m difference
+    points form one stack: f = phi evaluates it in one call, any other f
+    keeps its contract of one tuple point in, one value out.  Domain
+    errors from f propagate so callers can resample.
     """
     Z = as_tuple_point(Z)
-    V = as_tuple_point(V)
-    h = 1e-4
-
-    def central(hh):
-        return (f(Z + hh * V) - f(Z - hh * V)) / (2.0 * hh)
-
-    d1 = central(h)
-    d2 = central(h / 2.0)
-    return DerivEstimate((4.0 * d2 - d1) / 3.0, abs(d2 - d1) / 3.0)
+    V = np.asarray(V, dtype=complex)
+    if V.ndim == 4:
+        return DerivEstimate(*_richardson(lambda P: _values(f, P), Z, V))
+    value, error = _richardson(lambda P: _values(f, P), Z, as_tuple_point(V)[None])
+    return DerivEstimate(value.item(), error.item())
 
 
 def moment_map(Z):
@@ -142,44 +204,48 @@ def levi_form(f, Z, directions, h=1e-3):
 
     Entry (a, b) approximates the mixed second derivative of
     s, t -> f(Z + s B_a + t B_b) in s and conj(t), from evaluations at
-    steps {0, +-h, +-ih} in each complex variable.
+    steps {0, +-h, +-ih} in each complex variable.  The whole stencil,
+    1 + 4d + 16 d(d-1)/2 points for d directions, is built as one stack
+    (m, N, 2, 2).  f = phi evaluates it in one call; any other f keeps its
+    contract of one tuple point in, one value out.
     """
     Z = as_tuple_point(Z)
     B = np.asarray(directions, dtype=complex)
     d = B.shape[0]
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
 
-    def ev(Y):
-        try:
-            return f(Y)
-        except DomainError as exc:
-            raise StencilDomainError(f"stencil point left the domain: {exc}") from exc
+    points = [Z]
+    for a in range(d):
+        Ba = B[a]
+        points += [Z + h * Ba, Z - h * Ba, Z + 1j * h * Ba, Z - 1j * h * Ba]
+    for a, b in pairs:
+        Ba, Bb = B[a], B[b]
+        for da, db in ((Ba, Bb), (Ba, 1j * Bb), (1j * Ba, Bb), (1j * Ba, 1j * Bb)):
+            points += [
+                Z + h * da + h * db,
+                Z + h * da - h * db,
+                Z - h * da + h * db,
+                Z - h * da - h * db,
+            ]
+    try:
+        values = iter(_values(f, np.stack(points)))
+    except DomainError as exc:
+        raise StencilDomainError(f"stencil point left the domain: {exc}") from exc
 
-    f0 = ev(Z)
+    f0 = next(values)
     L = np.zeros((d, d), dtype=complex)
     hh = 4.0 * h * h
     for a in range(d):
-        Ba = B[a]
-        L[a, a] = (
-            ev(Z + h * Ba) + ev(Z - h * Ba) + ev(Z + 1j * h * Ba) + ev(Z - 1j * h * Ba) - 4.0 * f0
-        ) / hh
+        L[a, a] = (next(values) + next(values) + next(values) + next(values) - 4.0 * f0) / hh
 
-    def mixed(da, db):
-        return (
-            ev(Z + h * da + h * db)
-            - ev(Z + h * da - h * db)
-            - ev(Z - h * da + h * db)
-            + ev(Z - h * da - h * db)
-        ) / hh
+    def mixed():
+        return (next(values) - next(values) - next(values) + next(values)) / hh
 
-    for a in range(d):
-        for b in range(a + 1, d):
-            dxx = mixed(B[a], B[b])
-            dxy = mixed(B[a], 1j * B[b])
-            dyx = mixed(1j * B[a], B[b])
-            dyy = mixed(1j * B[a], 1j * B[b])
-            # d^2/ds dconj(t) = (dxx + i dxy - i dyx + dyy)/4
-            L[a, b] = (dxx + 1j * dxy - 1j * dyx + dyy) / 4.0
-            L[b, a] = np.conj(L[a, b])
+    for a, b in pairs:
+        dxx, dxy, dyx, dyy = mixed(), mixed(), mixed(), mixed()
+        # d^2/ds dconj(t) = (dxx + i dxy - i dyx + dyy)/4
+        L[a, b] = (dxx + 1j * dxy - 1j * dyx + dyy) / 4.0
+        L[b, a] = np.conj(L[a, b])
     L = (L + L.conj().T) / 2.0
     return LeviForm(d=d, entries=L)
 
@@ -218,11 +284,14 @@ def omega_eval(Z, V, W):
     for constant coordinate fields to
     -(D_V d^c phi(W) - D_W d^c phi(V)), antisymmetric by construction.
     The differences are directional_derivative's, whose Richardson step
-    keeps residuals at reduced points well below the isotropy tolerance.
+    keeps residuals at reduced points well below the isotropy tolerance;
+    the four points of each difference take one stacked dphi call.
     """
+    Z = as_tuple_point(Z)
 
     def d_along(D, U):
-        return directional_derivative(lambda Y: dphi(Y, apply_J(U)), Z, D).value
+        JU = apply_J(U)
+        return _richardson(lambda P: dphi(P, JU), Z, as_tuple_point(D)[None])[0].item()
 
     return -(d_along(V, W) - d_along(W, V))
 
@@ -242,9 +311,12 @@ class FlowReport:
 def flow_monotonicity(xi, Z, t_max, steps, slack=1e-9):
     """Sample mu_xi(exp(i t xi) . Z) on a uniform grid and grade monotonicity.
 
-    Truncates (and records where) if the flow leaves the tube; truncation
-    is reported, never raised.  Strictness is required only across steps
-    that move the point by more than 1e-9.
+    Truncates (and records where) at the first grid point that leaves the
+    tube; truncation is reported, never raised.  Strictness is required
+    only across steps that move the point by more than 1e-9.  All
+    steps + 1 flow points are built as one stack (m, N, 2, 2), tested
+    with one tube_mask and evaluated with one dphi call; each value equals
+    that of the one-point call.
     """
     Z = as_tuple_point(Z)
     if not tube_membership(Z):
@@ -255,20 +327,17 @@ def flow_monotonicity(xi, Z, t_max, steps, slack=1e-9):
     else:
         ts = [t_max * i / steps for i in range(steps + 1)]
 
-    values = []
-    kept_ts = []
-    displacements = []
-    truncated_at = None
-    prev = None
-    for i, t in enumerate(ts):
-        Zt = flow_point(xi, 1j * t, Z)
-        if not tube_membership(Zt):
-            truncated_at = i
-            break
-        values.append(dphi(Zt, apply_J(real_vector_field(xi, Zt))))
-        kept_ts.append(t)
-        displacements.append(0.0 if prev is None else float(np.linalg.norm(Zt - prev)))
-        prev = Zt
+    A, B = flow_pair(xi, np.array([1j * t for t in ts]))
+    points = A[:, None] @ Z @ np.swapaxes(B, -1, -2)[:, None]
+    inside = tube_mask(points)
+    truncated_at = None if inside.all() else int(np.argmin(inside))
+    points = points[:truncated_at]
+    kept_ts = ts[:truncated_at]
+    # points[0] is Z itself, so at least one value is kept
+    values = dphi(points, apply_J(real_vector_field(xi, points))).tolist()
+    displacements = [0.0] + [
+        float(np.linalg.norm(points[i] - points[i - 1])) for i in range(1, len(points))
+    ]
 
     nondecreasing = all(
         values[i + 1] >= values[i] - slack for i in range(len(values) - 1)

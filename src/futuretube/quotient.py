@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_tuple_point, det2, tube_membership, tube_margin
+from .geometry import DomainError, as_tuple_point, det2, tube_membership, tube_margin
 from .actions import BASIS, GroupPair, act_complex, damped_newton, descend, expm_traceless, realize
 
 __all__ = [
@@ -32,12 +32,16 @@ def gram_map(Z):
     """Symmetric N x N matrix of pairwise Lorentz products <Z^i, Z^j>.
 
     Diagonal entries are exactly det Z^j by polarization; the whole matrix
-    is invariant under the complexified action.
+    is invariant under the complexified action.  Raises DomainError when
+    a product overflows.
     """
     Z = as_tuple_point(Z)
-    d = det2(Z)
-    pair = det2(Z[:, None, :, :] + Z[None, :, :, :])
-    Gm = (pair - d[:, None] - d[None, :]) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = det2(Z)
+        pair = det2(Z[:, None, :, :] + Z[None, :, :, :])
+        Gm = (pair - d[:, None] - d[None, :]) / 2.0
+    if not np.isfinite(Gm).all():
+        raise DomainError("Lorentz products overflow: the point is too large for the Gram map")
     # float addition order breaks exact symmetry; mirror the upper triangle
     return np.triu(Gm) + np.triu(Gm, 1).T
 

@@ -190,7 +190,8 @@ def _suite_psh_levi(seed, n, samples, tol):
         L = levi_form_phi(Z, basis)
         mineig = L.min_eigenvalue()
         g = sample_sl2(s)
-        inv_err = abs(phi(act_real(g, Z)) - phi(Z)) / phi(Z)
+        phi_g, phi_0 = phi(np.stack([act_real(g, Z), Z])).tolist()
+        inv_err = abs(phi_g - phi_0) / phi_0
         rec = {
             "index": i,
             "min_eigenvalue": mineig,
@@ -211,20 +212,16 @@ def _suite_psh_levi(seed, n, samples, tol):
 def _moment_oracle(s, n, tol):
     Z = sample_tube_point(s, n)
     m = moment_map(Z)
-    worst = 0.0
-    for k in range(6):
-        e = np.zeros(6)
-        e[k] = 1.0
-        JF = apply_J(real_vector_field(e, Z))
-        fd = directional_derivative(phi, Z, JF).value
-        worst = max(worst, abs(m[k] - fd) / (1.0 + abs(fd)))
+    JF = apply_J(np.stack([real_vector_field(e, Z) for e in np.eye(6)]))
+    fd = directional_derivative(phi, Z, JF).value
+    worst = float(np.max(np.abs(m - fd) / (1.0 + np.abs(fd))))
     A = s.matrix()
     iP = np.stack([1j * (A @ A.conj().T + 0.2 * IDENTITY)])
     zero_norm = float(np.linalg.norm(moment_map(iP)))
     g = sample_sl2(s)
     xi = sample_algebra(s)
     lhs = float(np.dot(moment_map(act_real(g, Z)), xi))
-    rhs = float(np.dot(moment_map(Z), adjoint(adj2(g), xi)))
+    rhs = float(np.dot(m, adjoint(adj2(g), xi)))
     equi = abs(lhs - rhs) / (1.0 + abs(lhs))
     ok = worst <= tol["fd_match"] and zero_norm <= tol["ip_zero"] and equi <= tol["equivariance"]
     return {
@@ -293,12 +290,12 @@ def _suite_levi_identity(seed, n, samples, tol):
     tight = ReduceOptions(moment_tol=1e-10)
     for i in range(samples):
         s = stream_for(seed, "levi-identity", i)
-        rr = orbit_minimize(sample_tube_point(s, 2), tight)
+        rr = orbit_minimize(sample_tube_point(s, n), tight)
         if rr.converged:
-            records.append(_levi_record(i + 1, 2, rr.reduced_point, tol))
+            records.append(_levi_record(i + 1, n, rr.reduced_point, tol))
         else:
             unreduced = {"deviation": None, "min_eigenvalue": None, "verdict": "fail"}
-            records.append({"index": i + 1, "n": 2, **unreduced})
+            records.append({"index": i + 1, "n": n, **unreduced})
     return records
 
 

@@ -168,3 +168,12 @@ def test_unconverged_reductions_fail_their_records(tmp_path, capsys, monkeypatch
         records = json.loads(capsys.readouterr().out)["records"][first:]
         assert len(records) == 2
         assert all(r["verdict"] == "fail" and r[field] is None for r in records)
+
+
+def test_gram_of_overflowing_point_names_the_overflow(tmp_path, capsys):
+    big = np.stack([1e155 * iI + 1e154 * np.array([[1.0, 2.0], [3.0, 0.0]]), 1e155 * iI])
+    p = write_json(tmp_path / "pt.json", serialize.point_to_json(big))
+    assert cli_entry(["gram", p]) == 2
+    err = capsys.readouterr().err
+    assert "overflow" in err
+    assert "SVD" not in err

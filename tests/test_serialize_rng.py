@@ -106,3 +106,11 @@ def test_config_validation():
         suite="psh-levi", tolerances={"invariance": 1e-9}
     ).resolve()
     assert tol["invariance"] == 1e-9
+
+
+def test_levi_identity_samples_the_configured_n():
+    report = run_suite(ExperimentConfig(suite="levi-identity", seed=7, n=3))
+    assert report.config["n"] == 3
+    # record 0 is the fixed n=1 unit point; every sampled record is an n=3 tuple
+    assert [r["n"] for r in report.records] == [1, 3]
+    assert report.verdict == "pass"
