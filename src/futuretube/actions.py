@@ -72,16 +72,8 @@ def expm_traceless(M):
     one-matrix calls.
     """
     M = np.asarray(M, dtype=complex)
-    dsq = -det2(M)
+    dsq = np.reshape(-det2(M), -1)
     d = np.sqrt(dsq)
-    if M.ndim == 2:
-        if abs(d) < 1e-6:
-            c = 1.0 + dsq / 2.0 + dsq * dsq / 24.0
-            s = 1.0 + dsq / 6.0 + dsq * dsq / 120.0
-        else:
-            c = np.cosh(d)
-            s = np.sinh(d) / d
-        return c * IDENTITY + s * M
     c = np.empty_like(d)
     s = np.empty_like(d)
     small = np.abs(d) < 1e-6
@@ -91,7 +83,8 @@ def expm_traceless(M):
     big = ~small
     c[big] = np.cosh(d[big])
     s[big] = np.sinh(d[big]) / d[big]
-    return c[..., None, None] * IDENTITY + s[..., None, None] * M
+    shape = M.shape[:-2] + (1, 1)
+    return c.reshape(shape) * IDENTITY + s.reshape(shape) * M
 
 
 def exp_algebra(xi, t=1.0):
@@ -158,19 +151,24 @@ def flow_pair(xi, tau):
     """Group pair exp(tau * (xi, conj(xi))) for complex time tau.
 
     Real tau gives the real one-parameter flow, tau = i t the transverse
-    flow along the complexified direction.  A 1-d array of m times gives
-    the two stacks (m, 2, 2).
+    flow along the complexified direction.  An array of times gives two
+    stacks of matrices with the shape of tau in front.
     """
     X = realize(xi)
-    if isinstance(tau, np.ndarray):
-        tau = tau[:, None, None]
+    tau = np.asarray(tau)[..., None, None]
     return expm_traceless(tau * X), expm_traceless(tau * np.conj(X))
 
 
 def flow_point(xi, tau, Z):
-    """Point moved by flow_pair(xi, tau)."""
+    """Point moved by flow_pair(xi, tau).
+
+    A 1-d array of m times gives the stack of the m moved points.
+    """
+    Z = np.asarray(Z, dtype=complex)
+    # one axis per tuple axis of Z, so each pair acts on every component
+    tau = np.reshape(tau, np.shape(tau) + (1,) * (Z.ndim - 2))
     A, B = flow_pair(xi, tau)
-    return _apply(A, Z, B.T)
+    return A @ Z @ np.swapaxes(B, -1, -2)
 
 
 def real_vector_field(xi, Z):

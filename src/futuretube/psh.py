@@ -15,6 +15,7 @@ On the calibration field |z|^2 over C these conventions give a Levi form
 of 1 and omega(1, i) = 4.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,7 +31,7 @@ from .geometry import (
     tube_mask,
     tube_membership,
 )
-from .actions import orbit_fields, real_vector_field, apply_J, flow_pair
+from .actions import orbit_fields, real_vector_field, apply_J, flow_point
 
 __all__ = [
     "StencilDomainError",
@@ -137,15 +138,25 @@ class DerivEstimate(NamedTuple):
     error: float
 
 
-def _values(f, points):
-    """f at each point of a stack (K, N, 2, 2), as a list of K values.
+# matrices per stacked phi call: bounds the memory of a stencil at large N
+_STACK_MATRICES = 2**14
 
-    phi takes the whole stack in one call (the one dispatch on f); any
-    other f is called point by point.
+
+def _values(f, points):
+    """f at each tuple point of an iterable or stack, as a list of values.
+
+    phi takes the points in stacks of up to _STACK_MATRICES matrices, one
+    call each (the one dispatch on f); any other f is called point by
+    point.
     """
-    if f is phi:
-        return phi(points).tolist()
-    return [f(Y) for Y in points]
+    if f is not phi:
+        return [f(Y) for Y in points]
+    points = iter(points)
+    values = []
+    for Y in points:
+        size = max(1, _STACK_MATRICES // len(Y))
+        values += phi(np.stack([Y, *itertools.islice(points, size - 1)])).tolist()
+    return values
 
 
 def _richardson(values_at, Z, V):
@@ -204,31 +215,30 @@ def levi_form(f, Z, directions, h=1e-3):
 
     Entry (a, b) approximates the mixed second derivative of
     s, t -> f(Z + s B_a + t B_b) in s and conj(t), from evaluations at
-    steps {0, +-h, +-ih} in each complex variable.  The whole stencil,
-    1 + 4d + 16 d(d-1)/2 points for d directions, is built as one stack
-    (m, N, 2, 2).  f = phi evaluates it in one call; any other f keeps its
-    contract of one tuple point in, one value out.
+    steps {0, +-h, +-ih} in each complex variable.  The stencil has
+    1 + 4d + 16 d(d-1)/2 points for d directions; f = phi evaluates it in
+    stacks (m, N, 2, 2) of at most 2**14 matrices, one call each, and any
+    other f keeps its contract of one tuple point in, one value out.
     """
     Z = as_tuple_point(Z)
     B = np.asarray(directions, dtype=complex)
     d = B.shape[0]
     pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
 
-    points = [Z]
-    for a in range(d):
-        Ba = B[a]
-        points += [Z + h * Ba, Z - h * Ba, Z + 1j * h * Ba, Z - 1j * h * Ba]
-    for a, b in pairs:
-        Ba, Bb = B[a], B[b]
-        for da, db in ((Ba, Bb), (Ba, 1j * Bb), (1j * Ba, Bb), (1j * Ba, 1j * Bb)):
-            points += [
-                Z + h * da + h * db,
-                Z + h * da - h * db,
-                Z - h * da + h * db,
-                Z - h * da - h * db,
-            ]
+    def stencil():
+        yield Z
+        for Ba in B:
+            yield from (Z + h * Ba, Z - h * Ba, Z + 1j * h * Ba, Z - 1j * h * Ba)
+        for a, b in pairs:
+            Ba, Bb = B[a], B[b]
+            for da, db in ((Ba, Bb), (Ba, 1j * Bb), (1j * Ba, Bb), (1j * Ba, 1j * Bb)):
+                yield Z + h * da + h * db
+                yield Z + h * da - h * db
+                yield Z - h * da + h * db
+                yield Z - h * da - h * db
+
     try:
-        values = iter(_values(f, np.stack(points)))
+        values = iter(_values(f, stencil()))
     except DomainError as exc:
         raise StencilDomainError(f"stencil point left the domain: {exc}") from exc
 
@@ -316,7 +326,8 @@ def flow_monotonicity(xi, Z, t_max, steps, slack=1e-9):
     only across steps that move the point by more than 1e-9.  All
     steps + 1 flow points are built as one stack (m, N, 2, 2), tested
     with one tube_mask and evaluated with one dphi call; each value equals
-    that of the one-point call.
+    that of the one-point call.  Grid points past the truncation may
+    overflow; they are built without warnings and never evaluated.
     """
     Z = as_tuple_point(Z)
     if not tube_membership(Z):
@@ -327,9 +338,9 @@ def flow_monotonicity(xi, Z, t_max, steps, slack=1e-9):
     else:
         ts = [t_max * i / steps for i in range(steps + 1)]
 
-    A, B = flow_pair(xi, np.array([1j * t for t in ts]))
-    points = A[:, None] @ Z @ np.swapaxes(B, -1, -2)[:, None]
-    inside = tube_mask(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = flow_point(xi, 1j * np.array(ts), Z)
+        inside = tube_mask(points)
     truncated_at = None if inside.all() else int(np.argmin(inside))
     points = points[:truncated_at]
     kept_ts = ts[:truncated_at]

@@ -8,6 +8,8 @@ Python into numpy.  The per-point references below are the loops these
 functions ran before they were stacked.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,13 +76,19 @@ def test_expm_traceless_on_a_stack_straddling_the_series_branch():
         assert np.array_equal(E[k], A.expm_traceless(M[k]))
 
 
-def test_flow_pair_on_an_array_of_times():
-    xi = A.sample_algebra(stream_for(5, "stack-flow-pair", 0))
+def test_flow_pair_and_flow_point_on_an_array_of_times():
+    s = stream_for(5, "stack-flow-pair", 0)
+    xi = A.sample_algebra(s)
+    Z = G.sample_tube_point(s, 3)
     taus = np.array([1j * t for t in (0.0, 0.1, 0.7)])
     Ag, Bg = A.flow_pair(xi, taus)
+    points = A.flow_point(xi, taus, Z)
+    assert points.shape == (3,) + Z.shape
     for k, tau in enumerate(taus.tolist()):
         a, b = A.flow_pair(xi, tau)
         assert np.array_equal(Ag[k], a) and np.array_equal(Bg[k], b)
+        assert np.array_equal(points[k], A.flow_point(xi, tau, Z))
+        assert np.array_equal(A.flow_point(xi, tau, Z[0]), points[k, 0])
 
 
 def test_directional_derivative_on_a_stack_of_directions():
@@ -145,6 +153,19 @@ def test_levi_form_of_phi_matches_the_per_point_stencil(n):
     assert np.array_equal(L, _reference_levi_form(psh.phi, Z, B))
 
 
+def test_levi_form_of_phi_in_several_stacks_matches_the_per_point_stencil(monkeypatch):
+    # 1 + 4*8 + 8*8*7 = 481 stencil points of 2 matrices, 13 per phi call
+    monkeypatch.setattr(psh, "_STACK_MATRICES", 26)
+    calls = []
+    phi = psh.phi
+    monkeypatch.setattr(psh, "phi", lambda Y: calls.append(len(Y)) or phi(Y))
+    Z = G.sample_tube_point(stream_for(5, "stack-levi-chunks", 0), 2)
+    B = A.full_tangent_basis(2)
+    L = psh.levi_form(psh.phi, Z, B).entries
+    assert calls == [13] * 37
+    assert np.array_equal(L, _reference_levi_form(phi, Z, B))
+
+
 def test_scalar_only_fields_keep_the_one_point_contract():
     # these f index a single tuple point and return one float
     def f(Y):
@@ -191,6 +212,23 @@ def test_flow_truncation_matches_the_per_step_loop():
         assert rep.ts == ts
         assert rep.values == values
         assert rep.displacements == displacements
+
+
+def test_flow_past_overflow_truncates_without_warnings():
+    # exp(i t e4) = diag(exp(-t), exp(t)); at t = 100 cosh(t) - sinh(t)
+    # cancels to 0 and the flow leaves the tube, and from t = 710 on cosh
+    # overflows, points the per-step loop never built
+    e4 = np.array([0.0, 0, 0, 1, 0, 0])
+    Z = G.as_tuple_point(iI)
+    ts, values, displacements, truncated_at = _reference_flow(e4, Z, 1000.0, 10)
+    assert truncated_at == 1
+    with pytest.warns(RuntimeWarning):
+        A.flow_point(e4, 800j, Z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = psh.flow_monotonicity(e4, Z, t_max=1000.0, steps=10)
+    assert rep.truncated_at == truncated_at
+    assert (rep.ts, rep.values, rep.displacements) == (ts, values, displacements)
 
 
 def test_untruncated_flow_matches_the_per_step_loop():
