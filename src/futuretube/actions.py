@@ -155,8 +155,8 @@ def flow_pair(xi, tau):
     stacks of matrices with the shape of tau in front.
     """
     X = realize(xi)
-    tau = np.asarray(tau)[..., None, None]
-    return expm_traceless(tau * X), expm_traceless(tau * np.conj(X))
+    E = expm_traceless(np.asarray(tau)[..., None, None, None] * np.stack([X, np.conj(X)]))
+    return E[..., 0, :, :], E[..., 1, :, :]
 
 
 def flow_point(xi, tau, Z):

@@ -136,7 +136,8 @@ _HERM = np.kron(
 
 
 def _kn_chart(d, s):
-    return expm_traceless(realize(s * d[:6])), expm_traceless(realize(s * d[6:]))
+    A, B = expm_traceless(np.stack([realize(s * d[:6]), realize(s * d[6:])]))
+    return A, B
 
 
 def kempf_ness_minimize(Z, opts=None):
