@@ -121,21 +121,11 @@ class GroupPair:
     def identity(cls):
         return cls(IDENTITY.copy(), IDENTITY.copy())
 
-    def inverse(self):
-        # det 1, so the inverse is the adjugate (exact)
-        return GroupPair(adj2(self.g), adj2(self.h))
-
-
-def _apply(a, Z, b):
-    """a @ Z @ b preserving (2,2) versus (N,2,2) input shape."""
-    Z = np.asarray(Z, dtype=complex)
-    return a @ Z @ b
-
 
 def act_real(g, Z):
     """Real action g * Z = g Z conj(g)^t componentwise."""
     g = np.asarray(g, dtype=complex)
-    return _apply(g, Z, g.conj().T)
+    return g @ np.asarray(Z, dtype=complex) @ g.conj().T
 
 
 def act_complex(p, Z):
@@ -144,7 +134,8 @@ def act_complex(p, Z):
         g, h = p.g, p.h
     else:
         g, h = p
-    return _apply(np.asarray(g, dtype=complex), Z, np.asarray(h, dtype=complex).T)
+    g, h = np.asarray(g, dtype=complex), np.asarray(h, dtype=complex)
+    return g @ np.asarray(Z, dtype=complex) @ h.T
 
 
 def flow_pair(xi, tau):
@@ -223,14 +214,7 @@ def full_tangent_basis(n):
 
     Order: component index, then entries (0,0), (0,1), (1,0), (1,1).
     """
-    out = np.zeros((4 * n, n, 2, 2), dtype=complex)
-    k = 0
-    for j in range(n):
-        for r in range(2):
-            for c in range(2):
-                out[k, j, r, c] = 1.0
-                k += 1
-    return out
+    return np.eye(4 * n, dtype=complex).reshape(4 * n, n, 2, 2)
 
 
 def orbit_fields(Z):

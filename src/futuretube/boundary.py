@@ -254,16 +254,18 @@ def parse_sequence(doc):
     if kind == "curve":
         comps = doc.get("components")
         count = doc.get("k_count")
-        start = int(doc.get("k_start", 1))
+        start = doc.get("k_start", 1)
         if not isinstance(comps, list) or not comps or not isinstance(count, int) or count < 1:
             raise ValueError("curve sequence needs 'components' and integer 'k_count' >= 1")
+        if not isinstance(start, int) or start < 1:
+            raise ValueError("curve 'k_start' must be an integer >= 1")
         parsed = []
         for comp in comps:
-            if not isinstance(comp, dict) or "num" not in comp:
+            if not isinstance(comp, dict) or not isinstance(comp.get("num"), list):
                 raise ValueError("curve component needs a 'num' coefficient list")
             num = [serialize.parse_matrix(m) for m in comp["num"]]
-            den = [float(c) for c in comp.get("den", [1.0])]
-            if not num or not den or all(abs(c) == 0.0 for c in den):
+            den = serialize.parse_reals(comp.get("den", [1.0]), "curve 'den'")
+            if not num or all(c == 0.0 for c in den):
                 raise ValueError("curve component has empty or zero polynomials")
             parsed.append((num, den))
         out = []
@@ -283,16 +285,14 @@ def parse_sequence(doc):
         gen = serialize.parse_algebra(doc.get("generator"))
         times = doc.get("times")
         if isinstance(times, dict):
-            t0 = float(times.get("start", 0.0))
-            dt = float(times.get("step", 1.0))
+            start_step = [times.get("start", 0.0), times.get("step", 1.0)]
+            t0, dt = serialize.parse_reals(start_step, "translate 'start' and 'step'")
             count = times.get("count")
             if not isinstance(count, int) or count < 1:
                 raise ValueError("translate times need an integer 'count' >= 1")
             ts = [t0 + dt * i for i in range(count)]
-        elif isinstance(times, list) and times:
-            ts = [float(t) for t in times]
         else:
-            raise ValueError("translate sequence needs 'times'")
+            ts = serialize.parse_reals(times, "translate sequence 'times'")
         return [act_real(exp_algebra(gen, t), base) for t in ts]
     raise ValueError(f"unknown sequence type {kind!r}")
 
@@ -355,16 +355,9 @@ def boundary_scan(seq, opts=None):
     det_im_to_zero = det_mins[-1] <= 1e-2 and det_mins[-1] <= 0.5 * det_mins[0]
 
     psis = [r.psi for r in live if r.psi is not None]
-    crossed = {}
-    for r in _THRESHOLDS:
-        suffix_min = float("inf")
-        hit = False
-        for v in reversed(psis):
-            suffix_min = min(suffix_min, v)
-            if suffix_min > r:
-                hit = True
-                break
-        crossed[r] = hit
+    # a rung is cleared when some tail of psi stays above it; the shortest
+    # tail, the last psi alone, has the largest minimum
+    crossed = {r: bool(psis) and psis[-1] > r for r in _THRESHOLDS}
     weak_applicable = gram_converged and det_im_to_zero and bool(psis)
     weak = weak_applicable and all(crossed.values())
 

@@ -2,9 +2,9 @@
 
 Exit codes: 0 all requested checks passed, 1 some suite failed or
 `reduce` did not converge, 2 usage or configuration error (including
-non-finite point entries).  The TUBE_SEED environment variable
-overrides config seeds when set; --json switches stdout to the
-machine-readable encoding.
+non-finite point entries and malformed sequence or config documents).
+The TUBE_SEED environment variable overrides config seeds when set;
+--json switches stdout to the machine-readable encoding.
 """
 
 import argparse
@@ -65,11 +65,7 @@ def _cmd_run(args):
     if env is not None:
         cfg.seed = env
     report = run_suite(cfg)
-    payload = serialize.jsonable(report)
-    if args.json:
-        print(serialize.canonical_dumps(payload))
-    else:
-        print(_summary(cfg.suite, report))
+    _emit(serialize.jsonable(report), args.json, [_summary(cfg.suite, report)])
     return 0 if report.verdict == "pass" else SUITE_FAILURE
 
 

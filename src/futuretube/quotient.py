@@ -1,10 +1,9 @@
 """Invariant-theory quotient: Gram map, rank tests and orbit probes.
 
 The Gram image (pairwise Lorentz products of the tuple components) is the
-computable proxy for the categorical quotient throughout the package;
-reports record proxy = "gram".  Closed-orbit detection minimizes the
-squared Frobenius norm over the complexified group through a 12-parameter
-exponential chart.
+computable proxy for the categorical quotient throughout the package.
+Closed-orbit detection minimizes the squared Frobenius norm over the
+complexified group through a 12-parameter exponential chart.
 """
 
 from dataclasses import dataclass
@@ -15,7 +14,6 @@ from .geometry import DomainError, as_tuple_point, det2, tube_membership, tube_m
 from .actions import BASIS, GroupPair, act_complex, damped_newton, descend, expm_traceless, realize
 
 __all__ = [
-    "GRAM_PROXY",
     "gram_map",
     "gram_rank",
     "KempfNessOptions",
@@ -24,8 +22,6 @@ __all__ = [
     "SaturationReport",
     "saturation_probe",
 ]
-
-GRAM_PROXY = "gram"
 
 
 def gram_map(Z):
@@ -75,7 +71,6 @@ class OrbitProbeReport:
     iterations: int
     gradient_norm: float
     classification: str  # closed | non_closed | inconclusive
-    proxy: str = GRAM_PROXY
 
 
 def _norm_sq(Y):
@@ -225,7 +220,6 @@ class SaturationReport:
     witness_kind: str
     reduced_margin: float | None
     verdict: str  # certified | probe failed
-    proxy: str = GRAM_PROXY
 
 
 def saturation_probe(Z):
@@ -233,11 +227,11 @@ def saturation_probe(Z):
 
     Runs the norm minimization and takes the reached point as the stand-in
     for the closed orbit.  The witness is that point when it lies in the
-    tube, else, for a `closed` classification, the translate the recorded
-    minimizer carries back to the start.  A witness is certified by
-    reducing it with the orbit minimizer.  Without a witness, or when the
-    reduction does not certify, the probe reports "probe failed", never a
-    refutation.
+    tube, else, for a `closed` classification, the start itself, to which
+    the inverse of the recorded minimizer carries the reached point.  A
+    witness is certified by reducing it with the orbit minimizer.  Without
+    a witness, or when the reduction does not certify, the probe reports
+    "probe failed", never a refutation.
     """
     from .reduction import orbit_minimize
 
@@ -254,11 +248,9 @@ def saturation_probe(Z):
         witness = W
         kind = "kn_point"
     elif kn.classification == "closed":
-        # the recorded minimizer is exact group data: its inverse returns to Z
-        witness = act_complex(kn.minimizer.inverse(), W)
+        # the minimizer carries Z to W, so its inverse carries W back to Z
+        witness = Z
         kind = "minimizer_inverse"
-        if not tube_membership(witness):
-            witness = Z.copy()
 
     certified = False
     reduced_margin = None

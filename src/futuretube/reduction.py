@@ -247,24 +247,14 @@ def section_probe(base, radius=1e-3):
     Minvs = (U / np.sqrt(w)) @ U.conj().T
 
     F = orbit_fields(base).reshape(6, dim)
-    s = np.linalg.svd(F, compute_uv=False)
-    t = int(np.sum(s > 1e-8 * s[0])) if s.size and s[0] > 0 else 0
-    if t == 0:
-        T = np.zeros((dim, 0), dtype=complex)
-    else:
-        _, _, Vh = np.linalg.svd(F, full_matrices=False)
-        # columns spanning span_C{fields}: plain transpose, the conjugate
-        # rows of Vh span the conjugate space instead
-        T = Vh[:t].T
-
-    Yt = Msqrt @ T
-    if Yt.shape[1] == 0:
-        comp = np.eye(dim, dtype=complex)
-    else:
-        Uy, _, _ = np.linalg.svd(Yt, full_matrices=True)
-        comp = Uy[:, Yt.shape[1]:]
-    X = Minvs @ comp
-    # comp has Euclidean-orthonormal columns so X is metric-orthonormal
+    _, s, Vh = np.linalg.svd(F, full_matrices=False)
+    t = int(np.sum(s > 1e-8 * s[0]))  # 0 when the fields vanish
+    # columns spanning span_C{fields}: plain transpose, the conjugate
+    # rows of Vh span the conjugate space instead; the trailing left
+    # singular vectors of their metric image span its complement
+    Uy = np.linalg.svd(Msqrt @ Vh[:t].T)[0]
+    X = Minvs @ Uy[:, t:]
+    # Uy has Euclidean-orthonormal columns so X is metric-orthonormal
     # already; re-orthonormalize against roundoff
     gram = X.conj().T @ M @ X
     chol = np.linalg.cholesky(gram)

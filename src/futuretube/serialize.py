@@ -21,6 +21,7 @@ __all__ = [
     "parse_matrix",
     "point_to_json",
     "parse_point",
+    "parse_reals",
     "parse_algebra",
     "jsonable",
     "canonical_dumps",
@@ -87,14 +88,17 @@ def parse_point(doc):
     raise ValueError("point must be a 2x2 matrix of finite entries or a nonempty array of them")
 
 
+def parse_reals(doc, what):
+    """Floats of a nonempty array of finite reals; `what` names it in the error."""
+    if isinstance(doc, (list, tuple)) and doc and all(_finite_real(c) for c in doc):
+        return [float(c) for c in doc]
+    raise ValueError(f"{what} must be a nonempty array of finite reals")
+
+
 def parse_algebra(doc):
-    if (
-        isinstance(doc, (list, tuple))
-        and len(doc) == 6
-        and all(_finite_real(c) for c in doc)
-    ):
-        return np.array([float(c) for c in doc])
-    raise ValueError("algebra vector must be an array of six finite reals")
+    if not isinstance(doc, (list, tuple)) or len(doc) != 6:
+        raise ValueError("algebra vector must be an array of six finite reals")
+    return np.array(parse_reals(doc, "algebra vector"))
 
 
 def jsonable(obj):

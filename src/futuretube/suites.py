@@ -7,6 +7,7 @@ body (wall time excluded).  The registry is closed; adding a suite is a
 code change recorded in the artifact version.
 """
 
+import json
 import time
 from dataclasses import dataclass, field
 
@@ -30,8 +31,9 @@ from .actions import (
     adj2,
     adjoint,
     apply_J,
+    exp_algebra,
     full_tangent_basis,
-    real_vector_field,
+    orbit_fields,
     sample_algebra,
     sample_sl2,
     sample_su2,
@@ -87,21 +89,35 @@ class ExperimentConfig:
         return cls(**doc)
 
     def resolve(self):
-        if self.suite not in SUITES:
+        """(n, samples, tolerances) with defaults; malformed fields raise ValueError."""
+        if not isinstance(self.suite, str) or self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
         entry = SUITES[self.suite]
-        n = entry.default_n if self.n is None else int(self.n)
-        samples = entry.default_samples if self.samples is None else int(self.samples)
+        _number(int, "seed", self.seed)
+        n, samples = self.n, self.samples
+        n = entry.default_n if n is None else _number(int, "n", n)
+        samples = entry.default_samples if samples is None else _number(int, "samples", samples)
         if samples < 1:
             raise ValueError("samples must be >= 1")
         if n < 1:
             raise ValueError("n must be >= 1")
+        overrides = self.tolerances or {}
+        if not isinstance(overrides, dict):
+            raise ValueError("tolerances must be a mapping of names to numbers")
         tol = dict(entry.tolerances)
-        for k, v in (self.tolerances or {}).items():
+        for k, v in overrides.items():
             if k not in tol:
                 raise ValueError(f"unknown tolerance override {k!r} for suite {self.suite}")
-            tol[k] = float(v)
+            tol[k] = _number(float, f"tolerance {k!r}", v)
         return n, samples, tol
+
+
+def _number(kind, name, value):
+    """kind(value), with a ValueError naming the field when that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be a number, got {value!r}") from exc
 
 
 @dataclass
@@ -145,21 +161,23 @@ def _verdict(ok):
 def _each_sample(name, sample, units=None):
     """Runner of a suite whose records are one per sample.
 
-    Sample i is drawn from stream_for(seed, name, i) and
-    sample(stream, n, tol) returns its record, to which the index is
-    added.  units(tol), when given, returns fixed records placed first.
+    This is the one loop over samples and the one place that keys
+    streams: sample i is drawn from stream_for(seed, name, i), and
+    sample(i, stream, n, tol) returns its record.  The record gets
+    "index": i unless it carries its own index.  units(tol), when
+    given, returns fixed records placed first.
     """
 
     def run(seed, n, samples, tol):
         records = units(tol) if units is not None else []
         for i in range(samples):
-            records.append({"index": i, **sample(stream_for(seed, name, i), n, tol)})
+            records.append({"index": i, **sample(i, stream_for(seed, name, i), n, tol)})
         return records
 
     return run
 
 
-def _coordinate_identities(s, n, tol):
+def _coordinate_identities(i, s, n, tol):
     z = sample_four_vector(s)
     Z = to_matrix(z)
     zz = lorentz_product(z, z)
@@ -181,38 +199,32 @@ def _coordinate_identities(s, n, tol):
     }
 
 
-def _suite_psh_levi(seed, n, samples, tol):
-    records = []
+def _psh_levi(i, s, n, tol):
+    Z = sample_tube_point(s, n)
     basis = full_tangent_basis(n)
-    for i in range(samples):
-        s = stream_for(seed, "psh-levi", i)
-        Z = sample_tube_point(s, n)
-        L = levi_form_phi(Z, basis)
-        mineig = L.min_eigenvalue()
-        g = sample_sl2(s)
-        phi_g, phi_0 = phi(np.stack([act_real(g, Z), Z])).tolist()
-        inv_err = abs(phi_g - phi_0) / phi_0
-        rec = {
-            "index": i,
-            "min_eigenvalue": mineig,
-            "invariance_rel_err": inv_err,
-            "stencil_rel_err": None,
-        }
-        ok = mineig > 0.0 and inv_err <= tol["invariance"]
-        if i % 10 == 0:
-            Lst = levi_form(phi, Z, basis).entries
-            st = float(np.linalg.norm(L.entries - Lst) / np.linalg.norm(Lst))
-            rec["stencil_rel_err"] = st
-            ok = ok and st <= tol["stencil_match"]
-        rec["verdict"] = _verdict(bool(ok))
-        records.append(rec)
-    return records
+    L = levi_form_phi(Z, basis)
+    mineig = L.min_eigenvalue()
+    g = sample_sl2(s)
+    phi_g, phi_0 = phi(np.stack([act_real(g, Z), Z])).tolist()
+    inv_err = abs(phi_g - phi_0) / phi_0
+    ok = mineig > 0.0 and inv_err <= tol["invariance"]
+    st = None
+    if i % 10 == 0:
+        Lst = levi_form(phi, Z, basis).entries
+        st = float(np.linalg.norm(L.entries - Lst) / np.linalg.norm(Lst))
+        ok = ok and st <= tol["stencil_match"]
+    return {
+        "min_eigenvalue": mineig,
+        "invariance_rel_err": inv_err,
+        "stencil_rel_err": st,
+        "verdict": _verdict(bool(ok)),
+    }
 
 
-def _moment_oracle(s, n, tol):
+def _moment_oracle(i, s, n, tol):
     Z = sample_tube_point(s, n)
     m = moment_map(Z)
-    JF = apply_J(np.stack([real_vector_field(e, Z) for e in np.eye(6)]))
+    JF = apply_J(orbit_fields(Z))
     fd = directional_derivative(phi, Z, JF).value
     worst = float(np.max(np.abs(m - fd) / (1.0 + np.abs(fd))))
     A = s.matrix()
@@ -232,7 +244,7 @@ def _moment_oracle(s, n, tol):
     }
 
 
-def _flow_monotone(s, n, tol):
+def _flow_monotone(i, s, n, tol):
     Z = sample_tube_point(s, n)
     xi = sample_algebra(s)
     xi = xi / np.linalg.norm(xi)
@@ -247,7 +259,7 @@ def _flow_monotone(s, n, tol):
     }
 
 
-def _reduce_minimum(s, n, tol):
+def _reduce_minimum(i, s, n, tol):
     Z = sample_tube_point(s, n)
     g = sample_sl2(s)
     opts = ReduceOptions(moment_tol=tol["moment_tol"])
@@ -285,21 +297,19 @@ def _levi_record(index, n, base, tol):
     }
 
 
-def _suite_levi_identity(seed, n, samples, tol):
-    records = [_levi_record(0, 1, np.stack([1j * IDENTITY]), tol)]
-    tight = ReduceOptions(moment_tol=1e-10)
-    for i in range(samples):
-        s = stream_for(seed, "levi-identity", i)
-        rr = orbit_minimize(sample_tube_point(s, n), tight)
-        if rr.converged:
-            records.append(_levi_record(i + 1, n, rr.reduced_point, tol))
-        else:
-            unreduced = {"deviation": None, "min_eigenvalue": None, "verdict": "fail"}
-            records.append({"index": i + 1, "n": n, **unreduced})
-    return records
+def _levi_unit(tol):
+    return [_levi_record(0, 1, np.stack([1j * IDENTITY]), tol)]
 
 
-def _lagrangian(s, n, tol):
+def _levi_identity(i, s, n, tol):
+    # the unit record holds index 0, so sample i is record i + 1
+    rr = orbit_minimize(sample_tube_point(s, n), ReduceOptions(moment_tol=1e-10))
+    if rr.converged:
+        return _levi_record(i + 1, n, rr.reduced_point, tol)
+    return {"index": i + 1, "n": n, "deviation": None, "min_eigenvalue": None, "verdict": "fail"}
+
+
+def _lagrangian(i, s, n, tol):
     Z = sample_tube_point(s, n)
     # tight reduction keeps the spurious sixth field direction well under
     # the rank tolerance of the dimension side condition
@@ -342,19 +352,13 @@ def _kn_units(tol):
     return out
 
 
-def _kempf_ness(s, n, tol):
+def _kempf_ness(i, s, n, tol):
     Z = np.stack([s.matrix() for _ in range(max(n, 3))])
     rank = gram_rank(gram_map(Z))
     r = kempf_ness_minimize(Z)
-    if rank >= 3:
-        if r.classification == "closed":
-            verdict = "pass"
-        elif r.classification == "inconclusive":
-            verdict = "inconclusive"
-        else:
-            verdict = "fail"
-    else:
-        verdict = "inconclusive"  # non-generic draw, rank criterion not applicable
+    verdict = "inconclusive"  # also on a non-generic draw, where the rank criterion does not apply
+    if rank >= 3 and r.classification != "inconclusive":
+        verdict = _verdict(r.classification == "closed")
     return {
         "gram_rank": rank,
         "classification": r.classification,
@@ -380,11 +384,11 @@ def _saturation_unit(tol):
     return [{"index": "unit-degenerate", **_saturation_record(deg)}]
 
 
-def _saturation_probe(s, n, tol):
+def _saturation_probe(i, s, n, tol):
     return _saturation_record(sample_tube_point(s, n))
 
 
-def _normal_form(s, n, tol):
+def _normal_form(i, s, n, tol):
     W = sample_tube_matrix(s)
     nf = normal_form(W)
     recon = float(np.max(np.abs(act_real(nf.group_element(), W) - nf.X)))
@@ -414,10 +418,9 @@ def _normal_form(s, n, tol):
 
 
 def _suite_boundary_weak(seed, n, samples, tol):
-    zero = np.zeros((2, 2), dtype=complex)
-    comp = {"num": [serialize.matrix_to_json(zero), serialize.matrix_to_json(1j * IDENTITY)]}
-    doc = {"type": "curve", "components": [comp] * n, "k_count": samples, "k_start": 1}
-    rep = boundary_scan(doc, ScanOptions())
+    # the curve i I / k in every component, k = 1 .. samples
+    points = [np.stack([1j * IDENTITY * (1.0 / k)] * n) for k in range(1, samples + 1)]
+    rep = boundary_scan(points, ScanOptions())
     records = []
     exact = True
     for r in rep.records:
@@ -445,20 +448,16 @@ def _suite_boundary_weak(seed, n, samples, tol):
     return records
 
 
-def _boundary_mod_greal(s, n, tol):
+def _boundary_mod_greal(i, s, n, tol):
     Z0 = sample_tube_point(s, n)
-    doc = {
-        "type": "translate",
-        "base": serialize.point_to_json(Z0),
-        "generator": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        "times": {"start": 0.0, "step": 0.35, "count": 20},
-    }
+    e1 = np.eye(6)[0]
+    points = [act_real(exp_algebra(e1, 0.35 * k), Z0) for k in range(20)]
     opts = ScanOptions(
         phi_bound=max(50.0, 2.0 * phi(Z0)),
         compact_bound=tol["compact_bound"],
         det_floor=tol["det_floor"],
     )
-    rep = boundary_scan(doc, opts)
+    rep = boundary_scan(points, opts)
     return {
         "gram_converged": rep.gram_converged,
         "phi_bounded": rep.phi_bounded,
@@ -476,7 +475,10 @@ SUITES = {
         {"det_identity": 1e-12, "roundtrip": 1e-12},
     ),
     "psh-levi": _SuiteEntry(
-        _suite_psh_levi, 40, 2, {"invariance": 1e-10, "stencil_match": 1e-4}
+        _each_sample("psh-levi", _psh_levi),
+        40,
+        2,
+        {"invariance": 1e-10, "stencil_match": 1e-4},
     ),
     "moment-oracle": _SuiteEntry(
         _each_sample("moment-oracle", _moment_oracle),
@@ -494,7 +496,10 @@ SUITES = {
         {"moment_tol": 1e-8, "translate_agreement": 1e-5},
     ),
     "levi-identity": _SuiteEntry(
-        _suite_levi_identity, 1, 2, {"deviation": 1e-3, "min_eig": 1e-6}
+        _each_sample("levi-identity", _levi_identity, units=_levi_unit),
+        1,
+        2,
+        {"deviation": 1e-3, "min_eig": 1e-6},
     ),
     "lagrangian": _SuiteEntry(
         _each_sample("lagrangian", _lagrangian), 8, 2, {"omega_tol": 1e-5}
@@ -540,16 +545,14 @@ def run_suite(cfg):
     t0 = time.perf_counter()
     records = entry.runner(cfg.seed, n, samples, tol)
     wall = time.perf_counter() - t0
-    counts = {"pass_count": 0, "fail_count": 0, "inconclusive_count": 0}
-    for r in records:
-        v = r.get("verdict", "inconclusive")
-        if v == "pass":
-            counts["pass_count"] += 1
-        elif v == "fail":
-            counts["fail_count"] += 1
-        else:
-            counts["inconclusive_count"] += 1
-    counts["wall_time"] = wall
+    verdicts = [r.get("verdict") for r in records]
+    passed, failed = verdicts.count("pass"), verdicts.count("fail")
+    counts = {
+        "pass_count": passed,
+        "fail_count": failed,
+        "inconclusive_count": len(verdicts) - passed - failed,
+        "wall_time": wall,
+    }
     report = ExperimentReport(
         config={
             "suite": cfg.suite,
@@ -566,8 +569,6 @@ def run_suite(cfg):
     if cfg.output_path:
         payload = serialize.jsonable(report)
         with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            import json
-
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return report

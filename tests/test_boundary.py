@@ -261,3 +261,49 @@ def test_boundary_scan_constant_sequence_no_verdict():
 def test_boundary_scan_rejects_empty():
     with pytest.raises(ValueError):
         boundary_scan([])
+
+
+def test_threshold_ladder_reads_the_last_psi():
+    # psi = phi = 1/a^2 at i a I; an early psi of 16 clears the rung 10
+    # but the last, 1, does not, so no tail stays above it
+    early, late = serialize.point_to_json(iI / 4.0), serialize.point_to_json(iI)
+    rep = boundary_scan({"type": "list", "points": [early, late]})
+    assert [round(r.psi, 6) for r in rep.records] == [16.0, 1.0]
+    assert rep.thresholds_crossed == {10.0: False, 100.0: False, 1000.0: False}
+    rep = boundary_scan({"type": "list", "points": [late, early]})
+    assert rep.thresholds_crossed == {10.0: True, 100.0: False, 1000.0: False}
+
+
+def test_suite_scans_equal_the_sequence_documents(monkeypatch):
+    """The boundary suites hand boundary_scan point lists; they must be
+    the points, and give the records, of the curve and translate
+    documents the suites describe."""
+    from futuretube import suites
+
+    scans = []
+
+    def spy(points, opts):
+        rep = boundary_scan(points, opts)
+        scans.append((points, opts, rep))
+        return rep
+
+    monkeypatch.setattr(suites, "boundary_scan", spy)
+    suites.run_suite(suites.ExperimentConfig(suite="boundary-weak-exhaustion", n=2, samples=6))
+    suites.run_suite(suites.ExperimentConfig(suite="boundary-mod-greal", seed=7, samples=1))
+    comp = {"num": [serialize.matrix_to_json(np.zeros((2, 2))), serialize.matrix_to_json(iI)]}
+    Z0 = G.sample_tube_point(stream_for(7, "boundary-mod-greal", 0), 2)
+    docs = [
+        {"type": "curve", "components": [comp, comp], "k_count": 6, "k_start": 1},
+        {
+            "type": "translate",
+            "base": serialize.point_to_json(Z0),
+            "generator": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            "times": {"start": 0.0, "step": 0.35, "count": 20},
+        },
+    ]
+    assert len(scans) == len(docs)
+    for (points, opts, rep), doc in zip(scans, docs):
+        parsed = parse_sequence(doc)
+        assert [p.tobytes() for p in points] == [p.tobytes() for p in parsed]
+        expect = serialize.canonical_bytes(boundary_scan(doc, opts))
+        assert serialize.canonical_bytes(rep) == expect

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from futuretube import serialize
 from futuretube.cli import cli_entry
@@ -177,3 +178,32 @@ def test_gram_of_overflowing_point_names_the_overflow(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "overflow" in err
     assert "SVD" not in err
+
+
+_ZERO, _EYE = serialize.matrix_to_json(np.zeros((2, 2))), serialize.matrix_to_json(iI)
+_TRANSLATE = {
+    "type": "translate",
+    "base": serialize.point_to_json(iI),
+    "generator": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("scan", {"type": "curve", "components": [{"num": [_ZERO, _EYE]}], "k_count": 3, "k_start": 0}),
+        ("scan", {"type": "curve", "components": [{"num": [_ZERO, _EYE], "den": 2.0}], "k_count": 3}),
+        ("scan", {"type": "curve", "components": [{"num": 1.0}], "k_count": 3}),
+        ("scan", {**_TRANSLATE, "times": [None]}),
+        ("scan", {**_TRANSLATE, "times": {"start": None, "count": 2}}),
+        ("run", {"suite": "flow-monotone", "tolerances": [1]}),
+        ("run", {"suite": "flow-monotone", "tolerances": {"slack": None}}),
+        ("run", {"suite": "flow-monotone", "seed": None}),
+        ("run", {"suite": "flow-monotone", "n": [1]}),
+        ("run", {"suite": ["flow-monotone"]}),
+    ],
+)
+def test_malformed_documents_are_usage_errors(tmp_path, capsys, command, doc):
+    p = write_json(tmp_path / "doc.json", doc)
+    assert cli_entry([command, p]) == 2
+    assert "error:" in capsys.readouterr().err
