@@ -186,7 +186,11 @@ def adjoint(g, xi):
 
 
 def sample_sl2(rng):
-    """Random SL2(C) element: complex normal matrix, det-normalized."""
+    """Random SL2(C) element: complex normal matrix, det-normalized.
+
+    Reads 8 normals of rng, and 8 more for each candidate rejected
+    because |det| <= 1e-3.
+    """
     while True:
         M = rng.matrix()
         if abs(det2(M)) > 1e-3:
@@ -194,10 +198,15 @@ def sample_sl2(rng):
 
 
 def sample_su2(rng):
-    """Random SU(2) element from a normalized complex normal pair."""
+    """Random SU(2) element from a normalized complex normal pair.
+
+    Reads 4 normals of rng, and 4 more for each rejected pair of norm
+    <= 1e-6.
+    """
     while True:
-        a = rng.normal() + 1j * rng.normal()
-        b = rng.normal() + 1j * rng.normal()
+        ar, ai, br, bi = rng.normals(4).tolist()
+        a = ar + 1j * ai
+        b = br + 1j * bi
         n = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
         if n > 1e-6:
             a, b = a / n, b / n

@@ -29,6 +29,9 @@ __all__ = [
     "tube_mask",
     "tube_membership",
     "tube_margin",
+    "four_vectors",
+    "hermitians",
+    "tube_matrices",
     "sample_four_vector",
     "sample_hermitian",
     "sample_tube_matrix",
@@ -160,29 +163,55 @@ def tube_margin(Z):
     return float(np.min((a + d - rad) / 2.0))
 
 
+def four_vectors(x):
+    """Complex four-vectors from (..., 8) normals, real and imaginary parts interleaved."""
+    return x[..., 0::2] + 1j * x[..., 1::2]
+
+
+def hermitians(x):
+    """Hermitian 2x2 matrices from (..., 4) normals: diagonal a, d, off-diagonal q."""
+    q = x[..., 2] + 1j * x[..., 3]
+    H = np.empty(x.shape[:-1] + (2, 2), dtype=complex)
+    H[..., 0, 0] = x[..., 0]
+    H[..., 0, 1] = q
+    H[..., 1, 0] = np.conj(q)
+    H[..., 1, 1] = x[..., 1]
+    return H
+
+
+def tube_matrices(x):
+    """Tube members Z = R + iP from (..., 12) normals.
+
+    The first 8 give A (entries in row order), the last 4 the Hermitian
+    R; P = A A^H + 0.1 I is positive definite, and its 0.1 margin keeps
+    samples away from the boundary of the cone.
+    """
+    A = four_vectors(x[..., :8]).reshape(x.shape[:-1] + (2, 2))
+    P = A @ np.conj(np.swapaxes(A, -1, -2)) + 0.1 * IDENTITY
+    return hermitians(x[..., 8:]) + 1j * P
+
+
+# The samplers read rng.normals(m) into the formulas above.  A stream
+# gives one sample; a block of streams, whose normals(m) has shape
+# (count, m), gives all of its samples stacked along a leading axis.
+
+
 def sample_four_vector(rng):
     """Four complex components with standard-normal real and imaginary parts."""
-    return rng.complex_normals(4)
+    return four_vectors(rng.normals(8))
 
 
 def sample_hermitian(rng):
     """Hermitian 2x2: real normal diagonal, one complex normal off-diagonal."""
-    a = rng.normal()
-    d = rng.normal()
-    q = rng.normal() + 1j * rng.normal()
-    return np.array([[a, q], [np.conj(q), d]])
+    return hermitians(rng.normals(4))
 
 
 def sample_tube_matrix(rng):
-    """Random tube member Z = R + iP, P = A A^H + 0.1 I positive definite.
-
-    The 0.1 margin keeps samples away from the boundary of the cone.
-    """
-    A = rng.matrix()
-    P = A @ A.conj().T + 0.1 * IDENTITY
-    R = sample_hermitian(rng)
-    return R + 1j * P
+    """Random tube member from 12 normals of rng; see tube_matrices."""
+    return tube_matrices(rng.normals(12))
 
 
 def sample_tube_point(rng, n):
-    return np.stack([sample_tube_matrix(rng) for _ in range(n)])
+    """Random n-tuple of tube members from 12 n normals of rng."""
+    x = rng.normals(12 * n)
+    return tube_matrices(x.reshape(x.shape[:-1] + (n, 12)))

@@ -53,6 +53,13 @@ class StencilDomainError(DomainError):
     """A finite-difference stencil point left the domain; resample or shrink."""
 
 
+def _det_im(Z):
+    """det_im(Z) without numpy's overflow warning: an overflow gives inf or
+    nan, which phi rescales and _positive_det_im rejects by name."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return det_im(Z)
+
+
 def _positive_det_im(d):
     """The det Im values d; DomainError unless all are positive and finite."""
     if not d.min() > 0.0:
@@ -77,7 +84,7 @@ def phi(Z):
     stack = Z.ndim == 4
     if not stack:
         Z = as_tuple_point(Z)
-    d = det_im(Z)
+    d = _det_im(Z)
     if math.isfinite(d.max()):
         values = np.sum(1.0 / _positive_det_im(d), axis=-1)
     elif stack:
@@ -127,7 +134,7 @@ def dphi(Z, V):
         Z = as_tuple_point(Z)
     if V.ndim != 4:
         V = as_tuple_point(V)
-    d = _positive_det_im(det_im(Z))
+    d = _positive_det_im(_det_im(Z))
     tr = _trace_adj_product(hermitian_im(Z), hermitian_im(V))
     values = -np.sum(tr / d**2, axis=-1)
     return values if stack else float(values)
@@ -271,7 +278,7 @@ def levi_form_phi(Z, directions):
     Matches the finite-difference stencil to the stated stencil tolerance.
     """
     Z = as_tuple_point(Z)
-    d = _positive_det_im(det_im(Z))
+    d = _positive_det_im(_det_im(Z))
     adjP = adj2(hermitian_im(Z))
 
     V = np.asarray(directions, dtype=complex)  # (m, N, 2, 2)

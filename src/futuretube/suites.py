@@ -3,18 +3,22 @@
 Every suite draws each sample from its own stream keyed by
 (seed, suite name, sample index), so records are independent of
 evaluation order and a fixed config reproduces a byte-identical report
-body (wall time excluded).  The registry is closed; adding a suite is a
-code change recorded in the artifact version.
+body (wall time excluded).  A per-sample suite draws the normals of all
+its samples first, as one block, and then checks the samples one by one.
+The registry is closed; adding a suite is a code change recorded in the
+artifact version.
 """
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import serialize
-from .rng import stream_for
+from .rng import Block
 from .geometry import (
     IDENTITY,
     det2,
@@ -93,10 +97,9 @@ class ExperimentConfig:
         if not isinstance(self.suite, str) or self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
         entry = SUITES[self.suite]
-        _number(int, "seed", self.seed)
-        n, samples = self.n, self.samples
-        n = entry.default_n if n is None else _number(int, "n", n)
-        samples = entry.default_samples if samples is None else _number(int, "samples", samples)
+        _integer("seed", self.seed)
+        n = entry.default_n if self.n is None else _integer("n", self.n)
+        samples = entry.default_samples if self.samples is None else _integer("samples", self.samples)
         if samples < 1:
             raise ValueError("samples must be >= 1")
         if n < 1:
@@ -108,14 +111,27 @@ class ExperimentConfig:
         for k, v in overrides.items():
             if k not in tol:
                 raise ValueError(f"unknown tolerance override {k!r} for suite {self.suite}")
-            tol[k] = _number(float, f"tolerance {k!r}", v)
+            tol[k] = _number(f"tolerance {k!r}", v)
+        if self.output_path is not None and not isinstance(self.output_path, (str, os.PathLike)):
+            raise ValueError(f"output_path must be a path string, got {self.output_path!r}")
         return n, samples, tol
 
 
-def _number(kind, name, value):
-    """kind(value), with a ValueError naming the field when that fails."""
+def _integer(name, value):
+    """int(value) for an integer value; a ValueError naming the field otherwise.
+
+    A bool, a fractional number or a float is refused rather than
+    truncated: the seed keys every stream, and n and samples are counts.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(name, value):
+    """float(value), with a ValueError naming the field when that fails."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be a number, got {value!r}") from exc
 
@@ -158,27 +174,49 @@ def _verdict(ok):
     return "pass" if ok else "fail"
 
 
-def _each_sample(name, sample, units=None):
+@dataclass(frozen=True)
+class _EachSample:
     """Runner of a suite whose records are one per sample.
 
     This is the one loop over samples and the one place that keys
-    streams: sample i is drawn from stream_for(seed, name, i), and
-    sample(i, stream, n, tol) returns its record.  The record gets
-    "index": i unless it carries its own index.  units(tol), when
+    streams: sample i reads the first draws(n) normals of
+    stream_for(seed, name, i), all drawn first as one Block.
+    draw(rng, n) returns the tuple of inputs that need no rejection
+    sampling, read in stream order; on the Block it gives them for every
+    sample at once, stacked along a leading axis.  check(i, x, rng, n,
+    tol) gets sample i's inputs x and its RowStream, which goes on where
+    draw stopped, and returns the record.  On one scalar stream, draw
+    and then check read the same normals in the same order.  The record
+    gets "index": i unless it carries its own index.  units(tol), when
     given, returns fixed records placed first.
     """
 
-    def run(seed, n, samples, tol):
-        records = units(tol) if units is not None else []
+    name: str
+    draws: Callable
+    draw: Callable
+    check: Callable
+    units: Callable | None = None
+
+    def __call__(self, seed, n, samples, tol):
+        records = self.units(tol) if self.units is not None else []
+        block = Block(seed, self.name, samples, self.draws(n))
+        inputs = self.draw(block, n)
         for i in range(samples):
-            records.append({"index": i, **sample(i, stream_for(seed, name, i), n, tol)})
+            x = tuple(a[i] for a in inputs)
+            records.append({"index": i, **self.check(i, x, block.row(i), n, tol)})
         return records
 
-    return run
+
+def _tube_point(rng, n):
+    return (sample_tube_point(rng, n),)
 
 
-def _coordinate_identities(i, s, n, tol):
-    z = sample_four_vector(s)
+def _coordinate_draw(rng, n):
+    return sample_four_vector(rng), sample_tube_matrix(rng)
+
+
+def _coordinate_identities(i, x, rng, n, tol):
+    z, W = x
     Z = to_matrix(z)
     zz = lorentz_product(z, z)
     c_det = abs(det2(Z) - zz) <= tol["det_identity"] * (1.0 + abs(zz))
@@ -187,7 +225,6 @@ def _coordinate_identities(i, s, n, tol):
     )
     imzz = lorentz_product(z.imag, z.imag).real
     c_im = abs(det_im(Z) - imzz) <= tol["det_identity"] * (1.0 + abs(imzz))
-    W = sample_tube_matrix(s)
     c_bound = det_im(W) <= abs(det2(W)) + tol["det_identity"]
     ok = bool(c_det and c_round and c_im and c_bound)
     return {
@@ -199,12 +236,12 @@ def _coordinate_identities(i, s, n, tol):
     }
 
 
-def _psh_levi(i, s, n, tol):
-    Z = sample_tube_point(s, n)
+def _psh_levi(i, x, rng, n, tol):
+    (Z,) = x
     basis = full_tangent_basis(n)
     L = levi_form_phi(Z, basis)
     mineig = L.min_eigenvalue()
-    g = sample_sl2(s)
+    g = sample_sl2(rng)
     phi_g, phi_0 = phi(np.stack([act_real(g, Z), Z])).tolist()
     inv_err = abs(phi_g - phi_0) / phi_0
     ok = mineig > 0.0 and inv_err <= tol["invariance"]
@@ -221,17 +258,20 @@ def _psh_levi(i, s, n, tol):
     }
 
 
-def _moment_oracle(i, s, n, tol):
-    Z = sample_tube_point(s, n)
+def _moment_draw(rng, n):
+    return sample_tube_point(rng, n), rng.matrix()
+
+
+def _moment_oracle(i, x, rng, n, tol):
+    Z, A = x
     m = moment_map(Z)
     JF = apply_J(orbit_fields(Z))
     fd = directional_derivative(phi, Z, JF).value
     worst = float(np.max(np.abs(m - fd) / (1.0 + np.abs(fd))))
-    A = s.matrix()
     iP = np.stack([1j * (A @ A.conj().T + 0.2 * IDENTITY)])
     zero_norm = float(np.linalg.norm(moment_map(iP)))
-    g = sample_sl2(s)
-    xi = sample_algebra(s)
+    g = sample_sl2(rng)
+    xi = sample_algebra(rng)
     lhs = float(np.dot(moment_map(act_real(g, Z)), xi))
     rhs = float(np.dot(m, adjoint(adj2(g), xi)))
     equi = abs(lhs - rhs) / (1.0 + abs(lhs))
@@ -244,9 +284,12 @@ def _moment_oracle(i, s, n, tol):
     }
 
 
-def _flow_monotone(i, s, n, tol):
-    Z = sample_tube_point(s, n)
-    xi = sample_algebra(s)
+def _flow_draw(rng, n):
+    return sample_tube_point(rng, n), sample_algebra(rng)
+
+
+def _flow_monotone(i, x, rng, n, tol):
+    Z, xi = x
     xi = xi / np.linalg.norm(xi)
     rep = flow_monotonicity(xi, Z, t_max=0.25, steps=25, slack=tol["slack"])
     ok = rep.nondecreasing and rep.strict_when_moving and len(rep.values) >= 2
@@ -259,9 +302,9 @@ def _flow_monotone(i, s, n, tol):
     }
 
 
-def _reduce_minimum(i, s, n, tol):
-    Z = sample_tube_point(s, n)
-    g = sample_sl2(s)
+def _reduce_minimum(i, x, rng, n, tol):
+    (Z,) = x
+    g = sample_sl2(rng)
     opts = ReduceOptions(moment_tol=tol["moment_tol"])
     r0 = orbit_minimize(Z, opts)
     r1 = orbit_minimize(act_real(g, Z), opts)
@@ -301,16 +344,17 @@ def _levi_unit(tol):
     return [_levi_record(0, 1, np.stack([1j * IDENTITY]), tol)]
 
 
-def _levi_identity(i, s, n, tol):
+def _levi_identity(i, x, rng, n, tol):
     # the unit record holds index 0, so sample i is record i + 1
-    rr = orbit_minimize(sample_tube_point(s, n), ReduceOptions(moment_tol=1e-10))
+    (Z,) = x
+    rr = orbit_minimize(Z, ReduceOptions(moment_tol=1e-10))
     if rr.converged:
         return _levi_record(i + 1, n, rr.reduced_point, tol)
     return {"index": i + 1, "n": n, "deviation": None, "min_eigenvalue": None, "verdict": "fail"}
 
 
-def _lagrangian(i, s, n, tol):
-    Z = sample_tube_point(s, n)
+def _lagrangian(i, x, rng, n, tol):
+    (Z,) = x
     # tight reduction keeps the spurious sixth field direction well under
     # the rank tolerance of the dimension side condition
     rr = orbit_minimize(Z, ReduceOptions(moment_tol=1e-10))
@@ -352,8 +396,14 @@ def _kn_units(tol):
     return out
 
 
-def _kempf_ness(i, s, n, tol):
-    Z = np.stack([s.matrix() for _ in range(max(n, 3))])
+def _kempf_ness_draw(rng, n):
+    # max(n, 3) matrices, each as rng.matrix() draws it
+    c = rng.complex_normals(4 * max(n, 3))
+    return (c.reshape(c.shape[:-1] + (-1, 2, 2)),)
+
+
+def _kempf_ness(i, x, rng, n, tol):
+    (Z,) = x
     rank = gram_rank(gram_map(Z))
     r = kempf_ness_minimize(Z)
     verdict = "inconclusive"  # also on a non-generic draw, where the rank criterion does not apply
@@ -384,12 +434,16 @@ def _saturation_unit(tol):
     return [{"index": "unit-degenerate", **_saturation_record(deg)}]
 
 
-def _saturation_probe(i, s, n, tol):
-    return _saturation_record(sample_tube_point(s, n))
+def _saturation_probe(i, x, rng, n, tol):
+    return _saturation_record(*x)
 
 
-def _normal_form(i, s, n, tol):
-    W = sample_tube_matrix(s)
+def _normal_form_draw(rng, n):
+    return (sample_tube_matrix(rng),)
+
+
+def _normal_form(i, x, rng, n, tol):
+    (W,) = x
     nf = normal_form(W)
     recon = float(np.max(np.abs(act_real(nf.group_element(), W) - nf.X)))
     offdiag = abs(nf.X[1, 0])
@@ -397,7 +451,7 @@ def _normal_form(i, s, n, tol):
     Xc = nf.X.copy()
     Xc[1, 0] = 0.0
     tb = triangular_bounds_check(Xc)
-    u = sample_su2(s)
+    u = sample_su2(rng)
     star_conj = float(np.max(np.abs(act_real(u, W) - u @ W @ u.conj().T)))
     ok = (
         recon <= tol["reconstruction"]
@@ -448,8 +502,8 @@ def _suite_boundary_weak(seed, n, samples, tol):
     return records
 
 
-def _boundary_mod_greal(i, s, n, tol):
-    Z0 = sample_tube_point(s, n)
+def _boundary_mod_greal(i, x, rng, n, tol):
+    (Z0,) = x
     e1 = np.eye(6)[0]
     points = [act_real(exp_algebra(e1, 0.35 * k), Z0) for k in range(20)]
     opts = ScanOptions(
@@ -469,52 +523,73 @@ def _boundary_mod_greal(i, s, n, tol):
 
 SUITES = {
     "coordinate-identities": _SuiteEntry(
-        _each_sample("coordinate-identities", _coordinate_identities),
+        _EachSample(
+            "coordinate-identities", lambda n: 20, _coordinate_draw, _coordinate_identities
+        ),
         1000,
         1,
         {"det_identity": 1e-12, "roundtrip": 1e-12},
     ),
     "psh-levi": _SuiteEntry(
-        _each_sample("psh-levi", _psh_levi),
+        _EachSample("psh-levi", lambda n: 12 * n + 8, _tube_point, _psh_levi),
         40,
         2,
         {"invariance": 1e-10, "stencil_match": 1e-4},
     ),
     "moment-oracle": _SuiteEntry(
-        _each_sample("moment-oracle", _moment_oracle),
+        _EachSample("moment-oracle", lambda n: 12 * n + 22, _moment_draw, _moment_oracle),
         150,
         2,
         {"fd_match": 1e-6, "ip_zero": 1e-10, "equivariance": 1e-6},
     ),
     "flow-monotone": _SuiteEntry(
-        _each_sample("flow-monotone", _flow_monotone), 60, 2, {"slack": 1e-9}
+        _EachSample("flow-monotone", lambda n: 12 * n + 6, _flow_draw, _flow_monotone),
+        60,
+        2,
+        {"slack": 1e-9},
     ),
     "reduce-minimum": _SuiteEntry(
-        _each_sample("reduce-minimum", _reduce_minimum),
+        _EachSample("reduce-minimum", lambda n: 12 * n + 8, _tube_point, _reduce_minimum),
         15,
         2,
         {"moment_tol": 1e-8, "translate_agreement": 1e-5},
     ),
     "levi-identity": _SuiteEntry(
-        _each_sample("levi-identity", _levi_identity, units=_levi_unit),
+        _EachSample(
+            "levi-identity", lambda n: 12 * n, _tube_point, _levi_identity, units=_levi_unit
+        ),
         1,
         2,
         {"deviation": 1e-3, "min_eig": 1e-6},
     ),
     "lagrangian": _SuiteEntry(
-        _each_sample("lagrangian", _lagrangian), 8, 2, {"omega_tol": 1e-5}
+        _EachSample("lagrangian", lambda n: 12 * n, _tube_point, _lagrangian),
+        8,
+        2,
+        {"omega_tol": 1e-5},
     ),
     "kempf-ness": _SuiteEntry(
-        _each_sample("kempf-ness", _kempf_ness, units=_kn_units),
+        _EachSample(
+            "kempf-ness", lambda n: 8 * max(n, 3), _kempf_ness_draw, _kempf_ness, units=_kn_units
+        ),
         30,
         3,
         {"unit_norm": 1e-6, "collapse_norm": 1e-6},
     ),
     "saturation-probe": _SuiteEntry(
-        _each_sample("saturation-probe", _saturation_probe, units=_saturation_unit), 8, 2, {}
+        _EachSample(
+            "saturation-probe",
+            lambda n: 12 * n,
+            _tube_point,
+            _saturation_probe,
+            units=_saturation_unit,
+        ),
+        8,
+        2,
+        {},
     ),
     "normal-form": _SuiteEntry(
-        _each_sample("normal-form", _normal_form),
+        _EachSample("normal-form", lambda n: 16, _normal_form_draw, _normal_form),
         300,
         1,
         {
@@ -528,7 +603,9 @@ SUITES = {
         _suite_boundary_weak, 40, 1, {"phi_exact": 1e-12}
     ),
     "boundary-mod-greal": _SuiteEntry(
-        _each_sample("boundary-mod-greal", _boundary_mod_greal),
+        _EachSample(
+            "boundary-mod-greal", lambda n: 12 * n, _tube_point, _boundary_mod_greal
+        ),
         3,
         2,
         {"compact_bound": 100.0, "det_floor": 1e-6},

@@ -207,3 +207,37 @@ def test_malformed_documents_are_usage_errors(tmp_path, capsys, command, doc):
     p = write_json(tmp_path / "doc.json", doc)
     assert cli_entry([command, p]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"samples": 2.9, "n": 2.5, "seed": 7.5},
+        {"seed": 7.5},
+        {"seed": 7.0},
+        {"seed": True},
+        {"n": 2.5},
+        {"n": True},
+        {"samples": 2.9},
+        {"samples": False},
+        {"seed": "7"},
+    ],
+)
+def test_config_counts_and_seed_must_be_integers(tmp_path, capsys, fields):
+    cfg = write_json(tmp_path / "cfg.json", {"suite": "flow-monotone", "samples": 2, **fields})
+    assert cli_entry(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "must be an integer" in err
+
+
+def test_output_path_must_be_a_string_before_the_suite_runs(tmp_path, capsys, monkeypatch):
+    from futuretube import suites
+
+    def not_run(*args, **kwargs):
+        raise AssertionError("the suite ran before its config was checked")
+
+    monkeypatch.setattr(suites, "flow_monotonicity", not_run)
+    for path in (7, ["report.json"], {"path": "report.json"}):
+        cfg = write_json(tmp_path / "cfg.json", {"suite": "flow-monotone", "output_path": path})
+        assert cli_entry(["run", cfg]) == 2
+        assert "output_path must be a path string" in capsys.readouterr().err

@@ -283,3 +283,21 @@ def test_dphi_on_a_stack_matches_each_direction():
     assert values.shape == (12,)
     assert all(values[k] == psh.dphi(Z, V[k]) for k in range(12))
     assert np.array_equal(values[6:], psh.moment_map(Z))
+
+
+def test_overflowing_det_im_raises_no_warning():
+    # phi rescales and the derivative kernels raise DomainError without a
+    # numpy RuntimeWarning first, so warnings-as-errors runs behave the same
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert psh.phi(OVERFLOWING) == pytest.approx(2.0025e-310, rel=1e-4)
+        assert psh.phi(np.stack([OVERFLOWING, OVERFLOWING])).shape == (2,)
+        for kernel in (
+            lambda Z: psh.dphi(Z, Z),
+            psh.moment_map,
+            lambda Z: psh.levi_form_phi(Z, A.full_tangent_basis(2)),
+        ):
+            with pytest.raises(G.DomainError):
+                kernel(OVERFLOWING)
