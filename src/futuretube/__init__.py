@@ -49,6 +49,7 @@ from .quotient import (
 from .reduction import (
     ReduceOptions,
     orbit_minimize,
+    orbit_minimize_all,
     big_psi,
     lagrangian_check,
     critical_iff_moment_zero,

@@ -28,6 +28,7 @@ __all__ = [
     "act_real",
     "act_complex",
     "flow_pair",
+    "flow_pairs",
     "flow_point",
     "real_vector_field",
     "apply_J",
@@ -50,8 +51,11 @@ _BASIS_ROWS = BASIS.reshape(6, 4)
 
 
 def realize(xi):
-    """Matrix of an algebra vector: sum of c_k e_k (traceless by basis)."""
-    return np.dot(np.asarray(xi, dtype=float), _BASIS_ROWS).reshape(2, 2)
+    """Matrix of an algebra vector: sum of c_k e_k (traceless by basis).
+
+    A stack (m, 6) gives the m matrices."""
+    xi = np.asarray(xi, dtype=float)
+    return np.dot(xi, _BASIS_ROWS).reshape(xi.shape[:-1] + (2, 2))
 
 
 def coefficients(X):
@@ -93,17 +97,21 @@ def exp_algebra(xi, t=1.0):
 
 
 def make_unimodular(g):
-    """Scale to det 1 with the principal square root of the determinant."""
+    """Scale to det 1 with the principal square root of the determinant.
+
+    A stack (m, 2, 2) scales each matrix by its own determinant."""
     g = np.asarray(g, dtype=complex)
     d = det2(g)
-    if abs(d) < 1e-12:
+    if (np.abs(d) < 1e-12).any():
         raise ValueError("matrix is numerically singular, cannot normalize det")
-    return g / np.sqrt(d)
+    return g / np.sqrt(d)[..., None, None]
 
 
 @dataclass(frozen=True)
 class GroupPair:
-    """Element (g, h) of SL2 x SL2; factors are det-normalized on make()."""
+    """Element (g, h) of SL2 x SL2; factors are det-normalized on make().
+
+    g and h may also be stacks (m, 2, 2) of m elements."""
 
     g: np.ndarray
     h: np.ndarray
@@ -123,9 +131,12 @@ class GroupPair:
 
 
 def act_real(g, Z):
-    """Real action g * Z = g Z conj(g)^t componentwise."""
+    """Real action g * Z = g Z conj(g)^t componentwise.
+
+    g broadcasts against Z as a matrix product does: a stack (m, 1, 2, 2)
+    acts on a stack of points (m, N, 2, 2) point by point."""
     g = np.asarray(g, dtype=complex)
-    return g @ np.asarray(Z, dtype=complex) @ g.conj().T
+    return g @ np.asarray(Z, dtype=complex) @ np.swapaxes(g.conj(), -1, -2)
 
 
 def act_complex(p, Z):
@@ -143,11 +154,17 @@ def flow_pair(xi, tau):
 
     Real tau gives the real one-parameter flow, tau = i t the transverse
     flow along the complexified direction.  An array of times gives two
-    stacks of matrices with the shape of tau in front.
+    stacks of matrices with the shape of tau in front; so does a stack of
+    directions (m, 6) with one time each, tau of shape (m,).
     """
-    X = realize(xi)
-    E = expm_traceless(np.asarray(tau)[..., None, None, None] * np.stack([X, np.conj(X)]))
+    E = flow_pairs(xi, tau)
     return E[..., 0, :, :], E[..., 1, :, :]
+
+
+def flow_pairs(xi, tau):
+    """flow_pair(xi, tau) as one array, the pair (A, B) on axis -3."""
+    X = realize(xi)
+    return expm_traceless(np.asarray(tau)[..., None, None, None] * np.stack([X, np.conj(X)], axis=-3))
 
 
 def flow_point(xi, tau, Z):
@@ -227,10 +244,15 @@ def full_tangent_basis(n):
 
 
 def orbit_fields(Z):
-    """Stack of the six basis vector fields at Z, shape (6, N, 2, 2)."""
-    Z = as_tuple_point(Z)
-    return np.einsum("kab,nbc->knac", BASIS, Z) + np.einsum(
-        "nab,kbc->knac", Z, BASIS_DAG
+    """Stack of the six basis vector fields at Z, shape (6, N, 2, 2).
+
+    A stack of points (m, N, 2, 2) gives (m, 6, N, 2, 2), each equal to
+    the one-point call."""
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim != 4:
+        Z = as_tuple_point(Z)
+    return np.einsum("kab,...nbc->...knac", BASIS, Z) + np.einsum(
+        "...nab,kbc->...knac", Z, BASIS_DAG
     )
 
 
@@ -244,53 +266,149 @@ def damped_newton(grad, H, lam):
     Levenberg damping, and no shift for negative curvature is needed.
     Falls back to steepest descent -grad when the solve fails or does not
     give a descent direction, so the returned derivative is always < 0
-    for a nonzero gradient.
+    for a nonzero gradient.  Stacks grad (k, m), H (k, m, m) and lam (k,)
+    give the k steps and derivatives, each equal to the one-system call.
     """
-    fallback = -grad, -float(grad @ grad)
-    try:
-        d = np.linalg.solve(H + lam * np.eye(len(grad)), -grad)
-    except np.linalg.LinAlgError:
-        return fallback
-    deriv = float(grad @ d)
-    if not np.isfinite(deriv) or deriv >= 0.0:
-        return fallback
+    d = _solve(H + np.asarray(lam)[..., None, None] * np.eye(grad.shape[-1]), -grad)
+    deriv = _dots(grad, d)
+    if grad.ndim == 1:
+        if np.isfinite(deriv) and deriv < 0.0:
+            return d, float(deriv)
+        return -grad, -float(_dots(grad, grad))
+    bad = ~(np.isfinite(deriv) & (deriv < 0.0))
+    if bad.any():
+        d[bad] = -grad[bad]
+        deriv[bad] = -_dots(grad[bad], grad[bad])
     return d, deriv
 
 
+def _dots(a, b):
+    # dot products of the last axes, each the BLAS dot of a one-row call
+    # (so np.linalg.norm of a row is np.sqrt(_dots(a, a)), bit for bit)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _solve(M, b):
+    # solutions of the systems M x = b, nan where M is singular; a
+    # singular system fails numpy's whole stack, so then solve one by one
+    try:
+        return np.linalg.solve(M, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if M.ndim == 2:
+            return np.full(b.shape, np.nan)
+        return np.stack([_solve(Mi, bi) for Mi, bi in zip(M, b)])
+
+
 def descend(Y, value, model, chart, objective, max_iters):
-    """Armijo descent of an objective over an exponential chart of SL2 x SL2.
+    """Armijo descent of an objective over an exponential chart of SL2 x SL2,
+    in lockstep over a stack of starts.
 
-    model(Y, value, pair) is called at the start and after every accepted
-    move, so its last call describes the returned point; the GroupPair
-    carries the start to Y.  It returns None to stop, or a function giving a
-    direction d and the derivative (< 0) of the objective along it, called
-    only while iterations remain.  chart(d, s) gives the pair (A, B) of
-    the step s d; the trial point is A Y B^t.  objective(Yt) is inf
-    outside its domain.
+    Y is a stack (B, N, 2, 2) of starts and value the array of their B
+    objective values; every sample takes its own steps.
+    model(live, Y, value, pair) gets the indices live of the samples still
+    descending with their points, values and the GroupPair of stacks
+    carrying their starts there.  It is called at the start and after
+    every move, so its last call on a sample describes that sample's
+    returned point.  It returns a boolean array, True where a sample
+    stops, and a function that, given a boolean selection of the others,
+    returns their directions d (k, m) and the derivatives (k,) (< 0) of
+    the objective along them; it is called only for samples with
+    iterations left.  chart(d, s) gives the pairs (A, B) of the steps
+    s d, s of shape (k,), as one array (k, 2, 2, 2) with the pair on
+    axis 1; the trial point is A Y B^t.  objective(Yt) gives the values
+    of a stack of points, inf outside its domain.
 
-    Steps start at 1 and halve until objective(Yt) <= value + 1e-4 s deriv;
-    a step below 1e-18 ends the descent.  The pair is renormalized to
-    det 1 after every move.  Returns the final point, its value, the pair
-    and the number of accepted moves.
+    For each sample, steps start at 1 and halve until
+    objective(Yt) <= value + 1e-4 s deriv; a step below 1e-18 ends that
+    sample's descent.  The pair is renormalized to det 1 after every
+    move.  Returns the final points, their values, the GroupPair of
+    stacks and the number of accepted moves of each sample.  A sample's
+    results do not depend on the other samples of the stack.
+
+    One point (N, 2, 2) with a scalar value is the stack of one, with
+    the callbacks on the point itself: model(Y, value, pair) returns None
+    to stop or a function giving d and its derivative, chart(d, s) one
+    pair (A, B), as a tuple or a (2, 2, 2) array, and objective(Yt) a
+    float.  It returns the point (Y itself when no move was accepted),
+    its value, the pair and the count.
     """
-    pair = GroupPair.identity()
-    it = 0
+    if np.ndim(value) == 0:
+        return _descend_one(Y, value, model, chart, objective, max_iters)
+    Y = np.array(Y, dtype=complex)
+    value = np.array(value, dtype=float)
+    # pairs (g, h) as one stack (B, 2, 2, 2), renormalized in one call
+    pairs = np.repeat(IDENTITY[None, None], len(Y), axis=0).repeat(2, axis=1)
+    its = np.zeros(len(Y), dtype=int)
+    live = np.arange(len(Y))
+    # y, v, p, it: the state of the live samples, written back to Y,
+    # value, pairs, its whenever some of them stop
+    y, v, p, it = Y, value, pairs, its
     while True:
-        direction = model(Y, value, pair)
-        if direction is None or it >= max_iters:
-            break
-        d, deriv = direction()
-        s = 1.0
-        while s >= 1e-18:
-            A, B = chart(d, s)
-            Yt = A @ Y @ B.T
-            vt = objective(Yt)
-            if vt <= value + 1e-4 * s * deriv:
+        stop, direction = model(live, y, v, GroupPair(p[:, 0], p[:, 1]))
+        go = ~stop & (it < max_iters)
+        if np.count_nonzero(go) < len(go):
+            Y[live], value[live], pairs[live], its[live] = y, v, p, it
+            if not go.any():
                 break
-            s *= 0.5
-        else:
-            break
-        Y, value = Yt, vt
-        pair = GroupPair.make(A @ pair.g, B @ pair.h)
-        it += 1
-    return Y, value, pair, it
+            live, y, v, p, it = live[go], y[go], v[go], p[go], it[go]
+        d, deriv = direction(go)
+        direction = None  # frees the model's data before its next call
+        # every sample tries the step 1; those rejected halve theirs
+        s = np.ones(len(live))
+        E = chart(d, s)
+        Yt = E[:, None, 0] @ y @ E[:, None, 1].swapaxes(-1, -2)
+        vt = objective(Yt)
+        ok = vt <= v + 1e-4 * s * deriv
+        if np.count_nonzero(ok) == len(ok):
+            y, v, it, p = Yt, vt, it + 1, make_unimodular(E @ p)
+            continue
+        rows = np.arange(len(live))
+        moved = np.zeros(len(live), dtype=bool)
+        while True:
+            acc = rows[ok]
+            y[acc], v[acc], it[acc] = Yt[ok], vt[ok], it[acc] + 1
+            p[acc] = make_unimodular(E[ok] @ p[acc])
+            moved[acc] = True
+            rows = rows[~ok]
+            s[rows] *= 0.5
+            rows = rows[s[rows] >= 1e-18]
+            if not rows.size:
+                break
+            E = chart(d[rows], s[rows])
+            Yt = E[:, None, 0] @ y[rows] @ E[:, None, 1].swapaxes(-1, -2)
+            vt = objective(Yt)
+            ok = vt <= v[rows] + 1e-4 * s[rows] * deriv[rows]
+        if np.count_nonzero(moved) < len(moved):
+            Y[live], value[live], pairs[live], its[live] = y, v, p, it
+            live, y, v, p, it = live[moved], y[moved], v[moved], p[moved], it[moved]
+            if not live.size:
+                break
+    return Y, value, GroupPair(pairs[:, 0], pairs[:, 1]), its
+
+
+def _descend_one(Y, value, model, chart, objective, max_iters):
+    # descend on the stack of the one point Y
+    def stacked_model(live, Ys, values, pair):
+        direction = model(Ys[0], float(values[0]), GroupPair(pair.g[0], pair.h[0]))
+        if direction is None:
+            return np.ones(1, dtype=bool), None
+
+        def stacked_direction(sel):
+            d, deriv = direction()
+            return np.asarray(d)[None], np.array([deriv])
+
+        return np.zeros(1, dtype=bool), stacked_direction
+
+    def stacked_chart(d, s):
+        return np.asarray(chart(d[0], s[0]))[None]
+
+    Ys, values, pair, its = descend(
+        np.asarray(Y)[None],
+        np.array([value], dtype=float),
+        stacked_model,
+        stacked_chart,
+        lambda Yt: np.array([objective(Yt[0])]),
+        max_iters,
+    )
+    it = int(its[0])
+    return Ys[0] if it else Y, float(values[0]), GroupPair(pair.g[0], pair.h[0]), it

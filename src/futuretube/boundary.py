@@ -23,7 +23,7 @@ from .geometry import (
 from .actions import act_real, exp_algebra
 from .psh import phi
 from .quotient import gram_map
-from .reduction import orbit_minimize
+from .reduction import orbit_minimize_all
 from . import serialize
 
 __all__ = [
@@ -309,6 +309,8 @@ def boundary_scan(seq, opts=None):
     Sequences triggering neither premise are reported without verdicts.
     The Gram tail settles within 1e-3 relative of the last image, and det
     Im drains when its last minimum is at most 1e-2 and half the first.
+    The points share one tuple size; the fiberwise minima of all in-tube
+    points come from one stacked orbit_minimize_all call.
     """
     if opts is None:
         opts = ScanOptions()
@@ -317,6 +319,8 @@ def boundary_scan(seq, opts=None):
     points = [as_tuple_point(p) for p in seq]
     if not points:
         raise ValueError("empty sequence")
+    if any(p.shape != points[0].shape for p in points):
+        raise ValueError("all points must share the tuple size")
 
     records = []
     for i, Zk in enumerate(points):
@@ -335,9 +339,6 @@ def boundary_scan(seq, opts=None):
         )
         if ok:
             rec.phi = phi(Zk)
-            rr = orbit_minimize(Zk)
-            rec.psi = rr.phi_min
-            rec.psi_converged = rr.converged
             nf = normal_form(Zk[-1])
             rep = act_real(nf.group_element(), Zk)
             rec.rep_max_entry = float(np.max(np.abs(rep)))
@@ -345,6 +346,11 @@ def boundary_scan(seq, opts=None):
         records.append(rec)
 
     live = [r for r in records if r.in_tube]
+    if live:
+        solved = orbit_minimize_all(np.stack([points[r.index] for r in live]))
+        for rec, rr in zip(live, solved):
+            rec.psi = rr.phi_min
+            rec.psi_converged = rr.converged
     grams = [r.gram for r in records]
     gN = grams[-1]
     tail = grams[-(len(grams) // 3 + 1):]

@@ -138,14 +138,19 @@ def as_tuple_point(Z):
     return Z
 
 
-def tube_mask(Z):
+def tube_mask(Z, d=None):
     """Per-point tube test over a stack (..., N, 2, 2) of tuple points.
 
     A point is in the tube iff every component has positive definite
-    Hermitian imaginary part; a stack (m, N, 2, 2) gives m booleans.
+    Hermitian imaginary part; a stack (m, N, 2, 2) gives m booleans.  d
+    is det_im(Z) when the caller has it.  A det Im that overflows is inf,
+    which is positive, and raises no numpy warning.
     """
     Z = np.asarray(Z, dtype=complex)
-    return np.all((Z[..., 0, 0].imag > 0) & (det_im(Z) > 0), axis=-1)
+    if d is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = det_im(Z)
+    return np.all((Z[..., 0, 0].imag > 0) & (d > 0), axis=-1)
 
 
 def tube_membership(Z):

@@ -44,6 +44,8 @@ __all__ = [
     "moment_map",
     "levi_form",
     "levi_form_phi",
+    "orbit_derivatives",
+    "phi_in_tube",
     "omega_eval",
     "flow_monotonicity",
 ]
@@ -84,14 +86,30 @@ def phi(Z):
     stack = Z.ndim == 4
     if not stack:
         Z = as_tuple_point(Z)
-    d = _det_im(Z)
-    if math.isfinite(d.max()):
-        values = np.sum(1.0 / _positive_det_im(d), axis=-1)
-    elif stack:
-        values = _phi_rescaled(Z, d)
-    else:
-        values = _phi_rescaled(Z[None], d[None])[0]
+    values = _phi_values(Z, _det_im(Z))
     return values if stack else float(values)
+
+
+def phi_in_tube(Z):
+    """phi at the points of a stack (m, N, 2, 2) that lie in the tube and
+    inf at the others, from one det_im for the test and the values."""
+    d = _det_im(Z)
+    inside = tube_mask(Z, d)
+    if inside.all():
+        return _phi_values(Z, d)
+    values = np.full(inside.shape, np.inf)
+    if inside.any():
+        values[inside] = _phi_values(Z[inside], d[inside])
+    return values
+
+
+def _phi_values(Z, d):
+    # phi of a point or a stack whose det Im is d
+    if math.isfinite(d.max()):
+        return np.sum(1.0 / _positive_det_im(d), axis=-1)
+    if Z.ndim == 3:
+        return _phi_rescaled(Z[None], d[None])[0]
+    return _phi_rescaled(Z, d)
 
 
 def _phi_rescaled(Z, d):
@@ -134,10 +152,72 @@ def dphi(Z, V):
         Z = as_tuple_point(Z)
     if V.ndim != 4:
         V = as_tuple_point(V)
-    d = _positive_det_im(_det_im(Z))
-    tr = _trace_adj_product(hermitian_im(Z), hermitian_im(V))
-    values = -np.sum(tr / d**2, axis=-1)
+    values = _dphi(hermitian_im(Z), _positive_det_im(_det_im(Z)), V)
     return values if stack else float(values)
+
+
+def _dphi(P, d, V):
+    # dphi at points with Im part P and det Im d; p**2 overflows to inf
+    # for p above about 1e154, and the term is then 0
+    tr = _trace_adj_product(P, hermitian_im(V))
+    with np.errstate(over="ignore"):
+        return -np.sum(tr / d**2, axis=-1)
+
+
+def _levi(adjP, d, V):
+    """Levi matrices of phi over directions V (..., m, N, 2, 2) at points
+    whose Im parts have adjugates adjP (..., N, 2, 2) and dets d (..., N).
+
+    With A = V/2i and t_a = tr(adj P A_a) per component,
+    L_ab = sum_j 2 t_a conj(t_b) / p^3 - tr(adj A_a A_b^H) / p^2, both
+    sums taken as one matrix product over the components (and the four
+    entries); Hermitian-symmetrized.  Each matrix of a stack equals the
+    one-point result.
+    """
+    A = V * (-0.5j)
+    P = adjP[..., None, :, :, :]
+    t = (
+        P[..., 0, 0] * A[..., 0, 0]
+        + P[..., 0, 1] * A[..., 1, 0]
+        + P[..., 1, 0] * A[..., 0, 1]
+        + P[..., 1, 1] * A[..., 1, 1]
+    )
+    with np.errstate(over="ignore"):
+        w3, w2 = 2.0 / d**3, 1.0 / d**2
+    X = adj2(A) * w2[..., None, :, None, None]
+    L = (t * w3[..., None, :]) @ _dagger(t) - _flat(X) @ _dagger(_flat(A))
+    return (L + _dagger(L)) / 2.0
+
+
+def _dagger(M):
+    return np.conj(np.swapaxes(M, -1, -2))
+
+
+def _flat(V):
+    # directions (..., m, N, 2, 2) as rows (..., m, 4N) of their entries
+    return V.reshape(V.shape[:-3] + (4 * V.shape[-3],))
+
+
+def orbit_derivatives(P):
+    """Moment values of a stack of points (b, N, 2, 2), and the Levi
+    matrices of their six orbit fields on demand.
+
+    Returns the moment (b, 6), whose row k equals moment_map of point k,
+    and a function that, given a boolean selection of the rows, returns
+    their Levi matrices (k, 6, 6); 4 Re of one is the normal Hessian
+    omega(field_k, J field_l).  Both come from one det_im, one Im part,
+    one adjugate and one orbit_fields.  Each row equals the one-point
+    result.
+    """
+    Pim = hermitian_im(P)
+    d = _positive_det_im(_det_im(P))
+    F = orbit_fields(P)
+    adjP = adj2(Pim)
+
+    def levi(sel):
+        return _levi(adjP[sel], d[sel], F[sel])
+
+    return _dphi(Pim[:, None], d[:, None], 1j * F), levi
 
 
 class DerivEstimate(NamedTuple):
@@ -214,7 +294,9 @@ class LeviForm:
     entries: np.ndarray
 
     def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.entries)[0])
+        """The smallest eigenvalue; an array of them for stacked entries."""
+        w = np.linalg.eigvalsh(self.entries)[..., 0]
+        return float(w) if w.ndim == 0 else w
 
 
 def levi_form(f, Z, directions, h=1e-3):
@@ -276,22 +358,17 @@ def levi_form_phi(Z, directions):
         L(V, W) = sum_j 2 tr(adj P A) tr(adj P B) / p^3 - tr(adj A B) / p^2.
 
     Matches the finite-difference stencil to the stated stencil tolerance.
+    A stack of points (s, N, 2, 2) gives entries (s, m, m), with the
+    directions shared (m, N, 2, 2) or per point (s, m, N, 2, 2); each
+    matrix equals the one-point call.
     """
-    Z = as_tuple_point(Z)
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim != 4:
+        Z = as_tuple_point(Z)
     d = _positive_det_im(_det_im(Z))
-    adjP = adj2(hermitian_im(Z))
-
-    V = np.asarray(directions, dtype=complex)  # (m, N, 2, 2)
-    A = V * (-0.5j)
-    Bm = np.conj(np.swapaxes(V, -1, -2)) * (0.5j)
-    adjA = adj2(A)
-
-    a = np.einsum("nij,anji->an", adjP, A)
-    b = np.einsum("nij,bnji->bn", adjP, Bm)
-    c = np.einsum("anij,bnji->abn", adjA, Bm)
-    L = np.einsum("an,bn,n->ab", a, b, 2.0 / d**3) - np.einsum("abn,n->ab", c, 1.0 / d**2)
-    L = (L + L.conj().T) / 2.0
-    return LeviForm(d=V.shape[0], entries=L)
+    V = np.asarray(directions, dtype=complex)
+    L = _levi(adj2(hermitian_im(Z)), d, V)
+    return LeviForm(d=V.shape[-4], entries=L)
 
 
 def omega_eval(Z, V, W):
@@ -301,16 +378,22 @@ def omega_eval(Z, V, W):
     for constant coordinate fields to
     -(D_V d^c phi(W) - D_W d^c phi(V)), antisymmetric by construction.
     The differences are directional_derivative's, whose Richardson step
-    keeps residuals at reduced points well below the isotropy tolerance;
-    the four points of each difference take one stacked dphi call.
+    keeps residuals at reduced points well below the isotropy tolerance.
+    Stacks V, W (m, N, 2, 2) give the m values of the pairs (V_k, W_k),
+    each equal to the one-pair call; all 8m difference points take one
+    dphi call.
     """
     Z = as_tuple_point(Z)
-
-    def d_along(D, U):
-        JU = apply_J(U)
-        return _richardson(lambda P: dphi(P, JU), Z, as_tuple_point(D)[None])[0].item()
-
-    return -(d_along(V, W) - d_along(W, V))
+    V = np.asarray(V, dtype=complex)
+    W = np.asarray(W, dtype=complex)
+    stack = V.ndim == 4
+    if not stack:
+        V, W = as_tuple_point(V)[None], as_tuple_point(W)[None]
+    # D_V along J W, then D_W along J V, paired point by point
+    J = np.concatenate([apply_J(W), apply_J(V)])
+    d = _richardson(lambda P: dphi(P, np.concatenate([J] * 4)), Z, np.concatenate([V, W]))[0]
+    values = -(d[: len(V)] - d[len(V):])
+    return values if stack else values.item()
 
 
 @dataclass

@@ -131,8 +131,7 @@ _HERM = np.kron(
 
 
 def _kn_chart(d, s):
-    A, B = expm_traceless(np.stack([realize(s * d[:6]), realize(s * d[6:])]))
-    return A, B
+    return expm_traceless(np.stack([realize(s * d[:6]), realize(s * d[6:])]))
 
 
 def kempf_ness_minimize(Z, opts=None):

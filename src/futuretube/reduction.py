@@ -14,17 +14,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DomainError, as_tuple_point, tube_membership
+from .geometry import DomainError, as_tuple_point, hermitian_im, tube_mask, tube_membership
 from .actions import (
     GroupPair,
+    _dots,
+    act_real,
     apply_J,
     damped_newton,
     descend,
-    flow_pair,
+    flow_pairs,
     full_tangent_basis,
     orbit_fields,
 )
-from .psh import dphi, levi_form, levi_form_phi, moment_map, omega_eval, phi
+from .psh import (
+    dphi,
+    levi_form,
+    levi_form_phi,
+    moment_map,
+    omega_eval,
+    orbit_derivatives,
+    phi_in_tube,
+)
 from .quotient import gram_map, gram_rank
 
 __all__ = [
@@ -32,6 +42,7 @@ __all__ = [
     "ReduceOptions",
     "ReductionResult",
     "orbit_minimize",
+    "orbit_minimize_all",
     "big_psi",
     "LagrangianReport",
     "lagrangian_check",
@@ -65,62 +76,109 @@ class ReductionResult:
     iterations: int
 
 
-def _phi_in_tube(P):
-    return phi(P) if tube_membership(P) else np.inf
+# field matrices per orbit_derivatives call: bounds the memory of a model
+# evaluation on a large stack
+_FIELD_MATRICES = 2**9
 
 
 def _transverse_chart(xi, s):
-    return flow_pair(xi, 1j * s)
+    return flow_pairs(xi, 1j * s)
+
+
+def _gauge(Z):
+    """g = det(P)^(1/4) P^(-1/2) for P = Im Z^1 of each point of a stack.
+
+    g is Hermitian with det 1, and g Z g^H has Im of its first component
+    sqrt(det P) I.  From one stacked eigh P = U diag(w) U^H, g is
+    U diag((w1/w0)^(1/4), (w0/w1)^(1/4)) U^H, which overflows for no
+    finite w and is I when P is scalar.
+    """
+    w, U = np.linalg.eigh(hermitian_im(Z[:, 0]))
+    scale = np.sqrt(np.sqrt(w[:, ::-1] / w))
+    return (U * scale[:, None, :]) @ np.conj(np.swapaxes(U, -1, -2))
 
 
 def orbit_minimize(Z, opts=None):
     """Minimize phi over the local complexified orbit of Z.
 
-    Moves are Z <- exp(i s xi) . Z, descending with actions.descend.  The
-    moment value is the gradient of phi in the exp(i g) chart, and its
-    derivative along the chart is the normal Hessian
-    J_kl = omega(field_k, J field_l) = 4 Re <field_k, field_l>_Levi, so
-    a damped solve of J xi = -mu is a Newton step for the zero of the
-    moment.  The damping 0.01 |mu| handles the gauge directions where
+    The stack of one of orbit_minimize_all, which documents the method.
+    Converged means the moment norm fell below opts.moment_tol.
+    Non-convergence is reported through the flag, not raised: it signals
+    either an exhausted budget or a fiber whose infimum this probe did
+    not attain.
+    """
+    return orbit_minimize_all(as_tuple_point(Z)[None], opts)[0]
+
+
+def orbit_minimize_all(Zs, opts=None):
+    """orbit_minimize of every start of a stack (B, N, 2, 2), in lockstep.
+
+    Returns the list of B results; each equals orbit_minimize of its
+    start, bit for bit.  Each start is first gauge-fixed by the real
+    group: g = det(P)^(1/4) P^(-1/2) with P = Im of its first component
+    makes that Im scalar, so only SU(2) is left free along the real
+    orbit, and the cost of a solve no longer depends on where its start
+    lies on that orbit.  g is folded into the returned minimizer.
+    Moves are then Z <- exp(i s xi) . Z, descending with
+    actions.descend.  The moment value is the gradient of phi in the
+    exp(i g) chart, and its derivative along the chart is the normal
+    Hessian J_kl = omega(field_k, J field_l) = 4 Re <field_k, field_l>_Levi,
+    so a damped solve of J xi = -mu is a Newton step for the zero of the
+    moment; psh.orbit_derivatives gives both from one evaluation of the
+    fields per iteration.  The damping 0.01 |mu| handles the gauge directions where
     the fields degenerate (point stabilizers).  Trial steps leaving the
-    tube are rejected.  Converged means the moment norm fell below
-    opts.moment_tol.  Non-convergence is reported through the flag, not
-    raised: it signals either an exhausted budget or a fiber whose
-    infimum this probe did not attain.
+    tube are rejected.
     """
     if opts is None:
         opts = ReduceOptions()
-    Z0 = as_tuple_point(Z)
-    if not tube_membership(Z0):
+    Z0 = np.asarray(Zs, dtype=complex)
+    if Z0.ndim != 4 or Z0.shape[2:] != (2, 2):
+        raise ValueError(f"expected a (B,N,2,2) stack of tuple points, got shape {Z0.shape}")
+    if not tube_mask(Z0).all():
         raise DomainError("orbit_minimize starts from a tube point")
+    g0 = _gauge(Z0)
+    Y0 = act_real(g0[:, None], Z0)
+    moment_norm = np.zeros(len(Z0))
+    size = max(1, _FIELD_MATRICES // (6 * Z0.shape[1]))
 
-    moment_norm = None
+    def model(live, P, value, pair):
+        # a chunk of points at a time, so that only its fields are held;
+        # the normal Hessian only where the descent goes on
+        m = np.empty((len(P), 6))
+        mn = np.empty(len(P))
+        J = np.empty((len(P), 6, 6))
+        for k in range(0, len(P), size):
+            rows = slice(k, k + size)
+            m[rows], levi = orbit_derivatives(P[rows])
+            mn[rows] = np.sqrt(_dots(m[rows], m[rows]))  # np.linalg.norm of each row, bit for bit
+            more = ~(mn[rows] <= opts.moment_tol)
+            if more.any():
+                J[rows][more] = 4.0 * np.real(levi(more))
+        moment_norm[live] = mn
 
-    def model(P, value, pair):
-        nonlocal moment_norm
-        m = moment_map(P)
-        mn = moment_norm = float(np.linalg.norm(m))
-        if mn <= opts.moment_tol:
-            return None
+        def direction(sel):
+            return damped_newton(m[sel], J[sel], 0.01 * mn[sel] + 1e-300)
 
-        def direction():
-            J = 4.0 * np.real(levi_form_phi(P, orbit_fields(P)).entries)
-            return damped_newton(m, J, 0.01 * mn + 1e-300)
+        return mn <= opts.moment_tol, direction
 
-        return direction
-
-    P, phi_min, pair, it = descend(
-        Z0.copy(), phi(Z0), model, _transverse_chart, _phi_in_tube, opts.max_iters
+    P, phi_min, pair, its = descend(
+        Y0, phi_in_tube(Y0), model, _transverse_chart, phi_in_tube, opts.max_iters
     )
-    return ReductionResult(
-        start=Z0,
-        minimizer=pair,
-        reduced_point=P,
-        phi_min=phi_min,
-        moment_norm=moment_norm,
-        converged=moment_norm <= opts.moment_tol,
-        iterations=it,
-    )
+    # det g0 = 1 up to rounding, so the products stay unimodular
+    g = pair.g @ g0
+    h = pair.h @ np.conj(g0)
+    return [
+        ReductionResult(
+            start=Z0[b],
+            minimizer=GroupPair(g[b], h[b]),
+            reduced_point=P[b],
+            phi_min=float(phi_min[b]),
+            moment_norm=float(moment_norm[b]),
+            converged=bool(moment_norm[b] <= opts.moment_tol),
+            iterations=int(its[b]),
+        )
+        for b in range(len(Z0))
+    ]
 
 
 def big_psi(Z, opts=None, witness=None):
@@ -172,11 +230,13 @@ def lagrangian_check(R, tol=1e-5):
     F = orbit_fields(Zr)
     scale = 1.0 + float(np.linalg.norm(Zr))
     live = [k for k in range(6) if np.linalg.norm(F[k]) > 1e-10 * scale]
-    worst = 0.0
-    for a in range(len(live)):
-        for b in range(a + 1, len(live)):
-            worst = max(worst, abs(omega_eval(Zr, F[live[a]], F[live[b]])))
-    normal_pos = all(omega_eval(Zr, F[k], apply_J(F[k])) > 0.0 for k in live)
+    pairs = [(a, b) for i, a in enumerate(live) for b in live[i + 1 :]]
+    # the omega pairs and then the normal Hessian values, in one call
+    V = F[[a for a, _ in pairs] + live]
+    W = np.concatenate([F[[b for _, b in pairs]], apply_J(F[live])])
+    omegas = omega_eval(Zr, V, W) if live else np.zeros(0)
+    worst = max([0.0] + [abs(w) for w in omegas[: len(pairs)].tolist()])
+    normal_pos = bool(np.all(omegas[len(pairs) :] > 0.0))
     V = F[live].reshape(len(live), F[0].size)
     Vc = np.concatenate([V, 1j * V])
     rank_real = gram_rank(np.hstack([V.real, V.imag]), tol=1e-6)

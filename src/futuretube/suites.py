@@ -4,7 +4,8 @@ Every suite draws each sample from its own stream keyed by
 (seed, suite name, sample index), so records are independent of
 evaluation order and a fixed config reproduces a byte-identical report
 body (wall time excluded).  A per-sample suite draws the normals of all
-its samples first, as one block, and then checks the samples one by one.
+its samples first, as one block, may solve for all of them in one
+stacked call, and then checks the samples one by one.
 The registry is closed; adding a suite is a code change recorded in the
 artifact version.
 """
@@ -56,6 +57,7 @@ from .reduction import (
     critical_iff_moment_zero,
     lagrangian_check,
     orbit_minimize,
+    orbit_minimize_all,
     section_levi_identity,
     section_probe,
 )
@@ -70,7 +72,7 @@ __all__ = [
     "report_body_bytes",
 ]
 
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.3.0"
 
 
 @dataclass
@@ -183,28 +185,43 @@ class _EachSample:
     stream_for(seed, name, i), all drawn first as one Block.
     draw(rng, n) returns the tuple of inputs that need no rejection
     sampling, read in stream order; on the Block it gives them for every
-    sample at once, stacked along a leading axis.  check(i, x, rng, n,
-    tol) gets sample i's inputs x and its RowStream, which goes on where
-    draw stopped, and returns the record.  On one scalar stream, draw
-    and then check read the same normals in the same order.  The record
-    gets "index": i unless it carries its own index.  units(tol), when
-    given, returns fixed records placed first.
+    sample at once, stacked along a leading axis.  stage(inputs, rngs,
+    n, tol), when given, runs once between the draws and the records: it
+    gets the stacked inputs and every sample's RowStream, which goes on
+    where draw stopped, makes each sample's remaining reads and its
+    solves for all samples in one stacked call, and returns one tuple per
+    sample, appended to that sample's inputs.  record(i, x, rng, n, tol)
+    gets sample i's inputs x and its RowStream and returns the record.
+    On one scalar stream, check(i, x, rng, n, tol) runs draw's inputs
+    through the stage of one sample and the record, and reads the same
+    normals in the same order.  The record gets "index": i unless it
+    carries its own index.  units(tol), when given, returns fixed records
+    placed first.
     """
 
     name: str
     draws: Callable
     draw: Callable
-    check: Callable
+    record: Callable
     units: Callable | None = None
+    stage: Callable | None = None
 
     def __call__(self, seed, n, samples, tol):
         records = self.units(tol) if self.units is not None else []
         block = Block(seed, self.name, samples, self.draws(n))
         inputs = self.draw(block, n)
+        rngs = [block.row(i) for i in range(samples)]
+        staged = self.stage(inputs, rngs, n, tol) if self.stage is not None else [()] * samples
         for i in range(samples):
-            x = tuple(a[i] for a in inputs)
-            records.append({"index": i, **self.check(i, x, block.row(i), n, tol)})
+            x = tuple(a[i] for a in inputs) + staged[i]
+            records.append({"index": i, **self.record(i, x, rngs[i], n, tol)})
         return records
+
+    def check(self, i, x, rng, n, tol):
+        """Sample i's record from its own inputs x and stream rng."""
+        if self.stage is not None:
+            x = x + self.stage(tuple(a[None] for a in x), [rng], n, tol)[0]
+        return self.record(i, x, rng, n, tol)
 
 
 def _tube_point(rng, n):
@@ -302,12 +319,18 @@ def _flow_monotone(i, x, rng, n, tol):
     }
 
 
+def _reduce_stage(inputs, rngs, n, tol):
+    # both starts of every sample, Z and a real translate g Z, in one solve
+    (Z,) = inputs
+    g = np.stack([sample_sl2(rng) for rng in rngs])
+    rs = orbit_minimize_all(
+        np.concatenate([Z, act_real(g[:, None], Z)]), ReduceOptions(moment_tol=tol["moment_tol"])
+    )
+    return list(zip(rs[: len(Z)], rs[len(Z) :]))
+
+
 def _reduce_minimum(i, x, rng, n, tol):
-    (Z,) = x
-    g = sample_sl2(rng)
-    opts = ReduceOptions(moment_tol=tol["moment_tol"])
-    r0 = orbit_minimize(Z, opts)
-    r1 = orbit_minimize(act_real(g, Z), opts)
+    Z, r0, r1 = x
     diff = abs(r0.phi_min - r1.phi_min)
     lower = float(np.sum(1.0 / np.abs(det2(Z))))
     ok = (
@@ -512,12 +535,24 @@ def _boundary_mod_greal(i, x, rng, n, tol):
         det_floor=tol["det_floor"],
     )
     rep = boundary_scan(points, opts)
+    # psi is invariant under the real group, so the 20 translates share it
+    psis = [r.psi for r in rep.records if r.psi is not None]
+    converged = len(psis) == len(points) and all(r.psi_converged for r in rep.records)
+    spread = (max(psis) - min(psis)) / min(psis) if psis else None
+    ok = (
+        rep.mod_real_applicable
+        and rep.mod_real_exhaustion
+        and converged
+        and spread <= tol["psi_spread"]
+    )
     return {
         "gram_converged": rep.gram_converged,
         "phi_bounded": rep.phi_bounded,
         "raw_escapes": rep.raw_escapes,
         "compact": rep.compact_after_normalization,
-        "verdict": _verdict(bool(rep.mod_real_applicable and rep.mod_real_exhaustion)),
+        "psi_converged": converged,
+        "psi_spread": spread,
+        "verdict": _verdict(bool(ok)),
     }
 
 
@@ -549,7 +584,9 @@ SUITES = {
         {"slack": 1e-9},
     ),
     "reduce-minimum": _SuiteEntry(
-        _EachSample("reduce-minimum", lambda n: 12 * n + 8, _tube_point, _reduce_minimum),
+        _EachSample(
+            "reduce-minimum", lambda n: 12 * n + 8, _tube_point, _reduce_minimum, stage=_reduce_stage
+        ),
         15,
         2,
         {"moment_tol": 1e-8, "translate_agreement": 1e-5},
@@ -608,7 +645,7 @@ SUITES = {
         ),
         3,
         2,
-        {"compact_bound": 100.0, "det_floor": 1e-6},
+        {"compact_bound": 100.0, "det_floor": 1e-6, "psi_spread": 1e-8},
     ),
 }
 
