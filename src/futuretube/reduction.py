@@ -14,7 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DomainError, as_tuple_point, hermitian_im, tube_mask, tube_membership
+from .geometry import (
+    IDENTITY,
+    DomainError,
+    adj2,
+    as_tuple_point,
+    det2,
+    hermitian_im,
+    tube_mask,
+    tube_membership,
+)
 from .actions import (
     GroupPair,
     _dots,
@@ -89,13 +98,17 @@ def _gauge(Z):
     """g = det(P)^(1/4) P^(-1/2) for P = Im Z^1 of each point of a stack.
 
     g is Hermitian with det 1, and g Z g^H has Im of its first component
-    sqrt(det P) I.  From one stacked eigh P = U diag(w) U^H, g is
-    U diag((w1/w0)^(1/4), (w0/w1)^(1/4)) U^H, which overflows for no
-    finite w and is I when P is scalar.
+    sqrt(det P) I.  g does not change when P is scaled, so it is taken
+    from Q = P / (tr P / 2), whose entries are at most 1 in size: with
+    s = sqrt(det Q), sqrt(Q) = (Q + s I) / sqrt(tr Q + 2 s), so
+    g = (adj Q + s I) / sqrt(s (tr Q + 2 s)).  No finite P overflows it,
+    and it is I exactly when P is scalar.
     """
-    w, U = np.linalg.eigh(hermitian_im(Z[:, 0]))
-    scale = np.sqrt(np.sqrt(w[:, ::-1] / w))
-    return (U * scale[:, None, :]) @ np.conj(np.swapaxes(U, -1, -2))
+    P = hermitian_im(Z[:, 0])
+    Q = P / (0.5 * (P[:, 0, 0] + P[:, 1, 1]).real)[:, None, None]
+    s = np.sqrt(det2(Q).real)
+    trace = (Q[:, 0, 0] + Q[:, 1, 1]).real
+    return (adj2(Q) + s[:, None, None] * IDENTITY) / np.sqrt(s * (trace + 2.0 * s))[:, None, None]
 
 
 def orbit_minimize(Z, opts=None):

@@ -10,6 +10,7 @@ The registry is closed; adding a suite is a code change recorded in the
 artifact version.
 """
 
+import itertools
 import json
 import os
 import time
@@ -210,11 +211,15 @@ class _EachSample:
         records = self.units(tol) if self.units is not None else []
         block = Block(seed, self.name, samples, self.draws(n))
         inputs = self.draw(block, n)
-        rngs = [block.row(i) for i in range(samples)]
-        staged = self.stage(inputs, rngs, n, tol) if self.stage is not None else [()] * samples
-        for i in range(samples):
-            x = tuple(a[i] for a in inputs) + staged[i]
-            records.append({"index": i, **self.record(i, x, rngs[i], n, tol)})
+        rngs = (block.row(i) for i in range(samples))
+        staged = itertools.repeat(())
+        if self.stage is not None:
+            # the stage reads every sample's stream, so all of them are held
+            rngs = list(rngs)
+            staged = self.stage(inputs, rngs, n, tol)
+        for i, (rng, extra) in enumerate(zip(rngs, staged)):
+            x = tuple(a[i] for a in inputs) + extra
+            records.append({"index": i, **self.record(i, x, rng, n, tol)})
         return records
 
     def check(self, i, x, rng, n, tol):
