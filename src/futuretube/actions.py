@@ -136,7 +136,7 @@ def act_real(g, Z):
     g broadcasts against Z as a matrix product does: a stack (m, 1, 2, 2)
     acts on a stack of points (m, N, 2, 2) point by point."""
     g = np.asarray(g, dtype=complex)
-    return g @ np.asarray(Z, dtype=complex) @ np.swapaxes(g.conj(), -1, -2)
+    return g @ np.asarray(Z, dtype=complex) @ g.conj().swapaxes(-1, -2)
 
 
 def act_complex(p, Z):
