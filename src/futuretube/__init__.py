@@ -44,6 +44,7 @@ from .quotient import (
     gram_rank,
     KempfNessOptions,
     kempf_ness_minimize,
+    kempf_ness_minimize_all,
     saturation_probe,
 )
 from .reduction import (

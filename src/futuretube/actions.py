@@ -140,13 +140,15 @@ def act_real(g, Z):
 
 
 def act_complex(p, Z):
-    """Complexified action (g, h) * Z = g Z h^t componentwise."""
+    """Complexified action (g, h) * Z = g Z h^t componentwise.
+
+    Stacks g and h broadcast against Z as in act_real."""
     if isinstance(p, GroupPair):
         g, h = p.g, p.h
     else:
         g, h = p
     g, h = np.asarray(g, dtype=complex), np.asarray(h, dtype=complex)
-    return g @ np.asarray(Z, dtype=complex) @ h.T
+    return g @ np.asarray(Z, dtype=complex) @ h.swapaxes(-1, -2)
 
 
 def flow_pair(xi, tau):
@@ -264,17 +266,13 @@ def damped_newton(grad, H, lam):
     transverse fields, kempf_ness_minimize the chart Hessian of the norm
     restricted to the Hermitian directions.  So lam > 0 is plain
     Levenberg damping, and no shift for negative curvature is needed.
-    Falls back to steepest descent -grad when the solve fails or does not
-    give a descent direction, so the returned derivative is always < 0
-    for a nonzero gradient.  Stacks grad (k, m), H (k, m, m) and lam (k,)
-    give the k steps and derivatives, each equal to the one-system call.
+    The k systems come as stacks grad (k, m), H (k, m, m) and lam (k,);
+    each step depends on its own system only, and falls back to steepest
+    descent -grad when its solve fails or does not give a descent
+    direction, so every derivative is < 0 for a nonzero gradient.
     """
     d = _solve(H + np.asarray(lam)[..., None, None] * np.eye(grad.shape[-1]), -grad)
     deriv = _dots(grad, d)
-    if grad.ndim == 1:
-        if np.isfinite(deriv) and deriv < 0.0:
-            return d, float(deriv)
-        return -grad, -float(_dots(grad, grad))
     bad = ~(np.isfinite(deriv) & (deriv < 0.0))
     if bad.any():
         d[bad] = -grad[bad]
@@ -324,16 +322,7 @@ def descend(Y, value, model, chart, objective, max_iters):
     move.  Returns the final points, their values, the GroupPair of
     stacks and the number of accepted moves of each sample.  A sample's
     results do not depend on the other samples of the stack.
-
-    One point (N, 2, 2) with a scalar value is the stack of one, with
-    the callbacks on the point itself: model(Y, value, pair) returns None
-    to stop or a function giving d and its derivative, chart(d, s) one
-    pair (A, B), as a tuple or a (2, 2, 2) array, and objective(Yt) a
-    float.  It returns the point (Y itself when no move was accepted),
-    its value, the pair and the count.
     """
-    if np.ndim(value) == 0:
-        return _descend_one(Y, value, model, chart, objective, max_iters)
     Y = np.array(Y, dtype=complex)
     value = np.array(value, dtype=float)
     # pairs (g, h) as one stack (B, 2, 2, 2), renormalized in one call
@@ -343,7 +332,7 @@ def descend(Y, value, model, chart, objective, max_iters):
     # y, v, p, it: the state of the live samples, written back to Y,
     # value, pairs, its whenever some of them stop
     y, v, p, it = Y, value, pairs, its
-    while True:
+    while live.size:
         stop, direction = model(live, y, v, GroupPair(p[:, 0], p[:, 1]))
         go = ~stop & (it < max_iters)
         if np.count_nonzero(go) < len(go):
@@ -356,7 +345,7 @@ def descend(Y, value, model, chart, objective, max_iters):
         # every sample tries the step 1; those rejected halve theirs
         s = np.ones(len(live))
         E = chart(d, s)
-        Yt = E[:, None, 0] @ y @ E[:, None, 1].swapaxes(-1, -2)
+        Yt = act_complex((E[:, None, 0], E[:, None, 1]), y)
         vt = objective(Yt)
         ok = vt <= v + 1e-4 * s * deriv
         if np.count_nonzero(ok) == len(ok):
@@ -375,40 +364,10 @@ def descend(Y, value, model, chart, objective, max_iters):
             if not rows.size:
                 break
             E = chart(d[rows], s[rows])
-            Yt = E[:, None, 0] @ y[rows] @ E[:, None, 1].swapaxes(-1, -2)
+            Yt = act_complex((E[:, None, 0], E[:, None, 1]), y[rows])
             vt = objective(Yt)
             ok = vt <= v[rows] + 1e-4 * s[rows] * deriv[rows]
         if np.count_nonzero(moved) < len(moved):
             Y[live], value[live], pairs[live], its[live] = y, v, p, it
             live, y, v, p, it = live[moved], y[moved], v[moved], p[moved], it[moved]
-            if not live.size:
-                break
     return Y, value, GroupPair(pairs[:, 0], pairs[:, 1]), its
-
-
-def _descend_one(Y, value, model, chart, objective, max_iters):
-    # descend on the stack of the one point Y
-    def stacked_model(live, Ys, values, pair):
-        direction = model(Ys[0], float(values[0]), GroupPair(pair.g[0], pair.h[0]))
-        if direction is None:
-            return np.ones(1, dtype=bool), None
-
-        def stacked_direction(sel):
-            d, deriv = direction()
-            return np.asarray(d)[None], np.array([deriv])
-
-        return np.zeros(1, dtype=bool), stacked_direction
-
-    def stacked_chart(d, s):
-        return np.asarray(chart(d[0], s[0]))[None]
-
-    Ys, values, pair, its = descend(
-        np.asarray(Y)[None],
-        np.array([value], dtype=float),
-        stacked_model,
-        stacked_chart,
-        lambda Yt: np.array([objective(Yt[0])]),
-        max_iters,
-    )
-    it = int(its[0])
-    return Ys[0] if it else Y, float(values[0]), GroupPair(pair.g[0], pair.h[0]), it

@@ -11,7 +11,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DomainError, as_tuple_point, det2, tube_membership, tube_margin
-from .actions import BASIS, GroupPair, act_complex, damped_newton, descend, expm_traceless, realize
+from .actions import (
+    BASIS,
+    GroupPair,
+    _dots,
+    act_complex,
+    damped_newton,
+    descend,
+    expm_traceless,
+    realize,
+)
 
 __all__ = [
     "gram_map",
@@ -19,6 +28,7 @@ __all__ = [
     "KempfNessOptions",
     "OrbitProbeReport",
     "kempf_ness_minimize",
+    "kempf_ness_minimize_all",
     "SaturationReport",
     "saturation_probe",
 ]
@@ -74,7 +84,8 @@ class OrbitProbeReport:
 
 
 def _norm_sq(Y):
-    return float(np.sum(Y.real**2 + Y.imag**2))
+    """Squared norm of a point (N, 2, 2), or of each point of a stack."""
+    return np.sum(Y.real**2 + Y.imag**2, axis=(-3, -2, -1))
 
 
 def _kn_map():
@@ -113,11 +124,14 @@ def _kn_gradient_hessian(Y):
     """Chart gradient and Hessian of the squared norm at (g, h) = (e, e).
 
     One 4 x 4 product P = sum_n conj(Y_n) (x) Y_n, then the constant map
-    _KN_MAP.
+    _KN_MAP.  A stack (m, N, 2, 2) gives (m, 12) and (m, 12, 12), each
+    row equal to the one-point call; the gradient rows are contiguous.
     """
-    Yf = Y.reshape(len(Y), 4)
-    gH = (_KN_MAP @ (np.conj(Yf).T @ Yf).ravel()).real
-    return gH[:12], gH[12:].reshape(12, 12)
+    Yf = Y.reshape(Y.shape[:-3] + (-1, 4))
+    P = np.conj(Yf).swapaxes(-1, -2) @ Yf
+    # a batched matrix-vector product: its rounding does not depend on m
+    gH = (_KN_MAP @ P.reshape(P.shape[:-2] + (16, 1)))[..., 0].real
+    return np.ascontiguousarray(gH[..., :12]), gH[..., 12:].reshape(gH.shape[:-1] + (12, 12))
 
 
 # Orthonormal chart coordinates of the Hermitian directions, e1,
@@ -131,82 +145,98 @@ _HERM = np.kron(
 
 
 def _kn_chart(d, s):
-    return expm_traceless(np.stack([realize(s * d[:6]), realize(s * d[6:])]))
+    return expm_traceless(realize(s[:, None, None] * d.reshape(-1, 2, 6)))
 
 
 def kempf_ness_minimize(Z, opts=None):
-    """Minimize the squared Frobenius norm over the complexified orbit.
+    """Minimize the squared Frobenius norm over the complexified orbit;
+    the stack of one of kempf_ness_minimize_all, which documents it."""
+    return kempf_ness_minimize_all(as_tuple_point(Z)[None], opts)[0]
 
-    A damped Newton method on SL2(C)/SU(2) x SL2(C)/SU(2), descending with
-    actions.descend over the chart (g, h) = (exp X, exp X') with X, X'
-    Hermitian.  The norm is SU(2) x SU(2)-invariant, so its gradient has
-    no component along the six skew-Hermitian chart directions; along a
-    Hermitian direction it is a positive sum of exponentials, so the chart
-    Hessian restricted to the six Hermitian directions is positive
-    semidefinite.  Each move solves that 6 x 6 system with Levenberg
-    damping 0.01 |grad| (no curvature shift) and is line-searched from a
-    unit trial step; steps longer than 100 are cut back to 100.  On the
-    full twelve-parameter chart the gauge directions couple to the
-    Hermitian ones through curvature of size ~ |grad|, of either sign;
-    damping by that curvature made the descent crawl near the limit of a
-    non-closed orbit.  Where the norm collapses, it decays exponentially
-    along the escape direction, and the Newton steps keep a bounded
-    length, so it falls at a geometric rate.
+
+# classifications as the model keeps them, named once at the end
+_CLASSES = ("inconclusive", "closed", "non_closed")
+_INCONCLUSIVE, _CLOSED, _NON_CLOSED = range(3)
+
+
+def kempf_ness_minimize_all(Zs, opts=None):
+    """kempf_ness_minimize of every start of a stack (B, N, 2, 2), in lockstep.
+
+    Returns the list of B reports; each equals kempf_ness_minimize of its
+    start, bit for bit.  A damped Newton method on SL2(C)/SU(2) x
+    SL2(C)/SU(2), descending with actions.descend over the chart
+    (g, h) = (exp X, exp X') with X, X' Hermitian.  The norm is
+    SU(2) x SU(2)-invariant, so its gradient has no component along the
+    six skew-Hermitian chart directions; along a Hermitian direction it
+    is a positive sum of exponentials, so the chart Hessian restricted to
+    the six Hermitian directions is positive semidefinite.  Each move
+    solves that 6 x 6 system with Levenberg damping 0.01 |grad| (no
+    curvature shift) and is line-searched from a unit trial step; steps
+    longer than 100 are cut back to 100.  On the full twelve-parameter
+    chart the gauge directions couple to the Hermitian ones through
+    curvature of size ~ |grad|, of either sign; damping by that curvature
+    made the descent crawl near the limit of a non-closed orbit.  Where
+    the norm collapses, it decays exponentially along the escape
+    direction, and the Newton steps keep a bounded length, so it falls at
+    a geometric rate.
 
     Classification: `closed` once the chart gradient drops below 1e-8
     at bounded parameters, `non_closed` when the norm collapses below
     1e-10 relative to the start or the parameters leave the divergence
-    bound 1e3 while still descending, else `inconclusive`.
+    bound 1e3 while still descending, else `inconclusive`.  A start of
+    norm zero is its own closed orbit: `closed` after 0 iterations, it
+    never enters the descent.
     """
     if opts is None:
         opts = KempfNessOptions()
-    Z = as_tuple_point(Z)
-    F0 = _norm_sq(Z)
-    if F0 == 0.0:
-        return OrbitProbeReport(0.0, GroupPair.identity(), True, 0, 0.0, "closed")
+    Z0 = np.asarray(Zs, dtype=complex)
+    if Z0.ndim != 4 or Z0.shape[2:] != (2, 2):
+        raise ValueError(f"expected a (B,N,2,2) stack of tuple points, got shape {Z0.shape}")
+    F0 = _norm_sq(Z0)
+    run = np.flatnonzero(F0)
+    F0 = F0[run]
+    gradient_norm = np.empty(len(run))
+    kind = np.empty(len(run), dtype=int)
 
-    classification = "inconclusive"
-    gradient_norm = None
-
-    def model(Y, F, pair):
-        nonlocal classification, gradient_norm
+    def model(live, Y, F, pair):
         grad, H = _kn_gradient_hessian(Y)
-        gn = gradient_norm = float(np.linalg.norm(grad))
-        param = max(float(np.linalg.norm(pair.g)), float(np.linalg.norm(pair.h)))
-        if F <= _COLLAPSE_TOL * F0:
-            classification = "non_closed"
-            return None
-        if gn <= _GRAD_TOL and F > _COLLAPSE_GUARD * F0:
-            if param <= _DIVERGENCE_BOUND:
-                classification = "closed"
-            return None
-        if param > _DIVERGENCE_BOUND:
-            # objective is monotone along accepted moves, so this is escape
-            classification = "non_closed"
-            return None
+        # np.linalg.norm of each row, bit for bit
+        gn = gradient_norm[live] = np.sqrt(_dots(grad, grad))
+        f0 = F0[live]
+        collapsed = F <= _COLLAPSE_TOL * f0
+        small = (gn <= _GRAD_TOL) & (F > _COLLAPSE_GUARD * f0)
+        factors = np.stack([pair.g, pair.h], axis=1).view(float).reshape(len(F), 2, 8)
+        # objective is monotone along accepted moves, so this is escape
+        far = _dots(factors, factors).max(axis=1) > _DIVERGENCE_BOUND**2
+        # collapse decides first, then a small gradient (closed only at
+        # bounded parameters), then divergence
+        non_closed = collapsed | far & ~small
+        closed = small & ~far
+        kind[live] = np.where(non_closed, _NON_CLOSED, np.where(closed, _CLOSED, _INCONCLUSIVE))
 
-        def direction():
-            d, deriv = damped_newton(_HERM.T @ grad, _HERM.T @ H @ _HERM, 0.01 * gn)
-            dn = float(np.linalg.norm(d))
-            if dn > 100.0:
-                d *= 100.0 / dn
-                deriv *= 100.0 / dn
-            return _HERM @ d, deriv
+        def direction(sel):
+            gh = (_HERM.T @ grad[sel, :, None])[..., 0]
+            d, deriv = damped_newton(gh, _HERM.T @ H[sel] @ _HERM, 0.01 * gn[sel])
+            # steps longer than 100 are cut back to 100, the others scaled by 1.0
+            cut = 100.0 / np.maximum(np.sqrt(_dots(d, d)), 100.0)
+            return (_HERM @ (cut[:, None] * d)[..., None])[..., 0], cut * deriv
 
-        return direction
+        return collapsed | small | far, direction
 
-    Y, F, pair, it = descend(Z.copy(), F0, model, _kn_chart, _norm_sq, opts.max_iters)
-    if it >= opts.max_iters:
-        # the budget ran out first: no stop rule applies to the last point
-        classification = "inconclusive"
-    return OrbitProbeReport(
-        achieved_norm_sq=F,
-        minimizer=pair,
-        converged=classification == "closed",
-        iterations=it,
-        gradient_norm=gradient_norm,
-        classification=classification,
-    )
+    _, F, pair, its = descend(Z0[run], F0, model, _kn_chart, _norm_sq, opts.max_iters)
+    # the budget ran out first: no stop rule applies to the last point
+    kind[its >= opts.max_iters] = _INCONCLUSIVE
+    reports = [OrbitProbeReport(0.0, GroupPair.identity(), True, 0, 0.0, "closed") for _ in Z0]
+    for k, b in enumerate(run):
+        reports[b] = OrbitProbeReport(
+            achieved_norm_sq=float(F[k]),
+            minimizer=GroupPair(pair.g[k], pair.h[k]),
+            converged=bool(kind[k] == _CLOSED),
+            iterations=int(its[k]),
+            gradient_norm=float(gradient_norm[k]),
+            classification=_CLASSES[kind[k]],
+        )
+    return reports
 
 
 @dataclass

@@ -52,7 +52,7 @@ from .psh import (
     moment_map,
     phi,
 )
-from .quotient import gram_map, gram_rank, kempf_ness_minimize, saturation_probe
+from .quotient import gram_map, gram_rank, kempf_ness_minimize_all, saturation_probe
 from .reduction import (
     ReduceOptions,
     critical_iff_moment_zero,
@@ -407,8 +407,8 @@ _KN_UNITS = (
 
 def _kn_units(tol):
     out = []
-    for index, Z, expect, norm_sq in _KN_UNITS:
-        r = kempf_ness_minimize(Z)
+    rs = kempf_ness_minimize_all(np.stack([Z for _, Z, _, _ in _KN_UNITS])[:, None])
+    for (index, _, expect, norm_sq), r in zip(_KN_UNITS, rs):
         if norm_sq is None:
             norm_ok = r.achieved_norm_sq <= tol["collapse_norm"]
         else:
@@ -430,10 +430,14 @@ def _kempf_ness_draw(rng, n):
     return (c.reshape(c.shape[:-1] + (-1, 2, 2)),)
 
 
+def _kempf_ness_stage(inputs, rngs, n, tol):
+    (Z,) = inputs
+    return [(r,) for r in kempf_ness_minimize_all(Z)]
+
+
 def _kempf_ness(i, x, rng, n, tol):
-    (Z,) = x
+    Z, r = x
     rank = gram_rank(gram_map(Z))
-    r = kempf_ness_minimize(Z)
     verdict = "inconclusive"  # also on a non-generic draw, where the rank criterion does not apply
     if rank >= 3 and r.classification != "inconclusive":
         verdict = _verdict(r.classification == "closed")
@@ -612,7 +616,12 @@ SUITES = {
     ),
     "kempf-ness": _SuiteEntry(
         _EachSample(
-            "kempf-ness", lambda n: 8 * max(n, 3), _kempf_ness_draw, _kempf_ness, units=_kn_units
+            "kempf-ness",
+            lambda n: 8 * max(n, 3),
+            _kempf_ness_draw,
+            _kempf_ness,
+            units=_kn_units,
+            stage=_kempf_ness_stage,
         ),
         30,
         3,

@@ -84,6 +84,21 @@ def test_act_complex_group_law_and_embedding():
         )
 
 
+def test_act_complex_on_stacked_pairs_equals_the_one_pair_calls():
+    s = stream_for(2, "act-cplx-stack", 0)
+    g = np.stack([A.sample_sl2(s) for _ in range(3)])
+    h = np.stack([A.sample_sl2(s) for _ in range(3)])
+    W = s.matrix()
+    Zs = np.stack([G.sample_tube_point(s, 2) for _ in range(3)])
+    # three pairs on one matrix, and pair i on point i of a stack
+    on_one = A.act_complex(A.GroupPair(g, h), W)
+    on_each = A.act_complex(A.GroupPair(g[:, None], h[:, None]), Zs)
+    assert on_one.shape == (3, 2, 2) and on_each.shape == (3, 2, 2, 2)
+    for i in range(3):
+        assert np.array_equal(on_one[i], A.act_complex(A.GroupPair(g[i], h[i]), W))
+        assert np.array_equal(on_each[i], A.act_complex((g[i], h[i]), Zs[i]))
+
+
 def test_real_vector_field_frozen_and_fd():
     # e1 at i*I: i(e1 + e1) = 2i e1
     V = A.real_vector_field(E1, G.as_tuple_point(iI))

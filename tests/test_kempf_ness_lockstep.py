@@ -1,0 +1,82 @@
+"""Lockstep Kempf-Ness minimization: every report of the stacked solve
+against the one-start solve, on the suite's draws and units, with zero
+starts and with a budget of one iteration, and the input check."""
+
+import numpy as np
+import pytest
+
+from futuretube.quotient import KempfNessOptions, kempf_ness_minimize, kempf_ness_minimize_all
+from futuretube.rng import Block
+from futuretube.suites import _KN_UNITS, SUITES
+
+iI = 1j * np.eye(2)
+
+
+def kempf_ness_draws(seed, n):
+    """The starts of the default kempf-ness samples, as the suite draws them."""
+    runner = SUITES["kempf-ness"].runner
+    (Z,) = runner.draw(Block(seed, "kempf-ness", 30, runner.draws(n)), n)
+    return Z
+
+
+def assert_same_report(r, one):
+    assert np.array_equal(r.minimizer.g.view(float), one.minimizer.g.view(float))
+    assert np.array_equal(r.minimizer.h.view(float), one.minimizer.h.view(float))
+    fields = ("achieved_norm_sq", "iterations", "gradient_norm", "classification", "converged")
+    assert [getattr(r, f) for f in fields] == [getattr(one, f) for f in fields]
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_stacked_reports_equal_the_one_start_solves(n):
+    starts = kempf_ness_draws(7, n)
+    reports = kempf_ness_minimize_all(starts)
+    assert len(reports) == len(starts) == 30
+    for Z, r in zip(starts, reports):
+        assert_same_report(r, kempf_ness_minimize(Z))
+    # the starts leave the lockstep at different iterations
+    assert len({r.iterations for r in reports}) > 2
+
+
+def test_units_in_one_call():
+    starts = np.stack([Z for _, Z, _, _ in _KN_UNITS])[:, None]
+    reports = kempf_ness_minimize_all(starts)
+    assert [r.classification for r in reports] == [expect for _, _, expect, _ in _KN_UNITS]
+    for Z, r in zip(starts, reports):
+        assert_same_report(r, kempf_ness_minimize(Z))
+
+
+def test_zero_starts_are_closed_without_descent():
+    Z = kempf_ness_draws(7, 3)[:3]
+    zero = np.zeros((1, 3, 2, 2))
+    starts = np.concatenate([zero, Z[:1], zero, Z[1:]])
+    reports = kempf_ness_minimize_all(starts)
+    for b in (0, 2):
+        r = reports[b]
+        assert (r.classification, r.converged, r.iterations) == ("closed", True, 0)
+        assert r.achieved_norm_sq == 0.0 and r.gradient_norm == 0.0
+        assert np.array_equal(r.minimizer.g, np.eye(2)) and np.array_equal(r.minimizer.h, np.eye(2))
+    for Z, r in zip(starts, reports):
+        assert_same_report(r, kempf_ness_minimize(Z))
+    assert [r.classification for r in kempf_ness_minimize_all(np.zeros((2, 1, 2, 2)))] == [
+        "closed",
+        "closed",
+    ]
+    assert kempf_ness_minimize_all(np.zeros((0, 1, 2, 2))) == []
+
+
+def test_budget_of_one_iteration_is_inconclusive():
+    # the last start is already minimal: it stops at once, still closed
+    starts = np.concatenate([kempf_ness_draws(7, 3)[:6], np.stack([iI] * 3)[None]])
+    opts = KempfNessOptions(max_iters=1)
+    reports = kempf_ness_minimize_all(starts, opts)
+    for Z, r in zip(starts, reports):
+        assert_same_report(r, kempf_ness_minimize(Z, opts))
+    for r in reports[:-1]:
+        assert (r.classification, r.converged, r.iterations) == ("inconclusive", False, 1)
+    assert (reports[-1].classification, reports[-1].iterations) == ("closed", 0)
+
+
+def test_input_that_is_not_a_stack_raises():
+    for shape in [(3, 2, 2), (2, 2), (2, 3, 2, 3), (1, 1, 1, 2, 2)]:
+        with pytest.raises(ValueError, match="B,N,2,2"):
+            kempf_ness_minimize_all(np.ones(shape, dtype=complex))

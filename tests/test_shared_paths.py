@@ -50,20 +50,36 @@ def test_zero_iteration_minimizers_do_not_alias_identity():
 
 
 def test_descend_stops_when_no_trial_step_is_accepted():
-    Y0 = np.stack([iI])
+    # start 0 (i I) rejects every trial step; start 1 (2i I) accepts its
+    # first, then stops
+    Y0 = np.stack([iI, 2 * iI])[:, None]
     calls = []
 
-    def model(Y, value, pair):
-        calls.append(Y)
-        return lambda: (np.ones(6), -1.0)
+    def model(live, Y, value, pair):
+        calls.append(live.tolist())
+
+        def direction(sel):
+            moves = Y[sel, 0, 0, 0].imag > 1.5
+            return np.ones((len(moves), 6)) * moves[:, None], -np.ones(len(moves))
+
+        return value < 1.0, direction
 
     def chart(d, s):
-        return np.eye(2, dtype=complex), np.eye(2, dtype=complex)
+        A = np.eye(2) + (d[:, 0] * s)[:, None, None] * np.diag([1.0, 0.0])
+        return np.stack([A, np.broadcast_to(np.eye(2), A.shape)], axis=1).astype(complex)
 
-    Y, value, pair, it = descend(Y0, 1.0, model, chart, lambda Yt: np.inf, 10)
-    assert it == 0 and value == 1.0
-    assert Y is Y0 and len(calls) == 1
-    assert np.array_equal(pair.g, np.eye(2)) and np.array_equal(pair.h, np.eye(2))
+    def objective(Yt):
+        return np.where(Yt[:, 0, 0, 0].imag > 2.0, 0.5, np.inf)
+
+    Y, value, pair, it = descend(Y0, np.ones(2), model, chart, objective, 10)
+    assert it[0] == 0 and value[0] == 1.0
+    assert np.array_equal(Y[0], Y0[0]) and sum(0 in c for c in calls) == 1
+    assert np.array_equal(pair.g[0], np.eye(2)) and np.array_equal(pair.h[0], np.eye(2))
+    # start 1 ends as it does alone
+    alone = descend(Y0[1:], np.ones(1), model, chart, objective, 10)
+    assert it[1] == alone[3][0] == 1 and value[1] == alone[1][0] == 0.5
+    assert np.array_equal(Y[1], alone[0][0])
+    assert np.array_equal(pair.g[1], alone[2].g[0]) and np.array_equal(pair.h[1], alone[2].h[0])
 
 
 def test_realize_matches_tensordot_reference():
