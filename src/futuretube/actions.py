@@ -121,11 +121,6 @@ class GroupPair:
         return cls(make_unimodular(g), make_unimodular(h))
 
     @classmethod
-    def real_form(cls, g):
-        g = make_unimodular(g)
-        return cls(g, np.conj(g))
-
-    @classmethod
     def identity(cls):
         return cls(IDENTITY.copy(), IDENTITY.copy())
 

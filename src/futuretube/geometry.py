@@ -33,7 +33,6 @@ __all__ = [
     "hermitians",
     "tube_matrices",
     "sample_four_vector",
-    "sample_hermitian",
     "sample_tube_matrix",
     "sample_tube_point",
 ]
@@ -204,11 +203,6 @@ def tube_matrices(x):
 def sample_four_vector(rng):
     """Four complex components with standard-normal real and imaginary parts."""
     return four_vectors(rng.normals(8))
-
-
-def sample_hermitian(rng):
-    """Hermitian 2x2: real normal diagonal, one complex normal off-diagonal."""
-    return hermitians(rng.normals(4))
 
 
 def sample_tube_matrix(rng):

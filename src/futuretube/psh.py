@@ -15,7 +15,6 @@ On the calibration field |z|^2 over C these conventions give a Levi form
 of 1 and omega(1, i) = 4.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -64,9 +63,9 @@ def _det_im(Z):
 
 def _positive_det_im(d):
     """The det Im values d; DomainError unless all are positive and finite."""
-    if not d.min() > 0.0:
+    if not d.min(initial=np.inf) > 0.0:
         raise DomainError("det Im <= 0: point is outside the tube")
-    if not d.max() < np.inf:
+    if not d.max(initial=0.0) < np.inf:
         raise DomainError("det Im overflows: the point is too large to evaluate")
     return d
 
@@ -105,7 +104,7 @@ def phi_in_tube(Z):
 
 def _phi_values(Z, d):
     # phi of a point or a stack whose det Im is d
-    if math.isfinite(d.max()):
+    if math.isfinite(d.max(initial=0.0)):
         return np.sum(1.0 / _positive_det_im(d), axis=-1)
     if Z.ndim == 3:
         return _phi_rescaled(Z[None], d[None])[0]
@@ -221,64 +220,35 @@ def orbit_derivatives(P):
 
 
 class DerivEstimate(NamedTuple):
-    value: float
-    error: float
+    value: np.ndarray
+    error: np.ndarray
 
 
-# matrices per stacked phi call: bounds the memory of a stencil at large N
+# matrices per call of f in levi_form: bounds a stencil's memory at large N
 _STACK_MATRICES = 2**14
 
 
-def _values(f, points):
-    """f at each tuple point of an iterable or stack, as a list of values.
+def directional_derivative(f, Z, V):
+    """Central differences of f at Z along each direction of the stack V
+    (m, N, 2, 2), with steps h = 1e-4 and h/2 and one Richardson step.
 
-    phi takes the points in stacks of up to _STACK_MATRICES matrices, one
-    call each (the one dispatch on f); any other f is called point by
-    point.
+    f maps a stack (k, N, 2, 2) of points to their k values, as phi does;
+    the 4m difference points form one stack and take one call.  Returns
+    the arrays of the m values and of their errors, the Richardson
+    defects.  Domain errors from f propagate so callers can resample.
     """
-    if f is not phi:
-        return [f(Y) for Y in points]
-    points = iter(points)
-    values = []
-    for Y in points:
-        size = max(1, _STACK_MATRICES // len(Y))
-        values += phi(np.stack([Y, *itertools.islice(points, size - 1)])).tolist()
-    return values
-
-
-def _richardson(values_at, Z, V):
-    """Central differences at Z along each direction of the stack V, with
-    steps h = 1e-4 and h/2 and one Richardson step.
-
-    values_at maps the stack (4m, N, 2, 2) of difference points to their
-    values.  Returns the arrays of the m values and Richardson defects.
-    """
+    Z = as_tuple_point(Z)
+    V = np.asarray(V, dtype=complex)
+    if V.ndim != 4:
+        raise ValueError(f"expected a (m,N,2,2) stack of directions, got shape {V.shape}")
     h = 1e-4
     points = []
     for hh in (h, h / 2.0):
         points += [Z + hh * V, Z - hh * V]
-    f1p, f1m, f2p, f2m = np.reshape(values_at(np.concatenate(points)), (4, -1))
+    f1p, f1m, f2p, f2m = np.reshape(f(np.concatenate(points)), (4, -1))
     d1 = (f1p - f1m) / (2.0 * h)
     d2 = (f2p - f2m) / (2.0 * (h / 2.0))
-    return (4.0 * d2 - d1) / 3.0, np.abs(d2 - d1) / 3.0
-
-
-def directional_derivative(f, Z, V):
-    """Central difference of f along V with one Richardson step.
-
-    Uses steps h = 1e-4 and h/2; the error field is the Richardson defect.
-    A stack V of m directions (m, N, 2, 2) gives arrays of m values and
-    errors, each equal to the one-direction call.  The 4m difference
-    points form one stack: f = phi evaluates it in one call, any other f
-    keeps its contract of one tuple point in, one value out.  Domain
-    errors from f propagate so callers can resample.
-    """
-    Z = as_tuple_point(Z)
-    V = np.asarray(V, dtype=complex)
-    if V.ndim == 4:
-        return DerivEstimate(*_richardson(lambda P: _values(f, P), Z, V))
-    value, error = _richardson(lambda P: _values(f, P), Z, as_tuple_point(V)[None])
-    return DerivEstimate(value.item(), error.item())
+    return DerivEstimate((4.0 * d2 - d1) / 3.0, np.abs(d2 - d1) / 3.0)
 
 
 def moment_map(Z):
@@ -304,47 +274,45 @@ def levi_form(f, Z, directions, h=1e-3):
 
     Entry (a, b) approximates the mixed second derivative of
     s, t -> f(Z + s B_a + t B_b) in s and conj(t), from evaluations at
-    steps {0, +-h, +-ih} in each complex variable.  The stencil has
-    1 + 4d + 16 d(d-1)/2 points for d directions; f = phi evaluates it in
-    stacks (m, N, 2, 2) of at most 2**14 matrices, one call each, and any
-    other f keeps its contract of one tuple point in, one value out.
+    steps {0, +-h, +-ih} in each complex variable.  f maps a stack
+    (k, N, 2, 2) of points to their k values, as phi does.  The stencil
+    has 1 + 4d + 16 d(d-1)/2 points for d directions: with T the zero
+    step followed by the 4d steps +-hB_a, +-ihB_a, point k is
+    Z + T[i_k] + T[j_k].  It is built and evaluated in chunks of at most
+    _STACK_MATRICES matrices, one call of f each, so that memory stays
+    bounded at large N.  A domain error from f raises StencilDomainError.
     """
     Z = as_tuple_point(Z)
     B = np.asarray(directions, dtype=complex)
     d = B.shape[0]
-    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    hB, ihB = h * B, h * (1j * B)
+    steps = np.stack([hB, -hB, ihB, -ihB], axis=1).reshape((4 * d,) + Z.shape)
+    T = np.concatenate([np.zeros_like(Z)[None], steps])
+    # the 16 points of a pair (a, b): real or imaginary step in a, then in
+    # b (dxx, dxy, dyx, dyy), each with the signs ++, +-, -+, --
+    ca, cb, sa, sb = np.indices((2, 2, 2, 2)).reshape(4, 16)
+    a, b = np.triu_indices(d, 1)
+    axis = np.arange(1, 4 * d + 1)
+    i = np.concatenate([[0], axis, (1 + 4 * a[:, None] + 2 * ca + sa).ravel()])
+    j = np.concatenate([[0], np.zeros_like(axis), (1 + 4 * b[:, None] + 2 * cb + sb).ravel()])
 
-    def stencil():
-        yield Z
-        for Ba in B:
-            yield from (Z + h * Ba, Z - h * Ba, Z + 1j * h * Ba, Z - 1j * h * Ba)
-        for a, b in pairs:
-            Ba, Bb = B[a], B[b]
-            for da, db in ((Ba, Bb), (Ba, 1j * Bb), (1j * Ba, Bb), (1j * Ba, 1j * Bb)):
-                yield Z + h * da + h * db
-                yield Z + h * da - h * db
-                yield Z - h * da + h * db
-                yield Z - h * da - h * db
-
+    size = max(1, _STACK_MATRICES // Z.shape[0])
     try:
-        values = iter(_values(f, stencil()))
+        values = np.concatenate(
+            [f(Z + T[i[k : k + size]] + T[j[k : k + size]]) for k in range(0, len(i), size)]
+        )
     except DomainError as exc:
         raise StencilDomainError(f"stencil point left the domain: {exc}") from exc
 
-    f0 = next(values)
-    L = np.zeros((d, d), dtype=complex)
     hh = 4.0 * h * h
-    for a in range(d):
-        L[a, a] = (next(values) + next(values) + next(values) + next(values) - 4.0 * f0) / hh
-
-    def mixed():
-        return (next(values) - next(values) - next(values) + next(values)) / hh
-
-    for a, b in pairs:
-        dxx, dxy, dyx, dyy = mixed(), mixed(), mixed(), mixed()
-        # d^2/ds dconj(t) = (dxx + i dxy - i dyx + dyy)/4
-        L[a, b] = (dxx + 1j * dxy - 1j * dyx + dyy) / 4.0
-        L[b, a] = np.conj(L[a, b])
+    L = np.zeros((d, d), dtype=complex)
+    D = values[1 : 4 * d + 1].reshape(d, 4)
+    L[np.diag_indices(d)] = (D[:, 0] + D[:, 1] + D[:, 2] + D[:, 3] - 4.0 * values[0]) / hh
+    X = values[4 * d + 1 :].reshape(-1, 4, 4)
+    dxx, dxy, dyx, dyy = ((X[..., 0] - X[..., 1] - X[..., 2] + X[..., 3]) / hh).T
+    # d^2/ds dconj(t) = (dxx + i dxy - i dyx + dyy)/4
+    L[a, b] = (dxx + 1j * dxy - 1j * dyx + dyy) / 4.0
+    L[b, a] = np.conj(L[a, b])
     L = (L + L.conj().T) / 2.0
     return LeviForm(d=d, entries=L)
 
@@ -389,9 +357,10 @@ def omega_eval(Z, V, W):
     stack = V.ndim == 4
     if not stack:
         V, W = as_tuple_point(V)[None], as_tuple_point(W)[None]
-    # D_V along J W, then D_W along J V, paired point by point
-    J = np.concatenate([apply_J(W), apply_J(V)])
-    d = _richardson(lambda P: dphi(P, np.concatenate([J] * 4)), Z, np.concatenate([V, W]))[0]
+    # D_V along J W, then D_W along J V, paired point by point, once for
+    # each of the four difference points
+    J = np.concatenate([apply_J(W), apply_J(V)] * 4)
+    d = directional_derivative(lambda P: dphi(P, J), Z, np.concatenate([V, W])).value
     values = -(d[: len(V)] - d[len(V):])
     return values if stack else values.item()
 

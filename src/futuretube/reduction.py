@@ -197,25 +197,33 @@ def orbit_minimize_all(Zs, opts=None):
 def big_psi(Z, opts=None, witness=None):
     """Infimum of phi over the local orbit: the induced quotient function.
 
-    For a point outside the tube the caller must supply a tube witness on
+    A point gives a float, a stack (m, N, 2, 2) the array of its m values
+    from one orbit_minimize_all call.  Raises ConvergenceError if some
+    reduction did not converge, and DomainError for a point outside the
+    tube unless the caller supplies, for one point, a tube witness on
     the same fiber (checked through the Gram image).
     """
-    Z = as_tuple_point(Z)
-    if witness is None:
-        if not tube_membership(Z):
-            raise DomainError("witness translate required for points outside the tube")
-        witness = Z
-    else:
+    Z = np.asarray(Z, dtype=complex)
+    stack = Z.ndim == 4
+    if witness is not None:
+        Z = as_tuple_point(Z)
         witness = as_tuple_point(witness)
         if not tube_membership(witness):
             raise ValueError("witness must lie in the tube")
         gz, gw = gram_map(Z), gram_map(witness)
         if np.linalg.norm(gw - gz) > 1e-6 * (1.0 + np.linalg.norm(gz)):
             raise ValueError("witness lies on a different fiber (Gram mismatch)")
-    r = orbit_minimize(witness, opts)
-    if not r.converged:
-        raise ConvergenceError(f"moment norm {r.moment_norm:.2e} after {r.iterations} iterations")
-    return r.phi_min
+        Z = witness
+    elif not stack:
+        Z = as_tuple_point(Z)
+        if not tube_membership(Z):
+            raise DomainError("witness translate required for points outside the tube")
+    results = orbit_minimize_all(Z if stack else Z[None], opts)
+    for r in results:
+        if not r.converged:
+            raise ConvergenceError(f"moment norm {r.moment_norm:.2e} after {r.iterations} iterations")
+    values = np.array([r.phi_min for r in results])
+    return values if stack else float(values[0])
 
 
 @dataclass
@@ -356,8 +364,8 @@ def section_levi_identity(probe, dev_tol=1e-3, eig_tol=1e-6):
     """Compare the Levi form of the fiberwise minimum with that of phi.
 
     The fiberwise minimum through the probe is evaluated by nested orbit
-    minimization at every stencil point (inner moment tolerance 1e-10
-    keeps second-difference noise under the acceptance band).
+    minimization of each stencil chunk in lockstep (inner moment tolerance
+    1e-10 keeps second-difference noise under the acceptance band).
     Passing means relative deviation <= dev_tol with minimum eigenvalue
     >= -eig_tol.  A degenerate radius yields no verdict.
     """

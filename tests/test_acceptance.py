@@ -190,12 +190,12 @@ def test_criterion_8_levi_identity():
     c = Criterion(8, "Levi form of the fiberwise minimum on the orthogonal section", 120.0)
     rep = section_levi_identity(section_probe(G.as_tuple_point(iI)))
     ok = rep.passed and rep.deviation <= 1e-3 and rep.min_eigenvalue >= -1e-6
-    s = stream_for(SEED, "acc-levi-id", 0)
-    Z = G.sample_tube_point(s, 2)
-    rr = orbit_minimize(Z, ReduceOptions(moment_tol=1e-10))
-    rep = section_levi_identity(section_probe(rr.reduced_point))
-    ok = ok and rr.converged and rep.passed and rep.deviation <= 1e-3
-    ok = ok and rep.min_eigenvalue >= -1e-6
+    for i, n in enumerate((2, 3)):
+        Z = G.sample_tube_point(stream_for(SEED, "acc-levi-id", i), n)
+        rr = orbit_minimize(Z, ReduceOptions(moment_tol=1e-10))
+        rep = section_levi_identity(section_probe(rr.reduced_point))
+        ok = ok and rr.converged and rep.passed and rep.deviation <= 1e-3
+        ok = ok and rep.min_eigenvalue >= -1e-6
     c.finish(ok)
 
 

@@ -70,7 +70,7 @@ def test_act_complex_group_law_and_embedding():
         s = stream_for(2, "act-cplx", i)
         Z = G.sample_tube_point(s, 2)
         g = A.sample_sl2(s)
-        p = A.GroupPair.real_form(g)
+        p = A.GroupPair(g, np.conj(g))
         assert np.max(np.abs(A.act_complex(p, Z) - A.act_real(g, Z))) <= 1e-12 * (
             1 + np.max(np.abs(Z))
         )

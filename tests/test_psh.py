@@ -41,7 +41,7 @@ def test_dphi_frozen():
     # Hermitian tangents have no Im part, so the derivative vanishes
     s = stream_for(3, "psh-dphi", 0)
     Zt = G.as_tuple_point(iI)
-    H = G.sample_hermitian(s)
+    H = G.hermitians(s.normals(4))
     assert psh.dphi(Zt, G.as_tuple_point(H)) == 0.0
     # formula substitution: -(1)^{-1} tr(I) = -2
     assert psh.dphi(Zt, G.as_tuple_point(iI)) == -2.0
@@ -53,22 +53,22 @@ def test_dphi_matches_fd():
         Z = G.sample_tube_point(s, 2)
         V = np.stack([s.matrix(), s.matrix()])
         an = psh.dphi(Z, V)
-        fd = psh.directional_derivative(psh.phi, Z, V)
-        assert abs(an - fd.value) <= 1e-6 * (1 + abs(an))
+        fd = psh.directional_derivative(psh.phi, Z, V[None])
+        assert abs(an - fd.value[0]) <= 1e-6 * (1 + abs(an))
 
 
 def test_directional_derivative_basics():
     Z = G.as_tuple_point(iI)
 
     def f(Y):
-        return float(Y[0, 0, 0].real)
+        return Y[:, 0, 0, 0].real
 
-    V = np.zeros((1, 2, 2), dtype=complex)
-    V[0, 0, 0] = 1.0
+    V = np.zeros((1, 1, 2, 2), dtype=complex)
+    V[0, 0, 0, 0] = 1.0
     d = psh.directional_derivative(f, Z, V)
-    assert abs(d.value - 1.0) < 1e-12
+    assert abs(d.value[0] - 1.0) < 1e-12
     z = psh.directional_derivative(psh.phi, Z, 0.0 * V)
-    assert z.value == 0.0
+    assert z.value[0] == 0.0
 
 
 def test_moment_map_zero_on_ip():
@@ -133,7 +133,7 @@ def test_phi_invariance():
 def test_levi_calibration():
     # f = |z|^2 on a one-dimensional probe has Levi form [[1]]
     def f(Y):
-        return abs(Y[0, 0, 0]) ** 2
+        return abs(Y[:, 0, 0, 0]) ** 2
 
     B = np.zeros((1, 1, 2, 2), dtype=complex)
     B[0, 0, 0, 0] = 1.0
@@ -142,7 +142,7 @@ def test_levi_calibration():
 
     # pluriharmonic fields have zero Levi form
     def g(Y):
-        return 2.0 * Y[0, 0, 1].real - 0.5 * Y[0, 1, 0].imag
+        return 2.0 * Y[:, 0, 0, 1].real - 0.5 * Y[:, 0, 1, 0].imag
 
     L = psh.levi_form(g, G.as_tuple_point(iI), B)
     assert abs(L.entries[0, 0]) < 1e-10

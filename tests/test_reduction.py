@@ -13,6 +13,7 @@ from futuretube.reduction import (
     critical_iff_moment_zero,
     lagrangian_check,
     orbit_minimize,
+    orbit_minimize_all,
     section_levi_identity,
     section_probe,
 )
@@ -141,6 +142,45 @@ def test_big_psi_witness_validation():
         big_psi(iI, witness=np.eye(2, dtype=complex))  # witness not in tube
     with pytest.raises(ValueError):
         big_psi(2j * np.eye(2), witness=G.as_tuple_point(iI))  # wrong fiber
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_big_psi_on_the_levi_identity_stencil_equals_the_one_point_calls(n):
+    # the seed-7 levi-identity sample, reduced and probed as the suite does
+    Z = G.sample_tube_point(stream_for(7, "levi-identity", 0), n)
+    inner = ReduceOptions(moment_tol=1e-10)
+    probe = section_probe(orbit_minimize(Z, inner).reduced_point)
+    calls = []
+
+    def f(Y):
+        calls.append((Y, big_psi(Y, inner)))
+        return calls[-1][1]
+
+    psh.levi_form(f, probe.base, probe.directions, h=probe.radius)
+    d = len(probe.directions)
+    ((Y, values),) = calls
+    assert len(Y) == 1 + 4 * d + 8 * d * (d - 1)
+    assert values.tolist() == [big_psi(P, inner) for P in Y]
+
+
+def test_stacked_big_psi_raises_for_any_unconverged_or_outside_point():
+    Z = np.stack([G.sample_tube_point(stream_for(5, "psi-stack", i), 2) for i in range(3)])
+    with pytest.raises(ConvergenceError):
+        big_psi(Z, ReduceOptions(max_iters=1))
+    Z[1, 0] = 1j * np.diag([1.0, -1.0])
+    with pytest.raises(G.DomainError):
+        big_psi(Z)
+    # an i-step of the stencil leaves the tube, as in test_stencil_domain_error
+    B = np.zeros((1, 1, 2, 2), dtype=complex)
+    B[0, 0, 0, 0] = 1.0
+    with pytest.raises(psh.StencilDomainError):
+        psh.levi_form(big_psi, G.as_tuple_point(1j * np.diag([1e-4, 1.0])), B, h=1e-3)
+
+
+def test_empty_stacks_reduce_to_nothing():
+    empty = np.zeros((0, 2, 2, 2), dtype=complex)
+    assert orbit_minimize_all(empty) == []
+    assert big_psi(empty).shape == (0,)
 
 
 def test_lagrangian_check_at_identity_base():

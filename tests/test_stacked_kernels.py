@@ -2,12 +2,13 @@
 
 phi, dphi and expm_traceless take a stack (m, ..., 2, 2) and return m
 results; directional_derivative, levi_form and flow_monotonicity build
-their whole stencil or grid as one such stack.  Every comparison here is
+their stencil or grid as such stacks and take fields f on stacks.  Every comparison here is
 `==` on the floats, not a tolerance: stacking only moves the loop from
 Python into numpy.  The per-point references below are the loops these
 functions ran before they were stacked.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -97,9 +98,9 @@ def test_directional_derivative_on_a_stack_of_directions():
     est = psh.directional_derivative(psh.phi, Z, V)
     assert est.value.shape == est.error.shape == (6,)
     for k in range(6):
-        one = psh.directional_derivative(psh.phi, Z, V[k])
-        assert isinstance(one.value, float)
-        assert (est.value[k], est.error[k]) == (one.value, one.error)
+        one = psh.directional_derivative(psh.phi, Z, V[k : k + 1])
+        assert one.value.shape == (1,)
+        assert (est.value[k], est.error[k]) == (one.value[0], one.error[0])
 
 
 def test_omega_eval_matches_per_point_differences():
@@ -107,7 +108,7 @@ def test_omega_eval_matches_per_point_differences():
     F = A.orbit_fields(Z)
 
     def d_along(D, U):
-        return psh.directional_derivative(lambda Y: psh.dphi(Y, A.apply_J(U)), Z, D).value
+        return psh.directional_derivative(lambda Y: psh.dphi(Y, A.apply_J(U)), Z, D[None]).value[0]
 
     for V, W in ((F[0], F[1]), (F[2], A.apply_J(F[2])), (F[4], F[5])):
         assert psh.omega_eval(Z, V, W) == -(d_along(V, W) - d_along(W, V))
@@ -166,18 +167,33 @@ def test_levi_form_of_phi_in_several_stacks_matches_the_per_point_stencil(monkey
     assert np.array_equal(L, _reference_levi_form(phi, Z, B))
 
 
-def test_scalar_only_fields_keep_the_one_point_contract():
-    # these f index a single tuple point and return one float
+def test_levi_form_of_phi_at_large_n_builds_its_stencil_in_bounded_memory():
+    # 32,513 stencil points of 16 matrices: 33 MB if built as one stack
+    Z = G.sample_tube_point(stream_for(5, "stack-levi-memory", 0), 16)
+    B = A.full_tangent_basis(16)
+    tracemalloc.start()
+    try:
+        psh.levi_form(psh.phi, Z, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_fields_other_than_phi_match_the_per_point_stencil():
     def f(Y):
-        return float(Y[0, 0, 0].real) + abs(Y[0, 1, 1]) ** 2
+        return Y[:, 0, 0, 0].real + abs(Y[:, 0, 1, 1]) ** 2
+
+    def f_one(Y):
+        return f(Y[None])[0]
 
     Z = G.sample_tube_point(stream_for(5, "stack-scalar-f", 0), 1)
     B = A.full_tangent_basis(1)
-    assert np.array_equal(psh.levi_form(f, Z, B).entries, _reference_levi_form(f, Z, B))
-    one = psh.directional_derivative(f, Z, B[3])
-    assert abs(one.value - 2.0 * Z[0, 1, 1].real) < 1e-8
+    assert np.array_equal(psh.levi_form(f, Z, B).entries, _reference_levi_form(f_one, Z, B))
+    one = psh.directional_derivative(f, Z, B[3:4])
+    assert abs(one.value[0] - 2.0 * Z[0, 1, 1].real) < 1e-8
     stacked = psh.directional_derivative(f, Z, B)
-    assert stacked.value.tolist() == [psh.directional_derivative(f, Z, V).value for V in B]
+    assert stacked.value.tolist() == [psh.directional_derivative(f, Z, V[None]).value[0] for V in B]
 
 
 def _reference_flow(xi, Z, t_max, steps):
