@@ -46,6 +46,7 @@ from .quotient import (
     kempf_ness_minimize,
     kempf_ness_minimize_all,
     saturation_probe,
+    saturation_probe_all,
 )
 from .reduction import (
     ReduceOptions,

@@ -240,17 +240,31 @@ def full_tangent_basis(n):
     return np.eye(4 * n, dtype=complex).reshape(4 * n, n, 2, 2)
 
 
+# _FIELD_MAP[k] maps the entries (0,0), (0,1), (1,0), (1,1) of a component
+# to those of field k: its row p is e_k E_p + E_p e_k^H for the unit matrix E_p
+_UNITS = np.eye(4, dtype=complex).reshape(4, 2, 2)
+_FIELD_MAP = (
+    np.einsum("kab,pbc->kpac", BASIS, _UNITS) + np.einsum("pab,kbc->kpac", _UNITS, BASIS_DAG)
+).reshape(6, 4, 4)
+
+
 def orbit_fields(Z):
     """Stack of the six basis vector fields at Z, shape (6, N, 2, 2).
 
-    A stack of points (m, N, 2, 2) gives (m, 6, N, 2, 2), each equal to
-    the one-point call."""
+    Field k is e_k Z + Z e_k^H, linear in the four entries of each
+    component, so all six come from one matrix product with the constant
+    map _FIELD_MAP, laid out so that the product is already in field
+    order and C-contiguous.  The map's entries are 0, +-1, +-2, +-i and
+    +-2i, and each field entry is the sum of at most two exact products,
+    so the result equals the two products e_k Z and Z e_k^H added, bit
+    for bit.  A stack of points (m, N, 2, 2) gives (m, 6, N, 2, 2), each
+    equal to the one-point call.
+    """
     Z = np.asarray(Z, dtype=complex)
     if Z.ndim != 4:
         Z = as_tuple_point(Z)
-    return np.einsum("kab,...nbc->...knac", BASIS, Z) + np.einsum(
-        "...nab,kbc->...knac", Z, BASIS_DAG
-    )
+    F = Z.reshape(Z.shape[:-3] + (1, Z.shape[-3], 4)) @ _FIELD_MAP
+    return F.reshape(F.shape[:-1] + (2, 2))
 
 
 def damped_newton(grad, H, lam):

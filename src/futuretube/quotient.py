@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DomainError, as_tuple_point, det2, tube_membership, tube_margin
+from .geometry import DomainError, as_tuple_point, det2, tube_mask, tube_membership, tube_margin
 from .actions import (
     BASIS,
     GroupPair,
@@ -31,6 +31,7 @@ __all__ = [
     "kempf_ness_minimize_all",
     "SaturationReport",
     "saturation_probe",
+    "saturation_probe_all",
 ]
 
 
@@ -252,50 +253,56 @@ class SaturationReport:
 
 
 def saturation_probe(Z):
-    """Probe whether the closed orbit under the starting point meets the tube.
+    """Probe whether the closed orbit under the starting point meets the tube;
+    the stack of one of saturation_probe_all, which documents it."""
+    return saturation_probe_all(as_tuple_point(Z)[None])[0]
 
-    Runs the norm minimization and takes the reached point as the stand-in
-    for the closed orbit.  The witness is that point when it lies in the
-    tube, else, for a `closed` classification, the start itself, to which
-    the inverse of the recorded minimizer carries the reached point.  A
-    witness is certified by reducing it with the orbit minimizer.  Without
-    a witness, or when the reduction does not certify, the probe reports
-    "probe failed", never a refutation.
+
+def saturation_probe_all(Zs):
+    """saturation_probe of every start of a stack (B, N, 2, 2).
+
+    Returns the list of B reports; each equals saturation_probe of its
+    start, bit for bit.  One kempf_ness_minimize_all call minimizes the
+    norm from every start, and the reached point stands in for the
+    closed orbit.  The witness is that point when it lies in the tube,
+    else, for a `closed` classification, the start itself, to which the
+    inverse of the recorded minimizer carries the reached point.  One
+    orbit_minimize_all call reduces all witnesses; a witness is certified
+    when its reduction converges to a tube point.  Without a witness, or
+    when the reduction does not certify, the probe reports "probe
+    failed", never a refutation.  Raises ValueError when any start lies
+    outside the tube.
     """
-    from .reduction import orbit_minimize
+    from .reduction import orbit_minimize_all
 
-    Z = as_tuple_point(Z)
-    if not tube_membership(Z):
+    Z = np.asarray(Zs, dtype=complex)
+    if Z.ndim != 4 or Z.shape[2:] != (2, 2):
+        raise ValueError(f"expected a (B,N,2,2) stack of tuple points, got shape {Z.shape}")
+    if not tube_mask(Z).all():
         raise ValueError("saturation probe starts from a tube point")
-    kn = kempf_ness_minimize(Z)
-    W = act_complex(kn.minimizer, Z)
-    gram_distance = float(np.linalg.norm(gram_map(W) - gram_map(Z)))
+    kn = kempf_ness_minimize_all(Z)
+    W = np.array([act_complex(r.minimizer, z) for r, z in zip(kn, Z)]).reshape(Z.shape)
+    inside = np.array([tube_margin(w) > 0.0 for w in W], dtype=bool)
+    # the minimizer carries Z to W, so on a closed orbit its inverse carries W back to Z
+    have = inside | np.array([r.classification == "closed" for r in kn], dtype=bool)
+    witness = np.where(inside[:, None, None, None], W, Z)
+    reduced = iter(orbit_minimize_all(witness[have]))
 
-    witness = None
-    kind = "none"
-    if tube_margin(W) > 0.0:
-        witness = W
-        kind = "kn_point"
-    elif kn.classification == "closed":
-        # the minimizer carries Z to W, so its inverse carries W back to Z
-        witness = Z
-        kind = "minimizer_inverse"
-
-    certified = False
-    reduced_margin = None
-    if witness is not None:
-        rr = orbit_minimize(witness)
-        if rr.converged and tube_membership(rr.reduced_point):
-            certified = True
-            reduced_margin = tube_margin(rr.reduced_point)
-
-    return SaturationReport(
-        classification=kn.classification,
-        certified_in_extended_tube=certified,
-        gram_distance=gram_distance,
-        closed_point=W,
-        witness=witness,
-        witness_kind=kind,
-        reduced_margin=reduced_margin,
-        verdict="certified" if certified else "probe failed",
-    )
+    reports = []
+    for b, r in enumerate(kn):
+        rr = next(reduced) if have[b] else None
+        certified = rr is not None and rr.converged and tube_membership(rr.reduced_point)
+        kind = "kn_point" if inside[b] else "minimizer_inverse" if have[b] else "none"
+        reports.append(
+            SaturationReport(
+                classification=r.classification,
+                certified_in_extended_tube=certified,
+                gram_distance=float(np.linalg.norm(gram_map(W[b]) - gram_map(Z[b]))),
+                closed_point=W[b],
+                witness=witness[b] if have[b] else None,
+                witness_kind=kind,
+                reduced_margin=tube_margin(rr.reduced_point) if certified else None,
+                verdict="certified" if certified else "probe failed",
+            )
+        )
+    return reports

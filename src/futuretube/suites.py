@@ -52,12 +52,11 @@ from .psh import (
     moment_map,
     phi,
 )
-from .quotient import gram_map, gram_rank, kempf_ness_minimize_all, saturation_probe
+from .quotient import gram_map, gram_rank, kempf_ness_minimize_all, saturation_probe_all
 from .reduction import (
     ReduceOptions,
     critical_iff_moment_zero,
     lagrangian_check,
-    orbit_minimize,
     orbit_minimize_all,
     section_levi_identity,
     section_probe,
@@ -372,20 +371,23 @@ def _levi_unit(tol):
     return [_levi_record(0, 1, np.stack([1j * IDENTITY]), tol)]
 
 
+def _base_stage(inputs, rngs, n, tol):
+    # every base point reduced in one solve; the tight tolerance keeps the
+    # spurious sixth field direction well under lagrangian's rank tolerance
+    (Z,) = inputs
+    return [(r,) for r in orbit_minimize_all(Z, ReduceOptions(moment_tol=1e-10))]
+
+
 def _levi_identity(i, x, rng, n, tol):
     # the unit record holds index 0, so sample i is record i + 1
-    (Z,) = x
-    rr = orbit_minimize(Z, ReduceOptions(moment_tol=1e-10))
+    _, rr = x
     if rr.converged:
         return _levi_record(i + 1, n, rr.reduced_point, tol)
     return {"index": i + 1, "n": n, "deviation": None, "min_eigenvalue": None, "verdict": "fail"}
 
 
 def _lagrangian(i, x, rng, n, tol):
-    (Z,) = x
-    # tight reduction keeps the spurious sixth field direction well under
-    # the rank tolerance of the dimension side condition
-    rr = orbit_minimize(Z, ReduceOptions(moment_tol=1e-10))
+    Z, rr = x
     fields = ("max_omega", "orbit_dim", "complex_orbit_dim", "normal_hessian_positive")
     if not rr.converged:
         return {**dict.fromkeys(fields, None), "verdict": "fail"}
@@ -450,8 +452,7 @@ def _kempf_ness(i, x, rng, n, tol):
     }
 
 
-def _saturation_record(Z):
-    sp = saturation_probe(Z)
+def _saturation_record(sp):
     return {
         "classification": sp.classification,
         "witness_kind": sp.witness_kind,
@@ -463,11 +464,16 @@ def _saturation_record(Z):
 def _saturation_unit(tol):
     shear = 0.5 * np.array([[0.0, 1.0], [0.0, 0.0]])
     deg = np.stack([1j * IDENTITY, 1j * IDENTITY + shear])
-    return [{"index": "unit-degenerate", **_saturation_record(deg)}]
+    return [{"index": "unit-degenerate", **_saturation_record(saturation_probe_all(deg[None])[0])}]
+
+
+def _saturation_stage(inputs, rngs, n, tol):
+    (Z,) = inputs
+    return [(sp,) for sp in saturation_probe_all(Z)]
 
 
 def _saturation_probe(i, x, rng, n, tol):
-    return _saturation_record(*x)
+    return _saturation_record(x[1])
 
 
 def _normal_form_draw(rng, n):
@@ -602,14 +608,19 @@ SUITES = {
     ),
     "levi-identity": _SuiteEntry(
         _EachSample(
-            "levi-identity", lambda n: 12 * n, _tube_point, _levi_identity, units=_levi_unit
+            "levi-identity",
+            lambda n: 12 * n,
+            _tube_point,
+            _levi_identity,
+            units=_levi_unit,
+            stage=_base_stage,
         ),
         1,
         2,
         {"deviation": 1e-3, "min_eig": 1e-6},
     ),
     "lagrangian": _SuiteEntry(
-        _EachSample("lagrangian", lambda n: 12 * n, _tube_point, _lagrangian),
+        _EachSample("lagrangian", lambda n: 12 * n, _tube_point, _lagrangian, stage=_base_stage),
         8,
         2,
         {"omega_tol": 1e-5},
@@ -634,6 +645,7 @@ SUITES = {
             _tube_point,
             _saturation_probe,
             units=_saturation_unit,
+            stage=_saturation_stage,
         ),
         8,
         2,

@@ -156,12 +156,12 @@ def test_moment_of_overflowing_point_is_a_usage_error(tmp_path, capsys):
 
 def test_unconverged_reductions_fail_their_records(tmp_path, capsys, monkeypatch):
     from futuretube import suites
-    from futuretube.reduction import ReduceOptions, orbit_minimize
+    from futuretube.reduction import ReduceOptions, orbit_minimize_all
 
-    def capped(Z, opts):
-        return orbit_minimize(Z, ReduceOptions(moment_tol=opts.moment_tol, max_iters=1))
+    def capped(Zs, opts):
+        return orbit_minimize_all(Zs, ReduceOptions(moment_tol=opts.moment_tol, max_iters=1))
 
-    monkeypatch.setattr(suites, "orbit_minimize", capped)
+    monkeypatch.setattr(suites, "orbit_minimize_all", capped)
     # levi-identity's first record is the fixed n=1 unit, which needs no reduction
     for suite, first, field in (("lagrangian", 0, "max_omega"), ("levi-identity", 1, "deviation")):
         p = write_json(tmp_path / f"{suite}.json", {"suite": suite, "samples": 2})

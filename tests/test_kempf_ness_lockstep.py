@@ -1,11 +1,18 @@
 """Lockstep Kempf-Ness minimization: every report of the stacked solve
 against the one-start solve, on the suite's draws and units, with zero
-starts and with a budget of one iteration, and the input check."""
+starts and with a budget of one iteration, and the input check; the
+stacked saturation probe against its one-start calls."""
 
 import numpy as np
 import pytest
 
-from futuretube.quotient import KempfNessOptions, kempf_ness_minimize, kempf_ness_minimize_all
+from futuretube.quotient import (
+    KempfNessOptions,
+    kempf_ness_minimize,
+    kempf_ness_minimize_all,
+    saturation_probe,
+    saturation_probe_all,
+)
 from futuretube.rng import Block
 from futuretube.suites import _KN_UNITS, SUITES
 
@@ -80,3 +87,27 @@ def test_input_that_is_not_a_stack_raises():
     for shape in [(3, 2, 2), (2, 2), (2, 3, 2, 3), (1, 1, 1, 2, 2)]:
         with pytest.raises(ValueError, match="B,N,2,2"):
             kempf_ness_minimize_all(np.ones(shape, dtype=complex))
+
+
+def test_stacked_saturation_probe_equals_the_one_start_probes():
+    runner = SUITES["saturation-probe"].runner
+    (Z,) = runner.draw(Block(7, "saturation-probe", 8, runner.draws(2)), 2)
+    degenerate = np.stack([iI, iI + 0.5 * np.array([[0.0, 1.0], [0.0, 0.0]])])
+    starts = np.concatenate([Z, degenerate[None]])
+    reports = saturation_probe_all(starts)
+    assert len(reports) == 9
+    fields = ("classification", "witness_kind", "gram_distance", "reduced_margin")
+    for Y, r in zip(starts, reports):
+        one = saturation_probe(Y)
+        assert [getattr(r, f) for f in fields] == [getattr(one, f) for f in fields]
+        assert r.certified_in_extended_tube == one.certified_in_extended_tube
+        assert np.array_equal(r.closed_point.view(float), one.closed_point.view(float))
+    # the degenerate pair is not closed; its witness is the reached point
+    assert reports[-1].witness_kind == "kn_point" and reports[-1].certified_in_extended_tube
+
+
+def test_stacked_saturation_probe_of_nothing_and_outside_the_tube():
+    assert saturation_probe_all(np.zeros((0, 2, 2, 2), dtype=complex)) == []
+    starts = np.stack([np.stack([iI, 2.0 * iI]), np.stack([iI, np.eye(2, dtype=complex)])])
+    with pytest.raises(ValueError, match="saturation probe starts from a tube point"):
+        saturation_probe_all(starts)

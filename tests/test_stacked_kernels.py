@@ -1,6 +1,6 @@
 """Stacked kernels equal their one-point calls exactly.
 
-phi, dphi and expm_traceless take a stack (m, ..., 2, 2) and return m
+phi, dphi, expm_traceless and orbit_fields take a stack (m, ..., 2, 2) and return m
 results; directional_derivative, levi_form and flow_monotonicity build
 their stencil or grid as such stacks and take fields f on stacks.  Every comparison here is
 `==` on the floats, not a tolerance: stacking only moves the loop from
@@ -90,6 +90,44 @@ def test_flow_pair_and_flow_point_on_an_array_of_times():
         assert np.array_equal(Ag[k], a) and np.array_equal(Bg[k], b)
         assert np.array_equal(points[k], A.flow_point(xi, tau, Z))
         assert np.array_equal(A.flow_point(xi, tau, Z[0]), points[k, 0])
+
+
+def _reference_orbit_fields(Z):
+    # the two products e_k Z and Z e_k^H that the constant field map replaces
+    Z = np.asarray(Z, dtype=complex)
+    return np.einsum("kab,...nbc->...knac", A.BASIS, Z) + np.einsum(
+        "...nab,kbc->...knac", Z, A.BASIS_DAG
+    )
+
+
+def _assert_bitwise_equal(a, b):
+    assert a.shape == b.shape and np.array_equal(a, b)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 32])
+def test_orbit_fields_equal_the_two_products_bit_for_bit(n):
+    Z = _points("stack-fields", n, 5)
+    F = A.orbit_fields(Z)
+    assert F.shape == (5, 6, n, 2, 2) and F.flags.c_contiguous
+    _assert_bitwise_equal(F, _reference_orbit_fields(Z))
+    for Y, FY in zip(Z, F):
+        one = A.orbit_fields(Y)
+        assert one.shape == (6, n, 2, 2) and one.flags.c_contiguous
+        _assert_bitwise_equal(one, _reference_orbit_fields(Y))
+        _assert_bitwise_equal(FY, one)
+
+
+def test_orbit_fields_keep_the_signs_of_zero():
+    # zero entries, negative zeros and real entries: every field entry that
+    # cancels or vanishes carries the sign the two products give it
+    Z = np.stack([1j * np.eye(2), np.array([[-0.0, 1.0], [0.0, -2.0j]]), np.zeros((2, 2))])
+    Z[2, 0, 1] = complex(-0.0, -0.0)
+    for Y in (Z, Z[None], np.stack([Z, -Z])):
+        F = A.orbit_fields(Y)
+        assert F.flags.c_contiguous
+        _assert_bitwise_equal(F, _reference_orbit_fields(Y))
 
 
 def test_directional_derivative_on_a_stack_of_directions():
