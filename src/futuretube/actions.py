@@ -27,16 +27,16 @@ __all__ = [
     "make_unimodular",
     "act_real",
     "act_complex",
-    "flow_pair",
     "flow_pairs",
     "flow_point",
     "real_vector_field",
     "apply_J",
-    "conjugation_action",
     "adjoint",
     "sample_sl2",
     "sample_su2",
     "sample_algebra",
+    "full_tangent_basis",
+    "orbit_fields",
     "damped_newton",
     "descend",
 ]
@@ -146,34 +146,29 @@ def act_complex(p, Z):
     return g @ np.asarray(Z, dtype=complex) @ h.swapaxes(-1, -2)
 
 
-def flow_pair(xi, tau):
-    """Group pair exp(tau * (xi, conj(xi))) for complex time tau.
+def flow_pairs(xi, tau):
+    """Group pair exp(tau * (xi, conj(xi))) for complex time tau, as one
+    array with the pair (A, B) on axis -3.
 
     Real tau gives the real one-parameter flow, tau = i t the transverse
-    flow along the complexified direction.  An array of times gives two
-    stacks of matrices with the shape of tau in front; so does a stack of
-    directions (m, 6) with one time each, tau of shape (m,).
+    flow along the complexified direction.  An array of times gives the
+    pairs with the shape of tau in front; so does a stack of directions
+    (m, 6) with one time each, tau of shape (m,).
     """
-    E = flow_pairs(xi, tau)
-    return E[..., 0, :, :], E[..., 1, :, :]
-
-
-def flow_pairs(xi, tau):
-    """flow_pair(xi, tau) as one array, the pair (A, B) on axis -3."""
     X = realize(xi)
     return expm_traceless(np.asarray(tau)[..., None, None, None] * np.stack([X, np.conj(X)], axis=-3))
 
 
 def flow_point(xi, tau, Z):
-    """Point moved by flow_pair(xi, tau).
+    """Point moved by flow_pairs(xi, tau).
 
     A 1-d array of m times gives the stack of the m moved points.
     """
     Z = np.asarray(Z, dtype=complex)
     # one axis per tuple axis of Z, so each pair acts on every component
     tau = np.reshape(tau, np.shape(tau) + (1,) * (Z.ndim - 2))
-    A, B = flow_pair(xi, tau)
-    return A @ Z @ np.swapaxes(B, -1, -2)
+    E = flow_pairs(xi, tau)
+    return E[..., 0, :, :] @ Z @ np.swapaxes(E[..., 1, :, :], -1, -2)
 
 
 def real_vector_field(xi, Z):
@@ -188,15 +183,11 @@ def apply_J(V):
     return 1j * np.asarray(V, dtype=complex)
 
 
-def conjugation_action(g, X):
-    """g X g^{-1} for unimodular g (inverse via adjugate)."""
-    g = np.asarray(g, dtype=complex)
-    return g @ np.asarray(X, dtype=complex) @ adj2(g)
-
-
 def adjoint(g, xi):
-    """Ad(g) xi expressed back in the fixed basis (exact linear algebra)."""
-    return coefficients(conjugation_action(g, realize(xi)))
+    """Ad(g) xi = g xi g^{-1} for unimodular g (inverse via adjugate),
+    expressed back in the fixed basis (exact linear algebra)."""
+    g = np.asarray(g, dtype=complex)
+    return coefficients(g @ realize(xi) @ adj2(g))
 
 
 def sample_sl2(rng):

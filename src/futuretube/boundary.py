@@ -1,4 +1,4 @@
-"""Boundary estimates: normal forms, pair transfer and sequence scans.
+"""Boundary estimates: normal forms and sequence scans.
 
 A tube matrix is brought to a balanced upper-triangular normal form by a
 special-unitary conjugation followed by a diag(r, 1/r) scaling, which is
@@ -17,7 +17,6 @@ from .geometry import (
     as_tuple_point,
     det2,
     det_im,
-    inv2,
     tube_membership,
 )
 from .actions import act_real, exp_algebra
@@ -32,23 +31,12 @@ __all__ = [
     "schur_unitary",
     "TriangularBounds",
     "triangular_bounds_check",
-    "PairTransferReport",
-    "pair_transfer",
     "ScanOptions",
     "ScanRecord",
     "ScanReport",
     "parse_sequence",
     "boundary_scan",
 ]
-
-
-def _ordered_eigenvalues(M):
-    t = M[0, 0] + M[1, 1]
-    d = det2(M)
-    s = np.sqrt(t * t - 4.0 * d + 0j)
-    lams = [(t - s) / 2.0, (t + s) / 2.0]
-    lams.sort(key=lambda z: (abs(z), z.real, z.imag))
-    return lams[0], lams[1]
 
 
 def schur_unitary(M):
@@ -59,7 +47,9 @@ def schur_unitary(M):
     positive, which pins u.
     """
     M = np.asarray(M, dtype=complex)
-    lam, _ = _ordered_eigenvalues(M)
+    t = M[0, 0] + M[1, 1]
+    s = np.sqrt(t * t - 4.0 * det2(M) + 0j)
+    lam = min((t - s) / 2.0, (t + s) / 2.0, key=lambda z: (abs(z), z.real, z.imag))
     B = M - lam * np.eye(2)
     r0, r1 = B[0, :], B[1, :]
     row = r0 if np.linalg.norm(r0) >= np.linalg.norm(r1) else r1
@@ -141,54 +131,6 @@ def triangular_bounds_check(X):
     )
 
 
-@dataclass
-class PairTransferReport:
-    X: np.ndarray
-    trace: complex
-    det: complex
-    eigenvalues: tuple
-    triangular_offdiag: complex
-    in_tube: bool
-    positivity_functional: float | None
-
-
-def pair_transfer(Z, W):
-    """Transfer a pair to X = Z W^{-1} and its conjugation invariants.
-
-    When Z is a tube matrix, also evaluates the positivity functional
-    Im(x a + z c) Im(y d) - |x b + z d - conj(y) conj(c)|^2 / 4 from the
-    entries of the triangularized X and the co-rotated W; it equals
-    det Im(u * Z) and is positive on the tube.
-    """
-    Z = np.asarray(Z, dtype=complex)
-    W = np.asarray(W, dtype=complex)
-    if abs(det2(W)) <= 1e-12:
-        raise ValueError("W is numerically singular")
-    X = Z @ inv2(W)
-    lam1, lam2 = _ordered_eigenvalues(X)
-    u, Xt = schur_unitary(X)
-    Wt = u @ W @ u.conj().T
-    in_tube = tube_membership(Z)
-    functional = None
-    if in_tube:
-        x, z, y = Xt[0, 0], Xt[0, 1], Xt[1, 1]
-        a, b = Wt[0, 0], Wt[0, 1]
-        c, d = Wt[1, 0], Wt[1, 1]
-        functional = float(
-            (x * a + z * c).imag * (y * d).imag
-            - 0.25 * abs(x * b + z * d - np.conj(y) * np.conj(c)) ** 2
-        )
-    return PairTransferReport(
-        X=X,
-        trace=complex(X[0, 0] + X[1, 1]),
-        det=complex(det2(X)),
-        eigenvalues=(complex(lam1), complex(lam2)),
-        triangular_offdiag=complex(Xt[0, 1]),
-        in_tube=in_tube,
-        positivity_functional=functional,
-    )
-
-
 # the threshold ladder of the weak-exhaustion verdict
 _THRESHOLDS = (10.0, 100.0, 1000.0)
 
@@ -253,12 +195,12 @@ def parse_sequence(doc):
         return out
     if kind == "curve":
         comps = doc.get("components")
-        count = doc.get("k_count")
-        start = doc.get("k_start", 1)
-        if not isinstance(comps, list) or not comps or not isinstance(count, int) or count < 1:
-            raise ValueError("curve sequence needs 'components' and integer 'k_count' >= 1")
-        if not isinstance(start, int) or start < 1:
-            raise ValueError("curve 'k_start' must be an integer >= 1")
+        if not isinstance(comps, list) or not comps:
+            raise ValueError("curve sequence needs a nonempty 'components' array")
+        count = serialize.integer("curve 'k_count'", doc.get("k_count"))
+        start = serialize.integer("curve 'k_start'", doc.get("k_start", 1))
+        if count < 1 or start < 1:
+            raise ValueError("curve 'k_count' and 'k_start' must be >= 1")
         parsed = []
         for comp in comps:
             if not isinstance(comp, dict) or not isinstance(comp.get("num"), list):
@@ -287,9 +229,9 @@ def parse_sequence(doc):
         if isinstance(times, dict):
             start_step = [times.get("start", 0.0), times.get("step", 1.0)]
             t0, dt = serialize.parse_reals(start_step, "translate 'start' and 'step'")
-            count = times.get("count")
-            if not isinstance(count, int) or count < 1:
-                raise ValueError("translate times need an integer 'count' >= 1")
+            count = serialize.integer("translate 'count'", times.get("count"))
+            if count < 1:
+                raise ValueError("translate 'count' must be >= 1")
             ts = [t0 + dt * i for i in range(count)]
         else:
             ts = serialize.parse_reals(times, "translate sequence 'times'")

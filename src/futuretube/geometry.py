@@ -21,7 +21,6 @@ __all__ = [
     "to_matrix",
     "from_matrix",
     "det2",
-    "inv2",
     "adj2",
     "hermitian_im",
     "det_im",
@@ -93,11 +92,6 @@ def adj2(M):
     out[..., 1, 0] = -M[..., 1, 0]
     out[..., 1, 1] = M[..., 0, 0]
     return out
-
-
-def inv2(M):
-    d = det2(M)
-    return adj2(M) / d[..., None, None]
 
 
 def _im_parts(Z):

@@ -22,7 +22,6 @@ from .geometry import (
     det2,
     hermitian_im,
     tube_mask,
-    tube_membership,
 )
 from .actions import (
     GroupPair,
@@ -44,7 +43,7 @@ from .psh import (
     orbit_derivatives,
     phi_in_tube,
 )
-from .quotient import gram_map, gram_rank
+from .quotient import gram_rank
 
 __all__ = [
     "ConvergenceError",
@@ -194,36 +193,18 @@ def orbit_minimize_all(Zs, opts=None):
     ]
 
 
-def big_psi(Z, opts=None, witness=None):
+def big_psi(Zs, opts=None):
     """Infimum of phi over the local orbit: the induced quotient function.
 
-    A point gives a float, a stack (m, N, 2, 2) the array of its m values
-    from one orbit_minimize_all call.  Raises ConvergenceError if some
-    reduction did not converge, and DomainError for a point outside the
-    tube unless the caller supplies, for one point, a tube witness on
-    the same fiber (checked through the Gram image).
+    The array of the m values of a stack (m, N, 2, 2), from one
+    orbit_minimize_all call.  Raises ConvergenceError if some reduction
+    did not converge, and DomainError if some point is outside the tube.
     """
-    Z = np.asarray(Z, dtype=complex)
-    stack = Z.ndim == 4
-    if witness is not None:
-        Z = as_tuple_point(Z)
-        witness = as_tuple_point(witness)
-        if not tube_membership(witness):
-            raise ValueError("witness must lie in the tube")
-        gz, gw = gram_map(Z), gram_map(witness)
-        if np.linalg.norm(gw - gz) > 1e-6 * (1.0 + np.linalg.norm(gz)):
-            raise ValueError("witness lies on a different fiber (Gram mismatch)")
-        Z = witness
-    elif not stack:
-        Z = as_tuple_point(Z)
-        if not tube_membership(Z):
-            raise DomainError("witness translate required for points outside the tube")
-    results = orbit_minimize_all(Z if stack else Z[None], opts)
+    results = orbit_minimize_all(Zs, opts)
     for r in results:
         if not r.converged:
             raise ConvergenceError(f"moment norm {r.moment_norm:.2e} after {r.iterations} iterations")
-    values = np.array([r.phi_min for r in results])
-    return values if stack else float(values[0])
+    return np.array([r.phi_min for r in results])
 
 
 @dataclass

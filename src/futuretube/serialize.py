@@ -2,15 +2,17 @@
 
 Complex scalars are two-element arrays [re, im]; matrices are row-major
 2x2 arrays of complex scalars; tuple points are arrays of matrices;
-algebra vectors are flat arrays of six reals.  Parsing rejects NaN and
-infinite entries with ValueError.  Reports serialize by
+algebra vectors are flat arrays of six reals.  A number is a finite int
+or float that is not a bool, an integer an int that is not a bool;
+parsing rejects anything else, NaN and infinite entries included, with
+ValueError.  Reports serialize by
 recursing through dataclasses with the same scalar rules.  Canonical
 bytes (sorted keys, no whitespace) back the determinism contract.
 """
 
 import dataclasses
 import json
-import math
+import sys
 
 import numpy as np
 
@@ -23,6 +25,8 @@ __all__ = [
     "parse_point",
     "parse_reals",
     "parse_algebra",
+    "number",
+    "integer",
     "jsonable",
     "canonical_dumps",
     "canonical_bytes",
@@ -35,7 +39,9 @@ def encode_complex(z):
 
 
 def _finite_real(c):
-    return isinstance(c, (int, float)) and math.isfinite(c)
+    # a bool is an int to Python but not a number in a document; the
+    # comparison is exact for an int, so one beyond the float range fails
+    return isinstance(c, (int, float)) and not isinstance(c, bool) and abs(c) <= sys.float_info.max
 
 
 def parse_complex(v):
@@ -99,6 +105,24 @@ def parse_algebra(doc):
     if not isinstance(doc, (list, tuple)) or len(doc) != 6:
         raise ValueError("algebra vector must be an array of six finite reals")
     return np.array(parse_reals(doc, "algebra vector"))
+
+
+def number(name, value):
+    """float(value) for a number; a ValueError naming the field otherwise."""
+    if not _finite_real(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def integer(name, value):
+    """int(value) for an integer value; a ValueError naming the field otherwise.
+
+    A bool, a fractional number or a float is refused rather than
+    truncated: a seed keys every stream, and the other integers are counts.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def jsonable(obj):

@@ -99,9 +99,9 @@ class ExperimentConfig:
         if not isinstance(self.suite, str) or self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
         entry = SUITES[self.suite]
-        _integer("seed", self.seed)
-        n = entry.default_n if self.n is None else _integer("n", self.n)
-        samples = entry.default_samples if self.samples is None else _integer("samples", self.samples)
+        serialize.integer("seed", self.seed)
+        n = entry.default_n if self.n is None else serialize.integer("n", self.n)
+        samples = entry.default_samples if self.samples is None else serialize.integer("samples", self.samples)
         if samples < 1:
             raise ValueError("samples must be >= 1")
         if n < 1:
@@ -113,29 +113,10 @@ class ExperimentConfig:
         for k, v in overrides.items():
             if k not in tol:
                 raise ValueError(f"unknown tolerance override {k!r} for suite {self.suite}")
-            tol[k] = _number(f"tolerance {k!r}", v)
+            tol[k] = serialize.number(f"tolerance {k!r}", v)
         if self.output_path is not None and not isinstance(self.output_path, (str, os.PathLike)):
             raise ValueError(f"output_path must be a path string, got {self.output_path!r}")
         return n, samples, tol
-
-
-def _integer(name, value):
-    """int(value) for an integer value; a ValueError naming the field otherwise.
-
-    A bool, a fractional number or a float is refused rather than
-    truncated: the seed keys every stream, and n and samples are counts.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _number(name, value):
-    """float(value), with a ValueError naming the field when that fails."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name} must be a number, got {value!r}") from exc
 
 
 @dataclass

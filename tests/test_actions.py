@@ -145,17 +145,16 @@ def test_apply_J():
 
 
 def test_conjugation_action():
-    X = np.array([[1j, 0.0], [1.0, 1j]])
+    # adjoint is the conjugation g xi g^-1 read back in the basis
     g = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    got = A.conjugation_action(g, X)
-    assert np.allclose(got, np.array([[1j, -1.0], [0.0, 1j]]))
+    assert np.allclose(A.adjoint(g, [0, 0, 1, 0, 0, 0]), [0, -1, 0, 0, 0, 0])  # e3 -> -e2
     for i in range(100):
         s = stream_for(2, "act-conj", i)
         g = A.sample_sl2(s)
-        X = s.matrix()
-        Y = A.conjugation_action(g, X)
-        assert abs(np.trace(Y) - np.trace(X)) <= 1e-10 * (1 + abs(np.trace(X)))
-        assert abs(G.det2(Y) - G.det2(X)) <= 1e-10 * (1 + abs(G.det2(X)))
+        xi = A.sample_algebra(s)
+        want = g @ A.realize(xi) @ np.linalg.inv(g)
+        got = A.realize(A.adjoint(g, xi))
+        assert np.max(np.abs(got - want)) <= 1e-10 * (1 + np.max(np.abs(want)))
 
 
 def test_adjoint_properties():

@@ -1,4 +1,4 @@
-"""Normal forms, pair transfer and boundary sequence scans."""
+"""Normal forms and boundary sequence scans."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from futuretube.boundary import (
     ScanOptions,
     boundary_scan,
     normal_form,
-    pair_transfer,
     parse_sequence,
     schur_unitary,
     triangular_bounds_check,
@@ -95,71 +94,6 @@ def test_triangular_bounds_on_normal_forms():
         X[1, 0] = 0.0
         rep = triangular_bounds_check(X)
         assert rep.strict_lower_ok and rep.det_upper_ok
-
-
-def test_pair_transfer_frozen():
-    rep = pair_transfer(2j * np.eye(2), iI)
-    assert np.allclose(rep.X, 2.0 * np.eye(2))
-    assert rep.trace == 4.0 and rep.det == 4.0
-    assert np.allclose(sorted([abs(e) for e in rep.eigenvalues]), [2.0, 2.0])
-    with pytest.raises(ValueError):
-        pair_transfer(iI, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-
-def test_pair_transfer_equivariance():
-    for i in range(200):
-        s = stream_for(6, "pt-equiv", i)
-        Z, W = s.matrix(), s.matrix()
-        if abs(G.det2(W)) < 1e-3:
-            continue
-        p = A.GroupPair.make(s.matrix() + 2 * np.eye(2), s.matrix() + 2 * np.eye(2))
-        ZW = A.act_complex(p, np.stack([Z, W]))
-        r0 = pair_transfer(Z, W)
-        r1 = pair_transfer(ZW[0], ZW[1])
-        assert abs(r0.trace - r1.trace) <= 1e-9 * (1 + abs(r0.trace))
-        assert abs(r0.det - r1.det) <= 1e-9 * (1 + abs(r0.det))
-        # conjugated X: int(g) X = g X g^{-1}
-        want = p.g @ r0.X @ np.linalg.inv(p.g)
-        assert np.max(np.abs(r1.X - want)) <= 1e-8 * (1 + np.max(np.abs(want)))
-
-
-def test_pair_transfer_positivity_functional():
-    for i in range(100):
-        s = stream_for(6, "pt-pos", i)
-        Z, W = G.sample_tube_matrix(s), G.sample_tube_matrix(s)
-        rep = pair_transfer(Z, W)
-        assert rep.in_tube
-        # the functional is det Im of a star-translate of Z, hence positive
-        if abs(rep.triangular_offdiag) > 1e-12:
-            assert rep.positivity_functional > 0
-        # identity: it equals det Im Z
-        assert abs(rep.positivity_functional - G.det_im(Z)) <= 1e-9 * (1 + G.det_im(Z))
-
-
-def test_pair_transfer_eigenvalue_bound():
-    # |lambda| <= |tr| + sqrt(|tr|^2 + |det|) along gram-convergent sequences
-    for i in range(50):
-        s = stream_for(6, "pt-eig", i)
-        Z, W = G.sample_tube_matrix(s), G.sample_tube_matrix(s)
-        rep = pair_transfer(Z, W)
-        bound = abs(rep.trace) + np.sqrt(abs(rep.trace) ** 2 + abs(rep.det))
-        assert max(abs(e) for e in rep.eigenvalues) <= bound + 1e-12
-
-
-def test_pair_transfer_bounded_along_gram_convergent_sequence():
-    # a translate sequence has constant Gram image; the transfer invariants
-    # are then constant and the eigenvalues stay inside the bound
-    s = stream_for(6, "pt-seq", 0)
-    Z, W = G.sample_tube_matrix(s), G.sample_tube_matrix(s)
-    base = pair_transfer(Z, W)
-    bound = abs(base.trace) + np.sqrt(abs(base.trace) ** 2 + abs(base.det))
-    for k in range(1, 12):
-        g = A.exp_algebra(np.array([1.0, 0, 0, 0, 0, 0]), 0.3 * k)
-        ZW = A.act_real(g, np.stack([Z, W]))
-        rep = pair_transfer(ZW[0], ZW[1])
-        assert abs(rep.trace - base.trace) <= 1e-8 * (1 + abs(base.trace))
-        assert abs(rep.det - base.det) <= 1e-8 * (1 + abs(base.det))
-        assert max(abs(e) for e in rep.eigenvalues) <= bound + 1e-9
 
 
 def test_schur_ordering_deterministic():

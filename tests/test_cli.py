@@ -201,6 +201,14 @@ _TRANSLATE = {
         ("run", {"suite": "flow-monotone", "seed": None}),
         ("run", {"suite": "flow-monotone", "n": [1]}),
         ("run", {"suite": ["flow-monotone"]}),
+        # a bool, a NaN string or an int beyond the float range is not a number
+        ("scan", {**_TRANSLATE, "times": {"count": True}}),
+        ("scan", {"type": "curve", "components": [{"num": [_ZERO, _EYE]}], "k_count": True, "k_start": True}),
+        ("scan", {"type": "curve", "components": [{"num": [_ZERO, _EYE]}], "k_count": 3, "k_start": True}),
+        ("phi", [[[0.0, True], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]),
+        ("phi", [[[0.0, 10**400], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]),
+        ("run", {"suite": "flow-monotone", "tolerances": {"slack": True}}),
+        ("run", {"suite": "flow-monotone", "tolerances": {"slack": "nan"}}),
     ],
 )
 def test_malformed_documents_are_usage_errors(tmp_path, capsys, command, doc):

@@ -121,27 +121,13 @@ def test_orbit_minimize_requires_tube_start():
 def test_big_psi():
     # scaling family: det = -1/k^2, fiber minimum k^2
     for k in (1, 2, 5):
-        assert abs(big_psi(iI / k) - k * k) <= 1e-6 * k * k
+        assert abs(big_psi(G.as_tuple_point(iI / k)[None])[0] - k * k) <= 1e-6 * k * k
     # psi <= phi on the tube
     s = stream_for(5, "psi", 0)
     Z = G.sample_tube_point(s, 2)
-    assert big_psi(Z) <= psh.phi(Z) + 1e-9
-    # witness path: translate outside the tube, witness inside
-    p = A.GroupPair.make(s.matrix() + 2 * np.eye(2), s.matrix() + 2 * np.eye(2))
-    Zout = A.act_complex(p, iI)
-    if G.tube_membership(Zout):
-        Zout = A.act_complex(p, Zout)  # push further if still inside
-    v = big_psi(Zout, witness=G.as_tuple_point(iI))
-    assert abs(v - 1.0) <= 1e-6
-
-
-def test_big_psi_witness_validation():
+    assert big_psi(Z[None])[0] <= psh.phi(Z) + 1e-9
     with pytest.raises(G.DomainError):
-        big_psi(np.eye(2, dtype=complex))  # outside, no witness
-    with pytest.raises(ValueError):
-        big_psi(iI, witness=np.eye(2, dtype=complex))  # witness not in tube
-    with pytest.raises(ValueError):
-        big_psi(2j * np.eye(2), witness=G.as_tuple_point(iI))  # wrong fiber
+        big_psi(G.as_tuple_point(np.eye(2, dtype=complex))[None])  # outside the tube
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -160,7 +146,7 @@ def test_stacked_big_psi_on_the_levi_identity_stencil_equals_the_one_point_calls
     d = len(probe.directions)
     ((Y, values),) = calls
     assert len(Y) == 1 + 4 * d + 8 * d * (d - 1)
-    assert values.tolist() == [big_psi(P, inner) for P in Y]
+    assert values.tolist() == [big_psi(P[None], inner)[0] for P in Y]
 
 
 def test_stacked_big_psi_raises_for_any_unconverged_or_outside_point():

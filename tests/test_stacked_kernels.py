@@ -82,12 +82,11 @@ def test_flow_pair_and_flow_point_on_an_array_of_times():
     xi = A.sample_algebra(s)
     Z = G.sample_tube_point(s, 3)
     taus = np.array([1j * t for t in (0.0, 0.1, 0.7)])
-    Ag, Bg = A.flow_pair(xi, taus)
+    E = A.flow_pairs(xi, taus)
     points = A.flow_point(xi, taus, Z)
-    assert points.shape == (3,) + Z.shape
+    assert E.shape == (3, 2, 2, 2) and points.shape == (3,) + Z.shape
     for k, tau in enumerate(taus.tolist()):
-        a, b = A.flow_pair(xi, tau)
-        assert np.array_equal(Ag[k], a) and np.array_equal(Bg[k], b)
+        assert np.array_equal(E[k], A.flow_pairs(xi, tau))
         assert np.array_equal(points[k], A.flow_point(xi, tau, Z))
         assert np.array_equal(A.flow_point(xi, tau, Z[0]), points[k, 0])
 
