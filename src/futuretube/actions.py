@@ -11,15 +11,12 @@ sl2(C) is handled as six real coordinates over the fixed ordered basis
 which pins the components of moment values across implementations.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import IDENTITY, as_tuple_point, det2, adj2
 
 __all__ = [
     "BASIS",
-    "GroupPair",
     "realize",
     "coefficients",
     "expm_traceless",
@@ -107,24 +104,6 @@ def make_unimodular(g):
     return g / np.sqrt(d)[..., None, None]
 
 
-@dataclass(frozen=True)
-class GroupPair:
-    """Element (g, h) of SL2 x SL2; factors are det-normalized on make().
-
-    g and h may also be stacks (m, 2, 2) of m elements."""
-
-    g: np.ndarray
-    h: np.ndarray
-
-    @classmethod
-    def make(cls, g, h):
-        return cls(make_unimodular(g), make_unimodular(h))
-
-    @classmethod
-    def identity(cls):
-        return cls(IDENTITY.copy(), IDENTITY.copy())
-
-
 def act_real(g, Z):
     """Real action g * Z = g Z conj(g)^t componentwise.
 
@@ -137,13 +116,11 @@ def act_real(g, Z):
 def act_complex(p, Z):
     """Complexified action (g, h) * Z = g Z h^t componentwise.
 
-    Stacks g and h broadcast against Z as in act_real."""
-    if isinstance(p, GroupPair):
-        g, h = p.g, p.h
-    else:
-        g, h = p
-    g, h = np.asarray(g, dtype=complex), np.asarray(h, dtype=complex)
-    return g @ np.asarray(Z, dtype=complex) @ h.swapaxes(-1, -2)
+    p is one array (..., 2, 2, 2) with the pair (g, h) on axis -3, as
+    flow_pairs gives it; a stack of pairs broadcasts against Z as g does
+    in act_real."""
+    p = np.asarray(p, dtype=complex)
+    return p[..., 0, :, :] @ np.asarray(Z, dtype=complex) @ p[..., 1, :, :].swapaxes(-1, -2)
 
 
 def flow_pairs(xi, tau):
@@ -303,8 +280,8 @@ def descend(Y, value, model, chart, objective, max_iters):
 
     Y is a stack (B, N, 2, 2) of starts and value the array of their B
     objective values; every sample takes its own steps.
-    model(live, Y, value, pair) gets the indices live of the samples still
-    descending with their points, values and the GroupPair of stacks
+    model(live, Y, value, pairs) gets the indices live of the samples still
+    descending with their points, values and the pairs (k, 2, 2, 2)
     carrying their starts there.  It is called at the start and after
     every move, so its last call on a sample describes that sample's
     returned point.  It returns a boolean array, True where a sample
@@ -319,9 +296,9 @@ def descend(Y, value, model, chart, objective, max_iters):
     For each sample, steps start at 1 and halve until
     objective(Yt) <= value + 1e-4 s deriv; a step below 1e-18 ends that
     sample's descent.  The pair is renormalized to det 1 after every
-    move.  Returns the final points, their values, the GroupPair of
-    stacks and the number of accepted moves of each sample.  A sample's
-    results do not depend on the other samples of the stack.
+    move.  Returns the final points, their values, their pairs
+    (B, 2, 2, 2) and the number of accepted moves of each sample.  A
+    sample's results do not depend on the other samples of the stack.
     """
     Y = np.array(Y, dtype=complex)
     value = np.array(value, dtype=float)
@@ -333,7 +310,7 @@ def descend(Y, value, model, chart, objective, max_iters):
     # value, pairs, its whenever some of them stop
     y, v, p, it = Y, value, pairs, its
     while live.size:
-        stop, direction = model(live, y, v, GroupPair(p[:, 0], p[:, 1]))
+        stop, direction = model(live, y, v, p)
         go = ~stop & (it < max_iters)
         if np.count_nonzero(go) < len(go):
             Y[live], value[live], pairs[live], its[live] = y, v, p, it
@@ -345,7 +322,7 @@ def descend(Y, value, model, chart, objective, max_iters):
         # every sample tries the step 1; those rejected halve theirs
         s = np.ones(len(live))
         E = chart(d, s)
-        Yt = act_complex((E[:, None, 0], E[:, None, 1]), y)
+        Yt = act_complex(E[:, None], y)
         vt = objective(Yt)
         ok = vt <= v + 1e-4 * s * deriv
         if np.count_nonzero(ok) == len(ok):
@@ -364,10 +341,10 @@ def descend(Y, value, model, chart, objective, max_iters):
             if not rows.size:
                 break
             E = chart(d[rows], s[rows])
-            Yt = act_complex((E[:, None, 0], E[:, None, 1]), y[rows])
+            Yt = act_complex(E[:, None], y[rows])
             vt = objective(Yt)
             ok = vt <= v[rows] + 1e-4 * s[rows] * deriv[rows]
         if np.count_nonzero(moved) < len(moved):
             Y[live], value[live], pairs[live], its[live] = y, v, p, it
             live, y, v, p, it = live[moved], y[moved], v[moved], p[moved], it[moved]
-    return Y, value, GroupPair(pairs[:, 0], pairs[:, 1]), its
+    return Y, value, pairs, its

@@ -17,7 +17,6 @@ of 1 and omega(1, i) = 4.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +33,6 @@ from .actions import orbit_fields, real_vector_field, apply_J, flow_point
 
 __all__ = [
     "StencilDomainError",
-    "DerivEstimate",
-    "LeviForm",
     "FlowReport",
     "phi",
     "dphi",
@@ -219,11 +216,6 @@ def orbit_derivatives(P):
     return _dphi(Pim[:, None], d[:, None], 1j * F), levi
 
 
-class DerivEstimate(NamedTuple):
-    value: np.ndarray
-    error: np.ndarray
-
-
 # matrices per call of f in levi_form: bounds a stencil's memory at large N
 _STACK_MATRICES = 2**14
 
@@ -234,8 +226,8 @@ def directional_derivative(f, Z, V):
 
     f maps a stack (k, N, 2, 2) of points to their k values, as phi does;
     the 4m difference points form one stack and take one call.  Returns
-    the arrays of the m values and of their errors, the Richardson
-    defects.  Domain errors from f propagate so callers can resample.
+    the array of the m values.  Domain errors from f propagate so callers
+    can resample.
     """
     Z = as_tuple_point(Z)
     V = np.asarray(V, dtype=complex)
@@ -248,7 +240,7 @@ def directional_derivative(f, Z, V):
     f1p, f1m, f2p, f2m = np.reshape(f(np.concatenate(points)), (4, -1))
     d1 = (f1p - f1m) / (2.0 * h)
     d2 = (f2p - f2m) / (2.0 * (h / 2.0))
-    return DerivEstimate((4.0 * d2 - d1) / 3.0, np.abs(d2 - d1) / 3.0)
+    return (4.0 * d2 - d1) / 3.0
 
 
 def moment_map(Z):
@@ -256,25 +248,13 @@ def moment_map(Z):
     return dphi(Z, 1j * orbit_fields(Z))
 
 
-@dataclass
-class LeviForm:
-    """Complex Hessian data over a probed subspace; Hermitian-symmetrized."""
-
-    d: int
-    entries: np.ndarray
-
-    def min_eigenvalue(self):
-        """The smallest eigenvalue; an array of them for stacked entries."""
-        w = np.linalg.eigvalsh(self.entries)[..., 0]
-        return float(w) if w.ndim == 0 else w
-
-
-def levi_form(f, Z, directions, h=1e-3):
-    """Levi form of a scalar field by complex finite differences.
+def levi_form(f, Z, directions):
+    """Levi form of a scalar field by complex finite differences: the
+    Hermitian-symmetrized (d, d) matrix over d directions.
 
     Entry (a, b) approximates the mixed second derivative of
     s, t -> f(Z + s B_a + t B_b) in s and conj(t), from evaluations at
-    steps {0, +-h, +-ih} in each complex variable.  f maps a stack
+    steps {0, +-h, +-ih}, h = 1e-3, in each complex variable.  f maps a stack
     (k, N, 2, 2) of points to their k values, as phi does.  The stencil
     has 1 + 4d + 16 d(d-1)/2 points for d directions: with T the zero
     step followed by the 4d steps +-hB_a, +-ihB_a, point k is
@@ -285,6 +265,7 @@ def levi_form(f, Z, directions, h=1e-3):
     Z = as_tuple_point(Z)
     B = np.asarray(directions, dtype=complex)
     d = B.shape[0]
+    h = 1e-3
     hB, ihB = h * B, h * (1j * B)
     steps = np.stack([hB, -hB, ihB, -ihB], axis=1).reshape((4 * d,) + Z.shape)
     T = np.concatenate([np.zeros_like(Z)[None], steps])
@@ -313,8 +294,7 @@ def levi_form(f, Z, directions, h=1e-3):
     # d^2/ds dconj(t) = (dxx + i dxy - i dyx + dyy)/4
     L[a, b] = (dxx + 1j * dxy - 1j * dyx + dyy) / 4.0
     L[b, a] = np.conj(L[a, b])
-    L = (L + L.conj().T) / 2.0
-    return LeviForm(d=d, entries=L)
+    return (L + L.conj().T) / 2.0
 
 
 def levi_form_phi(Z, directions):
@@ -325,8 +305,9 @@ def levi_form_phi(Z, directions):
 
         L(V, W) = sum_j 2 tr(adj P A) tr(adj P B) / p^3 - tr(adj A B) / p^2.
 
-    Matches the finite-difference stencil to the stated stencil tolerance.
-    A stack of points (s, N, 2, 2) gives entries (s, m, m), with the
+    Returns the Hermitian (m, m) matrix over m directions; it matches the
+    finite-difference stencil to the stated stencil tolerance.  A stack
+    of points (s, N, 2, 2) gives the matrices (s, m, m), with the
     directions shared (m, N, 2, 2) or per point (s, m, N, 2, 2); each
     matrix equals the one-point call.
     """
@@ -334,9 +315,7 @@ def levi_form_phi(Z, directions):
     if Z.ndim != 4:
         Z = as_tuple_point(Z)
     d = _positive_det_im(_det_im(Z))
-    V = np.asarray(directions, dtype=complex)
-    L = _levi(adj2(hermitian_im(Z)), d, V)
-    return LeviForm(d=V.shape[-4], entries=L)
+    return _levi(adj2(hermitian_im(Z)), d, np.asarray(directions, dtype=complex))
 
 
 def omega_eval(Z, V, W):
@@ -360,7 +339,7 @@ def omega_eval(Z, V, W):
     # D_V along J W, then D_W along J V, paired point by point, once for
     # each of the four difference points
     J = np.concatenate([apply_J(W), apply_J(V)] * 4)
-    d = directional_derivative(lambda P: dphi(P, J), Z, np.concatenate([V, W])).value
+    d = directional_derivative(lambda P: dphi(P, J), Z, np.concatenate([V, W]))
     values = -(d[: len(V)] - d[len(V):])
     return values if stack else values.item()
 

@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DomainError, as_tuple_point, det2, tube_mask, tube_membership, tube_margin
+from .geometry import IDENTITY, DomainError, as_tuple_point, det2, tube_mask, tube_membership, tube_margin
 from .actions import (
     BASIS,
-    GroupPair,
     _dots,
     act_complex,
     damped_newton,
@@ -25,7 +24,6 @@ from .actions import (
 __all__ = [
     "gram_map",
     "gram_rank",
-    "KempfNessOptions",
     "OrbitProbeReport",
     "kempf_ness_minimize",
     "kempf_ness_minimize_all",
@@ -67,17 +65,13 @@ _COLLAPSE_TOL = 1e-10
 # on collapsing orbits the gradient (~ 2F) crosses _GRAD_TOL first
 _COLLAPSE_GUARD = 1e-6
 _DIVERGENCE_BOUND = 1e3
-
-
-@dataclass
-class KempfNessOptions:
-    max_iters: int = 10000
+_MAX_ITERS = 10000
 
 
 @dataclass
 class OrbitProbeReport:
     achieved_norm_sq: float
-    minimizer: GroupPair
+    minimizer: np.ndarray  # the pair (g, h) as one (2, 2, 2) array
     converged: bool
     iterations: int
     gradient_norm: float
@@ -149,10 +143,10 @@ def _kn_chart(d, s):
     return expm_traceless(realize(s[:, None, None] * d.reshape(-1, 2, 6)))
 
 
-def kempf_ness_minimize(Z, opts=None):
+def kempf_ness_minimize(Z):
     """Minimize the squared Frobenius norm over the complexified orbit;
     the stack of one of kempf_ness_minimize_all, which documents it."""
-    return kempf_ness_minimize_all(as_tuple_point(Z)[None], opts)[0]
+    return kempf_ness_minimize_all(as_tuple_point(Z)[None])[0]
 
 
 # classifications as the model keeps them, named once at the end
@@ -160,7 +154,7 @@ _CLASSES = ("inconclusive", "closed", "non_closed")
 _INCONCLUSIVE, _CLOSED, _NON_CLOSED = range(3)
 
 
-def kempf_ness_minimize_all(Zs, opts=None):
+def kempf_ness_minimize_all(Zs):
     """kempf_ness_minimize of every start of a stack (B, N, 2, 2), in lockstep.
 
     Returns the list of B reports; each equals kempf_ness_minimize of its
@@ -186,10 +180,8 @@ def kempf_ness_minimize_all(Zs, opts=None):
     1e-10 relative to the start or the parameters leave the divergence
     bound 1e3 while still descending, else `inconclusive`.  A start of
     norm zero is its own closed orbit: `closed` after 0 iterations, it
-    never enters the descent.
+    never enters the descent.  The descent stops after _MAX_ITERS moves.
     """
-    if opts is None:
-        opts = KempfNessOptions()
     Z0 = np.asarray(Zs, dtype=complex)
     if Z0.ndim != 4 or Z0.shape[2:] != (2, 2):
         raise ValueError(f"expected a (B,N,2,2) stack of tuple points, got shape {Z0.shape}")
@@ -199,14 +191,14 @@ def kempf_ness_minimize_all(Zs, opts=None):
     gradient_norm = np.empty(len(run))
     kind = np.empty(len(run), dtype=int)
 
-    def model(live, Y, F, pair):
+    def model(live, Y, F, pairs):
         grad, H = _kn_gradient_hessian(Y)
         # np.linalg.norm of each row, bit for bit
         gn = gradient_norm[live] = np.sqrt(_dots(grad, grad))
         f0 = F0[live]
         collapsed = F <= _COLLAPSE_TOL * f0
         small = (gn <= _GRAD_TOL) & (F > _COLLAPSE_GUARD * f0)
-        factors = np.stack([pair.g, pair.h], axis=1).view(float).reshape(len(F), 2, 8)
+        factors = pairs.view(float).reshape(len(F), 2, 8)
         # objective is monotone along accepted moves, so this is escape
         far = _dots(factors, factors).max(axis=1) > _DIVERGENCE_BOUND**2
         # collapse decides first, then a small gradient (closed only at
@@ -224,14 +216,16 @@ def kempf_ness_minimize_all(Zs, opts=None):
 
         return collapsed | small | far, direction
 
-    _, F, pair, its = descend(Z0[run], F0, model, _kn_chart, _norm_sq, opts.max_iters)
+    _, F, pairs, its = descend(Z0[run], F0, model, _kn_chart, _norm_sq, _MAX_ITERS)
     # the budget ran out first: no stop rule applies to the last point
-    kind[its >= opts.max_iters] = _INCONCLUSIVE
-    reports = [OrbitProbeReport(0.0, GroupPair.identity(), True, 0, 0.0, "closed") for _ in Z0]
+    kind[its >= _MAX_ITERS] = _INCONCLUSIVE
+    minimizers = np.repeat(IDENTITY[None, None], len(Z0), axis=0).repeat(2, axis=1)
+    minimizers[run] = pairs
+    reports = [OrbitProbeReport(0.0, m, True, 0, 0.0, "closed") for m in minimizers]
     for k, b in enumerate(run):
         reports[b] = OrbitProbeReport(
             achieved_norm_sq=float(F[k]),
-            minimizer=GroupPair(pair.g[k], pair.h[k]),
+            minimizer=minimizers[b],
             converged=bool(kind[k] == _CLOSED),
             iterations=int(its[k]),
             gradient_norm=float(gradient_norm[k]),
@@ -281,7 +275,7 @@ def saturation_probe_all(Zs):
     if not tube_mask(Z).all():
         raise ValueError("saturation probe starts from a tube point")
     kn = kempf_ness_minimize_all(Z)
-    W = np.array([act_complex(r.minimizer, z) for r, z in zip(kn, Z)]).reshape(Z.shape)
+    W = act_complex(np.array([r.minimizer for r in kn]).reshape(-1, 1, 2, 2, 2), Z)
     inside = np.array([tube_margin(w) > 0.0 for w in W], dtype=bool)
     # the minimizer carries Z to W, so on a closed orbit its inverse carries W back to Z
     have = inside | np.array([r.classification == "closed" for r in kn], dtype=bool)

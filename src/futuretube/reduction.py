@@ -24,7 +24,6 @@ from .geometry import (
     tube_mask,
 )
 from .actions import (
-    GroupPair,
     _dots,
     act_real,
     apply_J,
@@ -47,7 +46,6 @@ from .quotient import gram_rank
 
 __all__ = [
     "ConvergenceError",
-    "ReduceOptions",
     "ReductionResult",
     "orbit_minimize",
     "orbit_minimize_all",
@@ -56,7 +54,6 @@ __all__ = [
     "lagrangian_check",
     "CriticalityReport",
     "critical_iff_moment_zero",
-    "SectionProbe",
     "section_probe",
     "SectionLeviReport",
     "section_levi_identity",
@@ -68,15 +65,9 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass
-class ReduceOptions:
-    moment_tol: float = 1e-8
-    max_iters: int = 2000
-
-
-@dataclass
 class ReductionResult:
     start: np.ndarray
-    minimizer: GroupPair
+    minimizer: np.ndarray  # the pair (g, h) as one (2, 2, 2) array
     reduced_point: np.ndarray
     phi_min: float
     moment_norm: float
@@ -87,6 +78,8 @@ class ReductionResult:
 # field matrices per orbit_derivatives call: bounds the memory of a model
 # evaluation on a large stack
 _FIELD_MATRICES = 2**9
+# moves per solve; a start still descending after them is unconverged
+_MAX_ITERS = 2000
 
 
 def _transverse_chart(xi, s):
@@ -110,19 +103,19 @@ def _gauge(Z):
     return (adj2(Q) + s[:, None, None] * IDENTITY) / np.sqrt(s * (trace + 2.0 * s))[:, None, None]
 
 
-def orbit_minimize(Z, opts=None):
+def orbit_minimize(Z, moment_tol=1e-8):
     """Minimize phi over the local complexified orbit of Z.
 
     The stack of one of orbit_minimize_all, which documents the method.
-    Converged means the moment norm fell below opts.moment_tol.
+    Converged means the moment norm fell below moment_tol.
     Non-convergence is reported through the flag, not raised: it signals
-    either an exhausted budget or a fiber whose infimum this probe did
-    not attain.
+    either an exhausted budget of _MAX_ITERS moves or a fiber whose
+    infimum this probe did not attain.
     """
-    return orbit_minimize_all(as_tuple_point(Z)[None], opts)[0]
+    return orbit_minimize_all(as_tuple_point(Z)[None], moment_tol)[0]
 
 
-def orbit_minimize_all(Zs, opts=None):
+def orbit_minimize_all(Zs, moment_tol=1e-8):
     """orbit_minimize of every start of a stack (B, N, 2, 2), in lockstep.
 
     Returns the list of B results; each equals orbit_minimize of its
@@ -130,7 +123,8 @@ def orbit_minimize_all(Zs, opts=None):
     group: g = det(P)^(1/4) P^(-1/2) with P = Im of its first component
     makes that Im scalar, so only SU(2) is left free along the real
     orbit, and the cost of a solve no longer depends on where its start
-    lies on that orbit.  g is folded into the returned minimizer.
+    lies on that orbit.  g is folded into the returned minimizer, the
+    pair (g, h) as one (2, 2, 2) array.
     Moves are then Z <- exp(i s xi) . Z, descending with
     actions.descend.  The moment value is the gradient of phi in the
     exp(i g) chart, and its derivative along the chart is the normal
@@ -141,8 +135,6 @@ def orbit_minimize_all(Zs, opts=None):
     the fields degenerate (point stabilizers).  Trial steps leaving the
     tube are rejected.
     """
-    if opts is None:
-        opts = ReduceOptions()
     Z0 = np.asarray(Zs, dtype=complex)
     if Z0.ndim != 4 or Z0.shape[2:] != (2, 2):
         raise ValueError(f"expected a (B,N,2,2) stack of tuple points, got shape {Z0.shape}")
@@ -153,7 +145,7 @@ def orbit_minimize_all(Zs, opts=None):
     moment_norm = np.zeros(len(Z0))
     size = max(1, _FIELD_MATRICES // (6 * Z0.shape[1]))
 
-    def model(live, P, value, pair):
+    def model(live, P, value, pairs):
         # a chunk of points at a time, so that only its fields are held;
         # the normal Hessian only where the descent goes on
         m = np.empty((len(P), 6))
@@ -163,7 +155,7 @@ def orbit_minimize_all(Zs, opts=None):
             rows = slice(k, k + size)
             m[rows], levi = orbit_derivatives(P[rows])
             mn[rows] = np.sqrt(_dots(m[rows], m[rows]))  # np.linalg.norm of each row, bit for bit
-            more = ~(mn[rows] <= opts.moment_tol)
+            more = ~(mn[rows] <= moment_tol)
             if more.any():
                 J[rows][more] = 4.0 * np.real(levi(more))
         moment_norm[live] = mn
@@ -171,36 +163,35 @@ def orbit_minimize_all(Zs, opts=None):
         def direction(sel):
             return damped_newton(m[sel], J[sel], 0.01 * mn[sel] + 1e-300)
 
-        return mn <= opts.moment_tol, direction
+        return mn <= moment_tol, direction
 
-    P, phi_min, pair, its = descend(
-        Y0, phi_in_tube(Y0), model, _transverse_chart, phi_in_tube, opts.max_iters
+    P, phi_min, pairs, its = descend(
+        Y0, phi_in_tube(Y0), model, _transverse_chart, phi_in_tube, _MAX_ITERS
     )
     # det g0 = 1 up to rounding, so the products stay unimodular
-    g = pair.g @ g0
-    h = pair.h @ np.conj(g0)
+    minimizers = pairs @ np.stack([g0, np.conj(g0)], axis=1)
     return [
         ReductionResult(
             start=Z0[b],
-            minimizer=GroupPair(g[b], h[b]),
+            minimizer=minimizers[b],
             reduced_point=P[b],
             phi_min=float(phi_min[b]),
             moment_norm=float(moment_norm[b]),
-            converged=bool(moment_norm[b] <= opts.moment_tol),
+            converged=bool(moment_norm[b] <= moment_tol),
             iterations=int(its[b]),
         )
         for b in range(len(Z0))
     ]
 
 
-def big_psi(Zs, opts=None):
+def big_psi(Zs, moment_tol=1e-8):
     """Infimum of phi over the local orbit: the induced quotient function.
 
     The array of the m values of a stack (m, N, 2, 2), from one
     orbit_minimize_all call.  Raises ConvergenceError if some reduction
     did not converge, and DomainError if some point is outside the tube.
     """
-    results = orbit_minimize_all(Zs, opts)
+    results = orbit_minimize_all(Zs, moment_tol)
     for r in results:
         if not r.converged:
             raise ConvergenceError(f"moment norm {r.moment_norm:.2e} after {r.iterations} iterations")
@@ -278,16 +269,10 @@ def critical_iff_moment_zero(Z):
     return CriticalityReport(moment_norm=mn, orbit_gradient_norm=gn, consistent=consistent)
 
 
-@dataclass
-class SectionProbe:
-    base: np.ndarray
-    directions: np.ndarray  # (d, N, 2, 2), metric-orthonormal, orthogonal to the orbit
-    radius: float
-
-
-def section_probe(base, radius=1e-3):
+def section_probe(base):
     """Metric-orthogonal complement of the complex orbit tangent at a
-    reduced point, orthonormalized in the Kaehler metric of phi.
+    reduced point, orthonormalized in the Kaehler metric of phi: a stack
+    (d, N, 2, 2) of directions.
 
     The metric Hermitian form is 4 x the Levi form (our omega convention
     gives omega(V, JV) = 4 <V, V>_Levi).  Orthogonality to the orbit makes
@@ -298,7 +283,7 @@ def section_probe(base, radius=1e-3):
     n = base.shape[0]
     full = full_tangent_basis(n)
     dim = 4 * n
-    L = levi_form_phi(base, full).entries
+    L = levi_form_phi(base, full)
     # in column-vector form the Levi pairing L(v, w) reads w^H conj(L) v,
     # so the metric matrix for flattened tangents is the conjugate
     M = 4.0 * np.conj(L)
@@ -327,8 +312,7 @@ def section_probe(base, radius=1e-3):
     onb_defect = float(np.max(np.abs(X.conj().T @ M @ X - np.eye(X.shape[1]))))
     if max(ortho_defect, onb_defect) > 1e-8:
         raise ValueError("section directions failed the orthonormality tolerance")
-    dirs = X.T.reshape(-1, n, 2, 2)
-    return SectionProbe(base=base, directions=dirs, radius=radius)
+    return X.T.reshape(-1, n, 2, 2)
 
 
 @dataclass
@@ -337,36 +321,26 @@ class SectionLeviReport:
     min_eigenvalue: float
     levi_min: np.ndarray
     levi_phi: np.ndarray
-    insufficient_stencil: bool
-    passed: bool | None
+    passed: bool
 
 
-def section_levi_identity(probe, dev_tol=1e-3, eig_tol=1e-6):
+def section_levi_identity(base, dev_tol=1e-3, eig_tol=1e-6):
     """Compare the Levi form of the fiberwise minimum with that of phi.
 
     The fiberwise minimum through the probe is evaluated by nested orbit
     minimization of each stencil chunk in lockstep (inner moment tolerance
     1e-10 keeps second-difference noise under the acceptance band).
     Passing means relative deviation <= dev_tol with minimum eigenvalue
-    >= -eig_tol.  A degenerate radius yields no verdict.
+    >= -eig_tol.  The section_probe directions are never empty: a tube
+    matrix has det != 0, so at n = 1 its complex orbit {det W = lambda}
+    leaves d = 1 of them, and at n >= 2, d >= 4n - 6.
     """
-    base = probe.base
     mn = float(np.linalg.norm(moment_map(base)))
     if mn > 1e-6:
         raise ValueError(f"probe base is not reduced (moment norm {mn:.2e})")
-    if probe.radius < 1e-8 or probe.directions.shape[0] == 0:
-        return SectionLeviReport(
-            deviation=float("nan"),
-            min_eigenvalue=float("nan"),
-            levi_min=np.zeros((0, 0)),
-            levi_phi=np.zeros((0, 0)),
-            insufficient_stencil=True,
-            passed=None,
-        )
-
-    inner = ReduceOptions(moment_tol=1e-10)
-    A = levi_form(lambda Y: big_psi(Y, inner), base, probe.directions, h=probe.radius).entries
-    B = levi_form_phi(base, probe.directions).entries
+    directions = section_probe(base)
+    A = levi_form(lambda Y: big_psi(Y, 1e-10), base, directions)
+    B = levi_form_phi(base, directions)
     deviation = float(np.linalg.norm(A - B) / np.linalg.norm(B))
     min_eig = float(np.linalg.eigvalsh((A + A.conj().T) / 2.0)[0])
     return SectionLeviReport(
@@ -374,6 +348,5 @@ def section_levi_identity(probe, dev_tol=1e-3, eig_tol=1e-6):
         min_eigenvalue=min_eig,
         levi_min=A,
         levi_phi=B,
-        insufficient_stencil=False,
         passed=bool(deviation <= dev_tol and min_eig >= -eig_tol),
     )

@@ -54,12 +54,10 @@ from .psh import (
 )
 from .quotient import gram_map, gram_rank, kempf_ness_minimize_all, saturation_probe_all
 from .reduction import (
-    ReduceOptions,
     critical_iff_moment_zero,
     lagrangian_check,
     orbit_minimize_all,
     section_levi_identity,
-    section_probe,
 )
 from .boundary import ScanOptions, boundary_scan, normal_form, triangular_bounds_check
 
@@ -114,8 +112,12 @@ class ExperimentConfig:
             if k not in tol:
                 raise ValueError(f"unknown tolerance override {k!r} for suite {self.suite}")
             tol[k] = serialize.number(f"tolerance {k!r}", v)
+            if tol[k] < 0.0:
+                raise ValueError(f"tolerance {k!r} must be >= 0, got {v!r}")
         if self.output_path is not None and not isinstance(self.output_path, (str, os.PathLike)):
             raise ValueError(f"output_path must be a path string, got {self.output_path!r}")
+        if self.output_path is not None and not os.fspath(self.output_path):
+            raise ValueError("output_path must not be empty")
         return n, samples, tol
 
 
@@ -242,15 +244,15 @@ def _psh_levi(i, x, rng, n, tol):
     (Z,) = x
     basis = full_tangent_basis(n)
     L = levi_form_phi(Z, basis)
-    mineig = L.min_eigenvalue()
+    mineig = np.linalg.eigvalsh(L)[0]
     g = sample_sl2(rng)
     phi_g, phi_0 = phi(np.stack([act_real(g, Z), Z])).tolist()
     inv_err = abs(phi_g - phi_0) / phi_0
     ok = mineig > 0.0 and inv_err <= tol["invariance"]
     st = None
     if i % 10 == 0:
-        Lst = levi_form(phi, Z, basis).entries
-        st = float(np.linalg.norm(L.entries - Lst) / np.linalg.norm(Lst))
+        Lst = levi_form(phi, Z, basis)
+        st = float(np.linalg.norm(L - Lst) / np.linalg.norm(Lst))
         ok = ok and st <= tol["stencil_match"]
     return {
         "min_eigenvalue": mineig,
@@ -268,7 +270,7 @@ def _moment_oracle(i, x, rng, n, tol):
     Z, A = x
     m = moment_map(Z)
     JF = apply_J(orbit_fields(Z))
-    fd = directional_derivative(phi, Z, JF).value
+    fd = directional_derivative(phi, Z, JF)
     worst = float(np.max(np.abs(m - fd) / (1.0 + np.abs(fd))))
     iP = np.stack([1j * (A @ A.conj().T + 0.2 * IDENTITY)])
     zero_norm = float(np.linalg.norm(moment_map(iP)))
@@ -308,9 +310,7 @@ def _reduce_stage(inputs, rngs, n, tol):
     # both starts of every sample, Z and a real translate g Z, in one solve
     (Z,) = inputs
     g = np.stack([sample_sl2(rng) for rng in rngs])
-    rs = orbit_minimize_all(
-        np.concatenate([Z, act_real(g[:, None], Z)]), ReduceOptions(moment_tol=tol["moment_tol"])
-    )
+    rs = orbit_minimize_all(np.concatenate([Z, act_real(g[:, None], Z)]), tol["moment_tol"])
     return list(zip(rs[: len(Z)], rs[len(Z) :]))
 
 
@@ -336,15 +336,13 @@ def _reduce_minimum(i, x, rng, n, tol):
 
 
 def _levi_record(index, n, base, tol):
-    rep = section_levi_identity(
-        section_probe(base), dev_tol=tol["deviation"], eig_tol=tol["min_eig"]
-    )
+    rep = section_levi_identity(base, dev_tol=tol["deviation"], eig_tol=tol["min_eig"])
     return {
         "index": index,
         "n": n,
         "deviation": rep.deviation,
         "min_eigenvalue": rep.min_eigenvalue,
-        "verdict": _verdict(bool(rep.passed)),
+        "verdict": _verdict(rep.passed),
     }
 
 
@@ -356,7 +354,7 @@ def _base_stage(inputs, rngs, n, tol):
     # every base point reduced in one solve; the tight tolerance keeps the
     # spurious sixth field direction well under lagrangian's rank tolerance
     (Z,) = inputs
-    return [(r,) for r in orbit_minimize_all(Z, ReduceOptions(moment_tol=1e-10))]
+    return [(r,) for r in orbit_minimize_all(Z, 1e-10)]
 
 
 def _levi_identity(i, x, rng, n, tol):

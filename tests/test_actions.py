@@ -70,14 +70,14 @@ def test_act_complex_group_law_and_embedding():
         s = stream_for(2, "act-cplx", i)
         Z = G.sample_tube_point(s, 2)
         g = A.sample_sl2(s)
-        p = A.GroupPair(g, np.conj(g))
+        p = np.stack([g, np.conj(g)])
         assert np.max(np.abs(A.act_complex(p, Z) - A.act_real(g, Z))) <= 1e-12 * (
             1 + np.max(np.abs(Z))
         )
-        p1 = A.GroupPair.make(s.matrix() + 2 * np.eye(2), s.matrix() + 2 * np.eye(2))
-        p2 = A.GroupPair.make(s.matrix() + 2 * np.eye(2), s.matrix() + 2 * np.eye(2))
+        p1 = A.make_unimodular(np.stack([s.matrix() + 2 * np.eye(2), s.matrix() + 2 * np.eye(2)]))
+        p2 = A.make_unimodular(np.stack([s.matrix() + 2 * np.eye(2), s.matrix() + 2 * np.eye(2)]))
         lhs = A.act_complex(p1, A.act_complex(p2, Z))
-        rhs = A.act_complex(A.GroupPair(p1.g @ p2.g, p1.h @ p2.h), Z)
+        rhs = A.act_complex(p1 @ p2, Z)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * (1 + np.max(np.abs(rhs)))
         assert np.max(np.abs(G.det2(A.act_complex(p1, Z)) - G.det2(Z))) <= 1e-9 * (
             1 + np.max(np.abs(G.det2(Z)))
@@ -91,12 +91,12 @@ def test_act_complex_on_stacked_pairs_equals_the_one_pair_calls():
     W = s.matrix()
     Zs = np.stack([G.sample_tube_point(s, 2) for _ in range(3)])
     # three pairs on one matrix, and pair i on point i of a stack
-    on_one = A.act_complex(A.GroupPair(g, h), W)
-    on_each = A.act_complex(A.GroupPair(g[:, None], h[:, None]), Zs)
+    on_one = A.act_complex(np.stack([g, h], axis=1), W)
+    on_each = A.act_complex(np.stack([g, h], axis=1)[:, None], Zs)
     assert on_one.shape == (3, 2, 2) and on_each.shape == (3, 2, 2, 2)
     for i in range(3):
-        assert np.array_equal(on_one[i], A.act_complex(A.GroupPair(g[i], h[i]), W))
-        assert np.array_equal(on_each[i], A.act_complex((g[i], h[i]), Zs[i]))
+        assert np.array_equal(on_one[i], A.act_complex(np.stack([g[i], h[i]]), W))
+        assert np.array_equal(on_each[i], A.act_complex(np.stack([g[i], h[i]]), Zs[i]))
 
 
 def test_real_vector_field_frozen_and_fd():
@@ -177,9 +177,9 @@ def test_adjoint_properties():
 
 def test_group_pair_normalization():
     s = stream_for(2, "act-pair", 0)
-    p = A.GroupPair.make(3.0 * s.matrix(), 0.2 * s.matrix())
-    assert abs(G.det2(p.g) - 1) < 1e-10
-    assert abs(G.det2(p.h) - 1) < 1e-10
+    p = A.make_unimodular(np.stack([3.0 * s.matrix(), 0.2 * s.matrix()]))
+    assert abs(G.det2(p[0]) - 1) < 1e-10
+    assert abs(G.det2(p[1]) - 1) < 1e-10
     with pytest.raises(ValueError):
         A.make_unimodular(np.zeros((2, 2)))
 

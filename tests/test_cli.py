@@ -134,13 +134,9 @@ def test_phi_of_huge_point_is_a_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 def test_reduce_exits_1_without_convergence(tmp_path, capsys, monkeypatch):
-    from futuretube import cli
-    from futuretube.reduction import ReduceOptions, orbit_minimize
+    from futuretube import reduction
 
-    def one_step(Z):
-        return orbit_minimize(Z, ReduceOptions(max_iters=1))
-
-    monkeypatch.setattr(cli, "orbit_minimize", one_step)
+    monkeypatch.setattr(reduction, "_MAX_ITERS", 1)
     p = write_json(tmp_path / "pt.json", serialize.matrix_to_json(np.array([[1j, 1.0], [0.0, 1j]])))
     assert cli_entry(["--json", "reduce", p]) == 1
     doc = json.loads(capsys.readouterr().out)
@@ -155,13 +151,9 @@ def test_moment_of_overflowing_point_is_a_usage_error(tmp_path, capsys):
 
 
 def test_unconverged_reductions_fail_their_records(tmp_path, capsys, monkeypatch):
-    from futuretube import suites
-    from futuretube.reduction import ReduceOptions, orbit_minimize_all
+    from futuretube import reduction
 
-    def capped(Zs, opts):
-        return orbit_minimize_all(Zs, ReduceOptions(moment_tol=opts.moment_tol, max_iters=1))
-
-    monkeypatch.setattr(suites, "orbit_minimize_all", capped)
+    monkeypatch.setattr(reduction, "_MAX_ITERS", 1)
     # levi-identity's first record is the fixed n=1 unit, which needs no reduction
     for suite, first, field in (("lagrangian", 0, "max_omega"), ("levi-identity", 1, "deviation")):
         p = write_json(tmp_path / f"{suite}.json", {"suite": suite, "samples": 2})
@@ -209,6 +201,9 @@ _TRANSLATE = {
         ("phi", [[[0.0, 10**400], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]),
         ("run", {"suite": "flow-monotone", "tolerances": {"slack": True}}),
         ("run", {"suite": "flow-monotone", "tolerances": {"slack": "nan"}}),
+        # a negative tolerance is out of range
+        ("run", {"suite": "coordinate-identities", "samples": 2, "tolerances": {"det_identity": -1}}),
+        ("run", {"suite": "flow-monotone", "samples": 2, "tolerances": {"slack": -1e-3}}),
     ],
 )
 def test_malformed_documents_are_usage_errors(tmp_path, capsys, command, doc):
@@ -249,3 +244,6 @@ def test_output_path_must_be_a_string_before_the_suite_runs(tmp_path, capsys, mo
         cfg = write_json(tmp_path / "cfg.json", {"suite": "flow-monotone", "output_path": path})
         assert cli_entry(["run", cfg]) == 2
         assert "output_path must be a path string" in capsys.readouterr().err
+    cfg = write_json(tmp_path / "cfg.json", {"suite": "flow-monotone", "output_path": ""})
+    assert cli_entry(["run", cfg]) == 2
+    assert "output_path must not be empty" in capsys.readouterr().err

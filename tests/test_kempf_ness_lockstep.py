@@ -6,8 +6,8 @@ stacked saturation probe against its one-start calls."""
 import numpy as np
 import pytest
 
+from futuretube import quotient
 from futuretube.quotient import (
-    KempfNessOptions,
     kempf_ness_minimize,
     kempf_ness_minimize_all,
     saturation_probe,
@@ -27,8 +27,7 @@ def kempf_ness_draws(seed, n):
 
 
 def assert_same_report(r, one):
-    assert np.array_equal(r.minimizer.g.view(float), one.minimizer.g.view(float))
-    assert np.array_equal(r.minimizer.h.view(float), one.minimizer.h.view(float))
+    assert np.array_equal(r.minimizer.view(float), one.minimizer.view(float))
     fields = ("achieved_norm_sq", "iterations", "gradient_norm", "classification", "converged")
     assert [getattr(r, f) for f in fields] == [getattr(one, f) for f in fields]
 
@@ -61,7 +60,7 @@ def test_zero_starts_are_closed_without_descent():
         r = reports[b]
         assert (r.classification, r.converged, r.iterations) == ("closed", True, 0)
         assert r.achieved_norm_sq == 0.0 and r.gradient_norm == 0.0
-        assert np.array_equal(r.minimizer.g, np.eye(2)) and np.array_equal(r.minimizer.h, np.eye(2))
+        assert np.array_equal(r.minimizer, np.stack([np.eye(2)] * 2))
     for Z, r in zip(starts, reports):
         assert_same_report(r, kempf_ness_minimize(Z))
     assert [r.classification for r in kempf_ness_minimize_all(np.zeros((2, 1, 2, 2)))] == [
@@ -71,13 +70,13 @@ def test_zero_starts_are_closed_without_descent():
     assert kempf_ness_minimize_all(np.zeros((0, 1, 2, 2))) == []
 
 
-def test_budget_of_one_iteration_is_inconclusive():
+def test_budget_of_one_iteration_is_inconclusive(monkeypatch):
     # the last start is already minimal: it stops at once, still closed
     starts = np.concatenate([kempf_ness_draws(7, 3)[:6], np.stack([iI] * 3)[None]])
-    opts = KempfNessOptions(max_iters=1)
-    reports = kempf_ness_minimize_all(starts, opts)
+    monkeypatch.setattr(quotient, "_MAX_ITERS", 1)
+    reports = kempf_ness_minimize_all(starts)
     for Z, r in zip(starts, reports):
-        assert_same_report(r, kempf_ness_minimize(Z, opts))
+        assert_same_report(r, kempf_ness_minimize(Z))
     for r in reports[:-1]:
         assert (r.classification, r.converged, r.iterations) == ("inconclusive", False, 1)
     assert (reports[-1].classification, reports[-1].iterations) == ("closed", 0)

@@ -6,7 +6,6 @@ import pytest
 from futuretube import actions as A
 from futuretube import geometry as G
 from futuretube.quotient import (
-    KempfNessOptions,
     gram_map,
     gram_rank,
     kempf_ness_minimize,
@@ -38,7 +37,7 @@ def test_gram_invariance():
     for i in range(300):
         s = stream_for(4, "gram-inv", i)
         Z = np.stack([s.matrix() for _ in range(2)])
-        p = A.GroupPair.make(s.matrix() + 2 * np.eye(2), s.matrix() + 2 * np.eye(2))
+        p = A.make_unimodular(np.stack([s.matrix() + 2 * np.eye(2), s.matrix() + 2 * np.eye(2)]))
         d = np.linalg.norm(gram_map(A.act_complex(p, Z)) - gram_map(Z))
         assert d <= 1e-9 * (1 + np.linalg.norm(gram_map(Z)))
 

@@ -5,10 +5,9 @@ import pytest
 
 from futuretube import actions as A
 from futuretube import geometry as G
-from futuretube import psh
+from futuretube import psh, reduction
 from futuretube.reduction import (
     ConvergenceError,
-    ReduceOptions,
     big_psi,
     critical_iff_moment_zero,
     lagrangian_check,
@@ -134,25 +133,26 @@ def test_big_psi():
 def test_stacked_big_psi_on_the_levi_identity_stencil_equals_the_one_point_calls(n):
     # the seed-7 levi-identity sample, reduced and probed as the suite does
     Z = G.sample_tube_point(stream_for(7, "levi-identity", 0), n)
-    inner = ReduceOptions(moment_tol=1e-10)
-    probe = section_probe(orbit_minimize(Z, inner).reduced_point)
+    base = orbit_minimize(Z, moment_tol=1e-10).reduced_point
+    directions = section_probe(base)
     calls = []
 
     def f(Y):
-        calls.append((Y, big_psi(Y, inner)))
+        calls.append((Y, big_psi(Y, 1e-10)))
         return calls[-1][1]
 
-    psh.levi_form(f, probe.base, probe.directions, h=probe.radius)
-    d = len(probe.directions)
+    psh.levi_form(f, base, directions)
+    d = len(directions)
     ((Y, values),) = calls
     assert len(Y) == 1 + 4 * d + 8 * d * (d - 1)
-    assert values.tolist() == [big_psi(P[None], inner)[0] for P in Y]
+    assert values.tolist() == [big_psi(P[None], 1e-10)[0] for P in Y]
 
 
-def test_stacked_big_psi_raises_for_any_unconverged_or_outside_point():
+def test_stacked_big_psi_raises_for_any_unconverged_or_outside_point(monkeypatch):
     Z = np.stack([G.sample_tube_point(stream_for(5, "psi-stack", i), 2) for i in range(3)])
-    with pytest.raises(ConvergenceError):
-        big_psi(Z, ReduceOptions(max_iters=1))
+    with monkeypatch.context() as m, pytest.raises(ConvergenceError):
+        m.setattr(reduction, "_MAX_ITERS", 1)
+        big_psi(Z)
     Z[1, 0] = 1j * np.diag([1.0, -1.0])
     with pytest.raises(G.DomainError):
         big_psi(Z)
@@ -160,7 +160,7 @@ def test_stacked_big_psi_raises_for_any_unconverged_or_outside_point():
     B = np.zeros((1, 1, 2, 2), dtype=complex)
     B[0, 0, 0, 0] = 1.0
     with pytest.raises(psh.StencilDomainError):
-        psh.levi_form(big_psi, G.as_tuple_point(1j * np.diag([1e-4, 1.0])), B, h=1e-3)
+        psh.levi_form(big_psi, G.as_tuple_point(1j * np.diag([1e-4, 1.0])), B)
 
 
 def test_empty_stacks_reduce_to_nothing():
@@ -179,11 +179,10 @@ def test_lagrangian_check_at_identity_base():
 
 
 def test_lagrangian_check_random_reduced():
-    opts = ReduceOptions(moment_tol=1e-10)
     for i in range(6):
         s = stream_for(5, "red-lag", i)
         Z = G.sample_tube_point(s, 2)
-        r = orbit_minimize(Z, opts)
+        r = orbit_minimize(Z, moment_tol=1e-10)
         rep = lagrangian_check(r)
         assert rep.passed
         # normal Hessian positive along live fields
@@ -212,18 +211,17 @@ def test_criticality_report():
 
     s = stream_for(5, "red-crit", 0)
     Z = G.sample_tube_point(s, 2)
-    r = orbit_minimize(Z, ReduceOptions(moment_tol=1e-9))
+    r = orbit_minimize(Z, moment_tol=1e-9)
     rep = critical_iff_moment_zero(r.reduced_point)
     assert rep.consistent and rep.moment_norm <= 1e-6
 
 
 def test_monotone_flow_uniqueness_at_reduced_points():
     # from a reduced point, mu_xi leaves zero exactly when the flow moves
-    opts = ReduceOptions(moment_tol=1e-10)
     for i in range(10):
         s = stream_for(5, "red-uniq", i)
         Z = G.sample_tube_point(s, 1 + (i % 2))
-        r = orbit_minimize(Z, opts)
+        r = orbit_minimize(Z, moment_tol=1e-10)
         xi = A.sample_algebra(s)
         xi /= np.linalg.norm(xi)
         rep = psh.flow_monotonicity(xi, r.reduced_point, t_max=0.2, steps=20)
@@ -233,22 +231,21 @@ def test_monotone_flow_uniqueness_at_reduced_points():
 
 
 def test_section_probe_orthogonality():
-    opts = ReduceOptions(moment_tol=1e-10)
     s = stream_for(5, "red-probe", 0)
     Z = G.sample_tube_point(s, 2)
-    r = orbit_minimize(Z, opts)
-    probe = section_probe(r.reduced_point)
+    r = orbit_minimize(Z, moment_tol=1e-10)
+    directions = section_probe(r.reduced_point)
     # complement dimension: 8 ambient minus 5 generic orbit directions
-    assert probe.directions.shape[0] == 3
-    L = psh.levi_form_phi(r.reduced_point, np.concatenate([A.orbit_fields(r.reduced_point), probe.directions]))
-    cross = L.entries[:6, 6:]
+    assert directions.shape[0] == 3
+    L = psh.levi_form_phi(r.reduced_point, np.concatenate([A.orbit_fields(r.reduced_point), directions]))
+    cross = L[:6, 6:]
     assert np.max(np.abs(cross)) <= 1e-8
-    onb = L.entries[6:, 6:]
+    onb = L[6:, 6:]
     assert np.max(np.abs(4.0 * onb - np.eye(3))) <= 1e-8
 
 
 def test_section_levi_identity_n1():
-    rep = section_levi_identity(section_probe(G.as_tuple_point(iI)))
+    rep = section_levi_identity(G.as_tuple_point(iI))
     assert rep.passed
     assert rep.deviation <= 1e-3
     assert rep.min_eigenvalue >= -1e-6
@@ -259,20 +256,16 @@ def test_section_levi_identity_n1():
 def test_section_levi_identity_n2():
     s = stream_for(5, "red-sec2", 0)
     Z = G.sample_tube_point(s, 2)
-    r = orbit_minimize(Z, ReduceOptions(moment_tol=1e-10))
-    rep = section_levi_identity(section_probe(r.reduced_point))
+    r = orbit_minimize(Z, moment_tol=1e-10)
+    rep = section_levi_identity(r.reduced_point)
     assert rep.passed
     assert rep.deviation <= 1e-3
     assert rep.min_eigenvalue >= -1e-6
 
 
 def test_section_levi_identity_guards():
-    probe = section_probe(G.as_tuple_point(iI), radius=1e-12)
-    rep = section_levi_identity(probe)
-    assert rep.insufficient_stencil and rep.passed is None
-
     s = stream_for(5, "red-guard", 0)
     Z = G.sample_tube_point(s, 2)  # not reduced
     if np.linalg.norm(psh.moment_map(Z)) > 1e-3:
         with pytest.raises(ValueError):
-            section_levi_identity(section_probe(Z))
+            section_levi_identity(Z)

@@ -4,10 +4,10 @@ aliasing) and realize against its tensordot reference."""
 import numpy as np
 
 from futuretube import geometry as G
-from futuretube import psh
+from futuretube import psh, quotient, reduction
 from futuretube.actions import BASIS, act_complex, descend, realize
-from futuretube.quotient import KempfNessOptions, kempf_ness_minimize
-from futuretube.reduction import ReduceOptions, orbit_minimize
+from futuretube.quotient import kempf_ness_minimize
+from futuretube.reduction import orbit_minimize
 from futuretube.rng import stream_for
 
 iI = 1j * np.eye(2)
@@ -19,17 +19,19 @@ def _unreduced_point():
     return Z
 
 
-def test_orbit_minimize_budget_reports_the_final_point():
-    r = orbit_minimize(_unreduced_point(), ReduceOptions(max_iters=1))
+def test_orbit_minimize_budget_reports_the_final_point(monkeypatch):
+    monkeypatch.setattr(reduction, "_MAX_ITERS", 1)
+    r = orbit_minimize(_unreduced_point())
     assert r.iterations == 1
     assert not r.converged
     assert r.moment_norm == float(np.linalg.norm(psh.moment_map(r.reduced_point)))
     assert r.phi_min == psh.phi(r.reduced_point)
 
 
-def test_kempf_ness_budget_is_inconclusive_at_the_final_point():
+def test_kempf_ness_budget_is_inconclusive_at_the_final_point(monkeypatch):
     W = np.stack([stream_for(3, "descent-edge-kn", 0).matrix() for _ in range(3)])
-    r = kempf_ness_minimize(W, KempfNessOptions(max_iters=1))
+    monkeypatch.setattr(quotient, "_MAX_ITERS", 1)
+    r = kempf_ness_minimize(W)
     assert r.iterations == 1
     assert r.classification == "inconclusive"
     assert not r.converged
@@ -41,11 +43,11 @@ def test_zero_iteration_minimizers_do_not_alias_identity():
     before = G.IDENTITY.copy()
     r = orbit_minimize(iI)
     assert r.iterations == 0
-    r.minimizer.g[0, 0] = 5.0
-    r.minimizer.h[1, 1] = 7.0
+    r.minimizer[0, 0, 0] = 5.0
+    r.minimizer[1, 1, 1] = 7.0
     k = kempf_ness_minimize(iI)
     assert k.iterations == 0 and k.classification == "closed"
-    k.minimizer.g[0, 1] = 3.0
+    k.minimizer[0, 0, 1] = 3.0
     assert np.array_equal(G.IDENTITY, before)
 
 
@@ -55,7 +57,7 @@ def test_descend_stops_when_no_trial_step_is_accepted():
     Y0 = np.stack([iI, 2 * iI])[:, None]
     calls = []
 
-    def model(live, Y, value, pair):
+    def model(live, Y, value, pairs):
         calls.append(live.tolist())
 
         def direction(sel):
@@ -71,15 +73,15 @@ def test_descend_stops_when_no_trial_step_is_accepted():
     def objective(Yt):
         return np.where(Yt[:, 0, 0, 0].imag > 2.0, 0.5, np.inf)
 
-    Y, value, pair, it = descend(Y0, np.ones(2), model, chart, objective, 10)
+    Y, value, pairs, it = descend(Y0, np.ones(2), model, chart, objective, 10)
     assert it[0] == 0 and value[0] == 1.0
     assert np.array_equal(Y[0], Y0[0]) and sum(0 in c for c in calls) == 1
-    assert np.array_equal(pair.g[0], np.eye(2)) and np.array_equal(pair.h[0], np.eye(2))
+    assert np.array_equal(pairs[0], np.stack([np.eye(2)] * 2))
     # start 1 ends as it does alone
     alone = descend(Y0[1:], np.ones(1), model, chart, objective, 10)
     assert it[1] == alone[3][0] == 1 and value[1] == alone[1][0] == 0.5
     assert np.array_equal(Y[1], alone[0][0])
-    assert np.array_equal(pair.g[1], alone[2].g[0]) and np.array_equal(pair.h[1], alone[2].h[0])
+    assert np.array_equal(pairs[1], alone[2][0])
 
 
 def test_realize_matches_tensordot_reference():
