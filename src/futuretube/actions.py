@@ -56,12 +56,14 @@ def realize(xi):
 
 
 def coefficients(X):
-    """Basis coordinates of a traceless complex 2x2 matrix (exact)."""
+    """Basis coordinates of a traceless complex 2x2 matrix (exact).
+
+    A stack (m, 2, 2) gives the m coordinate rows (m, 6)."""
     X = np.asarray(X, dtype=complex)
-    p = (X[0, 0] - X[1, 1]) / 2
-    q = X[0, 1]
-    r = X[1, 0]
-    return np.array([p.real, q.real, r.real, p.imag, q.imag, r.imag])
+    p = (X[..., 0, 0] - X[..., 1, 1]) / 2
+    q = X[..., 0, 1]
+    r = X[..., 1, 0]
+    return np.stack([p.real, q.real, r.real, p.imag, q.imag, r.imag], axis=-1)
 
 
 def expm_traceless(M):
@@ -149,10 +151,13 @@ def flow_point(xi, tau, Z):
 
 
 def real_vector_field(xi, Z):
-    """d/dt at 0 of act_real(exp(t xi), Z): xi Z + Z xi^H componentwise."""
-    X = realize(xi)
+    """d/dt at 0 of act_real(exp(t xi), Z): xi Z + Z xi^H componentwise.
+
+    A stack of directions (m, 6) with points (m, N, 2, 2) gives the field
+    of direction k at point k."""
+    X = realize(xi)[..., None, :, :]
     Z = np.asarray(Z, dtype=complex)
-    return X @ Z + Z @ X.conj().T
+    return X @ Z + Z @ X.conj().swapaxes(-1, -2)
 
 
 def apply_J(V):
@@ -162,7 +167,9 @@ def apply_J(V):
 
 def adjoint(g, xi):
     """Ad(g) xi = g xi g^{-1} for unimodular g (inverse via adjugate),
-    expressed back in the fixed basis (exact linear algebra)."""
+    expressed back in the fixed basis (exact linear algebra).
+
+    Stacks g (m, 2, 2) and xi (m, 6) give the m rows of Ad(g_k) xi_k."""
     g = np.asarray(g, dtype=complex)
     return coefficients(g @ realize(xi) @ adj2(g))
 

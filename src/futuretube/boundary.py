@@ -8,6 +8,7 @@ fiberwise minimum when the quotient image converges to the boundary, and
 boundedness of normalized representatives when the potential stays low.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,9 @@ from .geometry import (
     as_tuple_point,
     det2,
     det_im,
-    tube_membership,
+    tube_mask,
 )
-from .actions import act_real, exp_algebra
+from .actions import _dots, act_real, exp_algebra
 from .psh import phi
 from .quotient import gram_map
 from .reduction import orbit_minimize_all
@@ -39,63 +40,121 @@ __all__ = [
 ]
 
 
+# Stacked forms of scalar operations, rounded as numpy rounds the scalar
+# operation on one entry: an array's complex product may fuse a
+# multiply-add, and np.abs of a complex array may round differently from
+# the scalar abs, in the last bit.
+
+
+def _product(a, b):
+    # complex a b of arrays of one shape in real arithmetic, as numpy's
+    # scalar product rounds it
+    out = np.empty_like(a)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _modulus(z):
+    # |z| of each entry, as the scalar abs gives it
+    return np.hypot(z.real, z.imag)
+
+
+def _norm(x):
+    # np.linalg.norm of each complex row (..., k), bit for bit
+    return np.sqrt(_dots(x.real, x.real) + _dots(x.imag, x.imag))
+
+
 def schur_unitary(M):
     """Special-unitary u with u M u^{-1} upper triangular, deterministic.
 
     The eigenvalue of smaller magnitude lands at (1,1); ties break on
-    (Re, Im).  The eigenvector phase makes its largest component real
-    positive, which pins u.
+    (Re, Im), and equal keys keep (t - s)/2.  The eigenvector phase makes
+    its largest component real positive, which pins u.  A stack
+    (m, 2, 2) gives the stacks of the m unitaries and triangular forms,
+    each equal to the one-matrix call.
     """
     M = np.asarray(M, dtype=complex)
-    t = M[0, 0] + M[1, 1]
-    s = np.sqrt(t * t - 4.0 * det2(M) + 0j)
-    lam = min((t - s) / 2.0, (t + s) / 2.0, key=lambda z: (abs(z), z.real, z.imag))
-    B = M - lam * np.eye(2)
-    r0, r1 = B[0, :], B[1, :]
-    row = r0 if np.linalg.norm(r0) >= np.linalg.norm(r1) else r1
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if np.linalg.norm(row) <= 1e-14 * scale:
-        v = np.array([1.0 + 0j, 0.0 + 0j])  # M is (numerically) scalar
-    else:
-        v = np.array([-row[1], row[0]])
-        v = v / np.linalg.norm(v)
-    i = 0 if abs(v[0]) >= abs(v[1]) else 1
-    v = v * (np.conj(v[i]) / abs(v[i]))
-    U = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
-    u = U.conj().T
-    return u, u @ M @ U
+    one = M.ndim == 2
+    if one:
+        M = M[None]
+    t = M[..., 0, 0] + M[..., 1, 1]
+    # rounded as on one matrix, where t * t multiplies numpy scalars and
+    # det2 multiplies 0-d arrays, which take the array path
+    s = np.sqrt(_product(t, t) - 4.0 * det2(M) + 0j)
+    lo, hi = (t - s) / 2.0, (t + s) / 2.0
+    m_lo, m_hi = _modulus(lo), _modulus(hi)
+    # hi only when its key (abs, real, imag) is strictly the smaller
+    take_hi = (m_hi < m_lo) | (
+        (m_hi == m_lo) & ((hi.real < lo.real) | ((hi.real == lo.real) & (hi.imag < lo.imag)))
+    )
+    lam = np.where(take_hi, hi, lo)
+    B = M - lam[..., None, None] * np.eye(2)
+    n0, n1 = _norm(B[..., 0, :]), _norm(B[..., 1, :])
+    first = n0 >= n1
+    row = np.where(first[..., None], B[..., 0, :], B[..., 1, :])
+    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
+    scalar = np.where(first, n0, n1) <= 1e-14 * scale  # M is (numerically) scalar
+    v = np.stack([-row[..., 1], row[..., 0]], axis=-1)
+    v[scalar] = (1.0, 0.0)  # a unit vector, which the division keeps exactly
+    v = v / _norm(v)[..., None]
+    m0, m1 = _modulus(v[..., 0]), _modulus(v[..., 1])
+    big = m0 >= m1
+    v = v * (np.conj(np.where(big, v[..., 0], v[..., 1])) / np.where(big, m0, m1))[..., None]
+    U = np.empty_like(M)
+    U[..., 0, 0], U[..., 1, 0] = v[..., 0], v[..., 1]
+    U[..., 0, 1], U[..., 1, 1] = -np.conj(v[..., 1]), np.conj(v[..., 0])
+    u = U.conj().swapaxes(-1, -2)
+    X = u @ M @ U
+    return (u[0], X[0]) if one else (u, X)
+
+
+def _balancing(r):
+    # the diagonal matrices diag(r, 1/r) of an array of r
+    D = np.zeros(r.shape + (2, 2), dtype=complex)
+    D[..., 0, 0] = r
+    D[..., 1, 1] = 1.0 / r
+    return D
 
 
 @dataclass
 class NormalForm:
-    """Balanced triangular form X = D(r) (u W u^{-1}) D(r)."""
+    """Balanced triangular form X = D(r) (u W u^{-1}) D(r); the fields
+    of a stack of normal forms are stacks."""
 
     u: np.ndarray
     r: float
     X: np.ndarray
 
     def group_element(self):
-        return np.diag([self.r, 1.0 / self.r]).astype(complex) @ self.u
+        return _balancing(np.asarray(self.r)) @ self.u
 
 
 def normal_form(W):
-    """Normal form of a single tube matrix.
+    """Normal form of a tube matrix, or the normal forms of a stack
+    (m, 2, 2) of them, each equal to the one-matrix call.
 
     Triangularize by the deterministic Schur unitary, then balance the
     diagonal magnitudes with r^4 = |X22/X11|.  Inside the tube both
     diagonal entries are nonzero (det Im <= |det| keeps det away from 0),
     so the balancing is always defined, and the result stays in the tube.
+    DomainError unless every matrix lies in the tube.
     """
     W = np.asarray(W, dtype=complex)
-    if not tube_membership(W):
+    one = W.ndim == 2
+    if one:
+        W = W[None]
+    if not tube_mask(W[..., None, :, :]).all():
         raise DomainError("normal_form is defined on tube matrices")
     u, X1 = schur_unitary(W)
-    x, y = X1[0, 0], X1[1, 1]
-    if abs(x) < 1e-300 or abs(y) < 1e-300:
+    x, y = _modulus(X1[..., 0, 0]), _modulus(X1[..., 1, 1])
+    if (x < 1e-300).any() or (y < 1e-300).any():
         raise DomainError("degenerate diagonal, point is not in the tube")
-    r = float((abs(y) / abs(x)) ** 0.25)
-    D = np.diag([r, 1.0 / r]).astype(complex)
-    return NormalForm(u=u, r=r, X=D @ X1 @ D)
+    # math.pow rounds as the scalar power does; the array power may not
+    r = np.array([math.pow(q, 0.25) for q in (y / x).tolist()])
+    D = _balancing(r)
+    X = D @ X1 @ D
+    return NormalForm(u=u[0], r=float(r[0]), X=X[0]) if one else NormalForm(u=u, r=r, X=X)
 
 
 @dataclass
@@ -111,24 +170,28 @@ def triangular_bounds_check(X):
     """The two inequalities tying the off-diagonal to the diagonal.
 
     For upper-triangular X in the tube: |z|^2/4 < Im x Im y <= |x y|.
+    A stack (m, 2, 2) gives bounds whose fields are arrays of the m
+    values, each equal to the one-matrix call.  ValueError unless every
+    matrix is upper triangular, DomainError unless every one lies in the
+    tube.
     """
     X = np.asarray(X, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(X))))
-    if abs(X[1, 0]) > 1e-10 * scale:
+    one = X.ndim == 2
+    if one:
+        X = X[None]
+    scale = np.maximum(1.0, np.abs(X).max(axis=(-2, -1)))
+    if (_modulus(X[..., 1, 0]) > 1e-10 * scale).any():
         raise ValueError("input is not upper triangular")
-    if not tube_membership(X):
+    if not tube_mask(X[..., None, :, :]).all():
         raise DomainError("triangular_bounds_check is defined on tube matrices")
-    x, z, y = X[0, 0], X[0, 1], X[1, 1]
-    qz = 0.25 * abs(z) ** 2
+    x, z, y = X[..., 0, 0], X[..., 0, 1], X[..., 1, 1]
+    qz = 0.25 * _modulus(z) ** 2
     prod = x.imag * y.imag
-    ad = abs(x * y)
-    return TriangularBounds(
-        quarter_z_sq=qz,
-        im_diag_product=prod,
-        abs_det=ad,
-        strict_lower_ok=bool(qz < prod),
-        det_upper_ok=bool(prod <= ad),
-    )
+    ad = _modulus(_product(x, y))
+    fields = (qz, prod, ad, qz < prod, prod <= ad)
+    if one:
+        return TriangularBounds(*(f[0].item() for f in fields))
+    return TriangularBounds(*fields)
 
 
 # the threshold ladder of the weak-exhaustion verdict
@@ -251,8 +314,9 @@ def boundary_scan(seq, opts=None):
     Sequences triggering neither premise are reported without verdicts.
     The Gram tail settles within 1e-3 relative of the last image, and det
     Im drains when its last minimum is at most 1e-2 and half the first.
-    The points share one tuple size; the fiberwise minima of all in-tube
-    points come from one stacked orbit_minimize_all call.
+    The points share one tuple size.  Each per-point diagnostic (tube
+    test, Gram image, det Im, phi, normal form, fiberwise minimum) takes
+    one stacked call over all points, or over the points in the tube.
     """
     if opts is None:
         opts = ScanOptions()
@@ -264,42 +328,43 @@ def boundary_scan(seq, opts=None):
     if any(p.shape != points[0].shape for p in points):
         raise ValueError("all points must share the tuple size")
 
-    records = []
-    for i, Zk in enumerate(points):
-        ok = tube_membership(Zk)
-        rec = ScanRecord(
+    P = np.stack(points)
+    in_tube = tube_mask(P)
+    grams = gram_map(P)
+    dets = det_im(P)
+    raw_max = np.abs(P).max(axis=(1, 2, 3))
+    records = [
+        ScanRecord(
             index=i,
-            in_tube=ok,
+            in_tube=bool(in_tube[i]),
             phi=None,
             psi=None,
             psi_converged=False,
-            gram=gram_map(Zk),
-            det_im=det_im(Zk),
-            raw_max_entry=float(np.max(np.abs(Zk))),
+            gram=grams[i],
+            det_im=dets[i],
+            raw_max_entry=float(raw_max[i]),
             rep_max_entry=None,
             rep_min_det_im=None,
         )
-        if ok:
-            rec.phi = phi(Zk)
-            nf = normal_form(Zk[-1])
-            rep = act_real(nf.group_element(), Zk)
-            rec.rep_max_entry = float(np.max(np.abs(rep)))
-            rec.rep_min_det_im = float(np.min(det_im(rep)))
-        records.append(rec)
-
+        for i in range(len(points))
+    ]
     live = [r for r in records if r.in_tube]
     if live:
-        solved = orbit_minimize_all(np.stack([points[r.index] for r in live]))
-        for rec, rr in zip(live, solved):
-            rec.psi = rr.phi_min
-            rec.psi_converged = rr.converged
-    grams = [r.gram for r in records]
+        Q = P[in_tube]
+        rep = act_real(normal_form(Q[:, -1]).group_element()[:, None], Q)
+        phis = phi(Q).tolist()
+        rep_max = np.abs(rep).max(axis=(1, 2, 3)).tolist()
+        rep_min_det = det_im(rep).min(axis=1).tolist()
+        solved = orbit_minimize_all(Q)
+        for k, (rec, rr) in enumerate(zip(live, solved)):
+            rec.phi, rec.psi, rec.psi_converged = phis[k], rr.phi_min, rr.converged
+            rec.rep_max_entry, rec.rep_min_det_im = rep_max[k], rep_min_det[k]
     gN = grams[-1]
     tail = grams[-(len(grams) // 3 + 1):]
     gram_converged = all(
         np.linalg.norm(g - gN) <= 1e-3 * (1.0 + np.linalg.norm(gN)) for g in tail
     )
-    det_mins = [float(np.min(r.det_im)) for r in records]
+    det_mins = dets.min(axis=1).tolist()
     det_im_to_zero = det_mins[-1] <= 1e-2 and det_mins[-1] <= 0.5 * det_mins[0]
 
     psis = [r.psi for r in live if r.psi is not None]

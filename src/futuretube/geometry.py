@@ -45,36 +45,36 @@ IDENTITY = np.eye(2, dtype=complex)
 
 
 def lorentz_product(z, w):
-    """Complex-bilinear product z0*w0 - z1*w1 - z2*w2 - z3*w3."""
+    """Complex-bilinear product z0*w0 - z1*w1 - z2*w2 - z3*w3.
+
+    Stacks of four-vectors (..., 4) give the array of their products; one
+    pair gives a complex."""
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    return complex(z[0] * w[0] - z[1] * w[1] - z[2] * w[2] - z[3] * w[3])
+    p = z[..., 0] * w[..., 0] - z[..., 1] * w[..., 1]
+    p = p - z[..., 2] * w[..., 2] - z[..., 3] * w[..., 3]
+    return p if p.ndim else complex(p)
 
 
 def to_matrix(z):
-    """Matrix coordinates of a four-vector; det(to_matrix(z)) = <z, z>."""
+    """Matrix coordinates of a four-vector; det(to_matrix(z)) = <z, z>.
+
+    A stack (..., 4) gives the matrices (..., 2, 2)."""
     z = np.asarray(z, dtype=complex)
-    return np.array(
-        [
-            [z[0] + z[3], z[1] - 1j * z[2]],
-            [z[1] + 1j * z[2], z[0] - z[3]],
-        ]
-    )
+    Z = np.empty(z.shape[:-1] + (2, 2), dtype=complex)
+    Z[..., 0, 0] = z[..., 0] + z[..., 3]
+    Z[..., 0, 1] = z[..., 1] - 1j * z[..., 2]
+    Z[..., 1, 0] = z[..., 1] + 1j * z[..., 2]
+    Z[..., 1, 1] = z[..., 0] - z[..., 3]
+    return Z
 
 
 def from_matrix(Z):
-    """Inverse of to_matrix."""
+    """Inverse of to_matrix; a stack (..., 2, 2) gives the four-vectors (..., 4)."""
     Z = np.asarray(Z, dtype=complex)
-    x, y = Z[0, 0], Z[0, 1]
-    w, v = Z[1, 0], Z[1, 1]
-    return np.array(
-        [
-            (x + v) / 2,
-            (y + w) / 2,
-            (w - y) / (2j),
-            (x - v) / 2,
-        ]
-    )
+    x, y = Z[..., 0, 0], Z[..., 0, 1]
+    w, v = Z[..., 1, 0], Z[..., 1, 1]
+    return np.stack([(x + v) / 2, (y + w) / 2, (w - y) / (2j), (x - v) / 2], axis=-1)
 
 
 def det2(M):

@@ -27,9 +27,8 @@ from .geometry import (
     det_im,
     hermitian_im,
     tube_mask,
-    tube_membership,
 )
-from .actions import orbit_fields, real_vector_field, apply_J, flow_point
+from .actions import _dots, act_complex, apply_J, flow_pairs, orbit_fields, real_vector_field
 
 __all__ = [
     "StencilDomainError",
@@ -226,26 +225,37 @@ def directional_derivative(f, Z, V):
 
     f maps a stack (k, N, 2, 2) of points to their k values, as phi does;
     the 4m difference points form one stack and take one call.  Returns
-    the array of the m values.  Domain errors from f propagate so callers
-    can resample.
+    the array of the m values.  A stack of points (s, N, 2, 2) with
+    directions (s, m, N, 2, 2) gives the values (s, m) from one call of f
+    on all 4sm points, row k equal to the one-point call at point k.
+    Domain errors from f propagate so callers can resample.
     """
-    Z = as_tuple_point(Z)
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim != 4:
+        Z = as_tuple_point(Z)
     V = np.asarray(V, dtype=complex)
-    if V.ndim != 4:
-        raise ValueError(f"expected a (m,N,2,2) stack of directions, got shape {V.shape}")
+    if V.ndim != Z.ndim + 1:
+        raise ValueError(f"expected a (m,N,2,2) stack of directions per point, got shape {V.shape}")
     h = 1e-4
-    points = []
-    for hh in (h, h / 2.0):
-        points += [Z + hh * V, Z - hh * V]
-    f1p, f1m, f2p, f2m = np.reshape(f(np.concatenate(points)), (4, -1))
+    Z = Z[..., None, :, :, :]
+    points = np.stack([Z + h * V, Z - h * V, Z + h / 2.0 * V, Z - h / 2.0 * V])
+    values = np.reshape(f(points.reshape((-1,) + V.shape[-3:])), (4,) + V.shape[:-3])
+    f1p, f1m, f2p, f2m = values
     d1 = (f1p - f1m) / (2.0 * h)
     d2 = (f2p - f2m) / (2.0 * (h / 2.0))
     return (4.0 * d2 - d1) / 3.0
 
 
 def moment_map(Z):
-    """Six moment components <mu(Z), e_k> over the fixed basis."""
-    return dphi(Z, 1j * orbit_fields(Z))
+    """Six moment components <mu(Z), e_k> over the fixed basis.
+
+    A stack of points (m, N, 2, 2) gives the moments (m, 6), each row
+    equal to the one-point call."""
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim != 4:
+        Z = as_tuple_point(Z)
+    d = _positive_det_im(_det_im(Z))
+    return _dphi(hermitian_im(Z)[..., None, :, :, :], d[..., None, :], 1j * orbit_fields(Z))
 
 
 def levi_form(f, Z, directions):
@@ -361,46 +371,65 @@ def flow_monotonicity(xi, Z, t_max, steps, slack=1e-9):
 
     Truncates (and records where) at the first grid point that leaves the
     tube; truncation is reported, never raised.  Strictness is required
-    only across steps that move the point by more than 1e-9.  All
-    steps + 1 flow points are built as one stack (m, N, 2, 2), tested
-    with one tube_mask and evaluated with one dphi call; each value equals
-    that of the one-point call.  Grid points past the truncation may
-    overflow; they are built without warnings and never evaluated.
+    only across steps that move the point by more than 1e-9.  Stacks of
+    directions xi (s, 6) and points Z (s, N, 2, 2) give the list of the s
+    reports, flow k moving point k along direction k; one direction and
+    one point give their report.  All s (steps + 1) flow points are built
+    as one stack, tested with one tube_mask, and the kept ones evaluated
+    with one dphi call; each report equals that of the stack of one.
+    Grid points past a truncation may overflow; they are built without
+    warnings and never evaluated.  DomainError unless every start lies in
+    the tube.
     """
-    Z = as_tuple_point(Z)
-    if not tube_membership(Z):
-        raise DomainError("flow must start inside the tube")
+    Z = np.asarray(Z, dtype=complex)
     xi = np.asarray(xi, dtype=float)
+    stack = Z.ndim == 4
+    if not stack:
+        Z, xi = as_tuple_point(Z)[None], xi[None]
+    if not tube_mask(Z).all():
+        raise DomainError("flow must start inside the tube")
     if steps <= 0 or t_max == 0.0:
         ts = [0.0]
     else:
         ts = [t_max * i / steps for i in range(steps + 1)]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        points = flow_point(xi, 1j * np.array(ts), Z)
+        # one pair per flow and time, acting on every component
+        pairs = flow_pairs(xi[:, None, None], 1j * np.array(ts)[:, None])
+        points = act_complex(pairs, Z[:, None])
         inside = tube_mask(points)
-    truncated_at = None if inside.all() else int(np.argmin(inside))
-    points = points[:truncated_at]
-    kept_ts = ts[:truncated_at]
-    # points[0] is Z itself, so at least one value is kept
-    values = dphi(points, apply_J(real_vector_field(xi, points))).tolist()
-    displacements = [0.0] + [
-        float(np.linalg.norm(points[i] - points[i - 1])) for i in range(1, len(points))
-    ]
+    # each flow keeps its points before its first exit; points[k, 0] is
+    # Z[k] itself, so at least one value is kept.  Only the kept points
+    # stay alive.
+    keep = np.logical_and.accumulate(inside, axis=1)
+    kept = keep.sum(axis=1)
+    owner = np.repeat(np.arange(len(Z)), kept)
+    pairs = None
+    points = points[keep]
+    # the steps between consecutive kept points and their norms, each as
+    # np.linalg.norm takes it, bit for bit; a step across two flows is
+    # computed but belongs to neither
+    D = (points[1:] - points[:-1]).reshape(len(points) - 1, 4 * Z.shape[-3])
+    displacements = np.sqrt(_dots(D.real, D.real) + _dots(D.imag, D.imag))
+    D = None
+    values = dphi(points, apply_J(real_vector_field(xi[owner], points)))
+    within = owner[1:] == owner[:-1]
+    falls = within & ~(values[1:] >= values[:-1] - slack)
+    flat = within & (displacements > 1e-9) & ~(values[1:] > values[:-1])
+    nondecreasing = np.bincount(owner[1:][falls], minlength=len(Z)) == 0
+    strict = np.bincount(owner[1:][flat], minlength=len(Z)) == 0
 
-    nondecreasing = all(
-        values[i + 1] >= values[i] - slack for i in range(len(values) - 1)
-    )
-    strict = all(
-        values[i + 1] > values[i]
-        for i in range(len(values) - 1)
-        if displacements[i + 1] > 1e-9
-    )
-    return FlowReport(
-        ts=kept_ts,
-        values=values,
-        displacements=displacements,
-        truncated_at=truncated_at,
-        nondecreasing=nondecreasing,
-        strict_when_moving=strict,
-    )
+    reports = []
+    ends = np.cumsum(kept).tolist()
+    for k, (a, b) in enumerate(zip([0] + ends[:-1], ends)):
+        reports.append(
+            FlowReport(
+                ts=ts[: b - a],
+                values=values[a:b].tolist(),
+                displacements=[0.0] + displacements[a : b - 1].tolist(),
+                truncated_at=None if b - a == len(ts) else b - a,
+                nondecreasing=bool(nondecreasing[k]),
+                strict_when_moving=bool(strict[k]),
+            )
+        )
+    return reports if stack else reports[0]

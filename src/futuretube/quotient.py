@@ -38,17 +38,20 @@ def gram_map(Z):
 
     Diagonal entries are exactly det Z^j by polarization; the whole matrix
     is invariant under the complexified action.  Raises DomainError when
-    a product overflows.
+    a product overflows.  A stack of points (m, N, 2, 2) gives the m
+    matrices (m, N, N), each equal to the one-point call.
     """
-    Z = as_tuple_point(Z)
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim != 4:
+        Z = as_tuple_point(Z)
     with np.errstate(over="ignore", invalid="ignore"):
         d = det2(Z)
-        pair = det2(Z[:, None, :, :] + Z[None, :, :, :])
-        Gm = (pair - d[:, None] - d[None, :]) / 2.0
+        pair = det2(Z[..., :, None, :, :] + Z[..., None, :, :, :])
+        Gm = (pair - d[..., :, None] - d[..., None, :]) / 2.0
     if not np.isfinite(Gm).all():
         raise DomainError("Lorentz products overflow: the point is too large for the Gram map")
     # float addition order breaks exact symmetry; mirror the upper triangle
-    return np.triu(Gm) + np.triu(Gm, 1).T
+    return np.triu(Gm) + np.swapaxes(np.triu(Gm, 1), -1, -2)
 
 
 def gram_rank(Gm, tol=1e-8):

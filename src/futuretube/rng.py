@@ -233,17 +233,18 @@ class RowStream(Stream):
 
 
 class Block(_Normals):
-    """normal_block(seed, label, count, k), read column by column.
+    """normal_block(seed, label, count, k, start), read column by column.
 
     normals(m) gives the next m normals of every sample as a (count, m)
     array, so a sampler written for one stream draws all samples at once,
-    stacked along a leading axis.  row(i) is the RowStream of sample i
-    from the current column on.
+    stacked along a leading axis.  row(i) is the RowStream of the i-th
+    sample, stream index start + i, from the current column on.
     """
 
-    def __init__(self, seed, label, count, k):
+    def __init__(self, seed, label, count, k, start=0):
         self._key = (seed, label)
-        self._normals = normal_block(seed, label, count, k)
+        self._start = start
+        self._normals = normal_block(seed, label, count, k, start)
         self._pos = 0
 
     def normals(self, m):
@@ -253,4 +254,4 @@ class Block(_Normals):
         return self._normals[:, self._pos - m : self._pos].copy()
 
     def row(self, i):
-        return RowStream(self._normals[i], *self._key, i, self._pos)
+        return RowStream(self._normals[i], *self._key, self._start + i, self._pos)

@@ -3,14 +3,14 @@
 Every suite draws each sample from its own stream keyed by
 (seed, suite name, sample index), so records are independent of
 evaluation order and a fixed config reproduces a byte-identical report
-body (wall time excluded).  A per-sample suite draws the normals of all
-its samples first, as one block, may solve for all of them in one
-stacked call, and then checks the samples one by one.
+body (wall time excluded).  A per-sample suite takes its samples in
+chunks: it draws the normals of a chunk's samples as one block, stages
+them, doing all their numerical work in one stacked call per kernel,
+and then formats their records one by one.
 The registry is closed; adding a suite is a code change recorded in the
 artifact version.
 """
 
-import itertools
 import json
 import os
 import time
@@ -33,6 +33,7 @@ from .geometry import (
     to_matrix,
 )
 from .actions import (
+    _dots,
     act_real,
     adj2,
     adjoint,
@@ -116,8 +117,14 @@ class ExperimentConfig:
                 raise ValueError(f"tolerance {k!r} must be >= 0, got {v!r}")
         if self.output_path is not None and not isinstance(self.output_path, (str, os.PathLike)):
             raise ValueError(f"output_path must be a path string, got {self.output_path!r}")
-        if self.output_path is not None and not os.fspath(self.output_path):
-            raise ValueError("output_path must not be empty")
+        if self.output_path is not None:
+            if not os.fspath(self.output_path):
+                raise ValueError("output_path must not be empty")
+            # checked here, so that a report that cannot be written fails
+            # before its suite runs, not after
+            folder = os.path.dirname(os.fspath(self.output_path)) or os.curdir
+            if not os.path.isdir(folder):
+                raise ValueError(f"output_path directory {folder!r} does not exist")
         return n, samples, tol
 
 
@@ -159,56 +166,61 @@ def _verdict(ok):
     return "pass" if ok else "fail"
 
 
+# samples staged and recorded at a time; at least every solver suite's
+# default sample count, so that those take one stage call
+_CHUNK = 32
+
+
 @dataclass(frozen=True)
 class _EachSample:
     """Runner of a suite whose records are one per sample.
 
     This is the one loop over samples and the one place that keys
     streams: sample i reads the first draws(n) normals of
-    stream_for(seed, name, i), all drawn first as one Block.
-    draw(rng, n) returns the tuple of inputs that need no rejection
-    sampling, read in stream order; on the Block it gives them for every
-    sample at once, stacked along a leading axis.  stage(inputs, rngs,
-    n, tol), when given, runs once between the draws and the records: it
-    gets the stacked inputs and every sample's RowStream, which goes on
-    where draw stopped, makes each sample's remaining reads and its
-    solves for all samples in one stacked call, and returns one tuple per
-    sample, appended to that sample's inputs.  record(i, x, rng, n, tol)
-    gets sample i's inputs x and its RowStream and returns the record.
-    On one scalar stream, check(i, x, rng, n, tol) runs draw's inputs
-    through the stage of one sample and the record, and reads the same
-    normals in the same order.  The record gets "index": i unless it
-    carries its own index.  units(tol), when given, returns fixed records
-    placed first.
+    stream_for(seed, name, i).  The samples go through in chunks of at
+    most _CHUNK, and each chunk in three steps: its normals are drawn as
+    one Block, its samples are staged, then recorded.  draw(rng, n)
+    returns the tuple of inputs that need no rejection sampling, read in
+    stream order; on the Block it gives them for every sample of the
+    chunk at once, stacked along a leading axis.  stage(index, inputs,
+    rngs, n, tol) gets the range index of the chunk's sample indices,
+    their stacked inputs and their RowStreams, which go on where draw
+    stopped; it makes each sample's remaining reads, in stream order,
+    does the chunk's numerical work in one stacked call per kernel, and
+    returns one tuple per sample, appended to that sample's inputs.
+    record(i, x, n, tol) only formats sample i's record from its inputs
+    x.  Only one chunk's inputs and RowStreams are alive at a time.  On
+    one scalar stream, check(i, x, rng, n, tol) runs draw's inputs
+    through the stage of a stack of one and the record, and reads the
+    same normals in the same order; the runner gives the same records
+    for every chunk size.  The record gets "index": i unless it carries
+    its own index.  units(tol), when given, returns fixed records placed
+    first.
     """
 
     name: str
     draws: Callable
     draw: Callable
+    stage: Callable
     record: Callable
     units: Callable | None = None
-    stage: Callable | None = None
 
     def __call__(self, seed, n, samples, tol):
         records = self.units(tol) if self.units is not None else []
-        block = Block(seed, self.name, samples, self.draws(n))
-        inputs = self.draw(block, n)
-        rngs = (block.row(i) for i in range(samples))
-        staged = itertools.repeat(())
-        if self.stage is not None:
-            # the stage reads every sample's stream, so all of them are held
-            rngs = list(rngs)
-            staged = self.stage(inputs, rngs, n, tol)
-        for i, (rng, extra) in enumerate(zip(rngs, staged)):
-            x = tuple(a[i] for a in inputs) + extra
-            records.append({"index": i, **self.record(i, x, rng, n, tol)})
+        for start in range(0, samples, _CHUNK):
+            index = range(start, min(start + _CHUNK, samples))
+            block = Block(seed, self.name, len(index), self.draws(n), start)
+            inputs = self.draw(block, n)
+            staged = self.stage(index, inputs, [block.row(k) for k in range(len(index))], n, tol)
+            for k, (i, extra) in enumerate(zip(index, staged)):
+                x = tuple(a[k] for a in inputs) + extra
+                records.append({"index": i, **self.record(i, x, n, tol)})
         return records
 
     def check(self, i, x, rng, n, tol):
         """Sample i's record from its own inputs x and stream rng."""
-        if self.stage is not None:
-            x = x + self.stage(tuple(a[None] for a in x), [rng], n, tol)[0]
-        return self.record(i, x, rng, n, tol)
+        x = x + self.stage(range(i, i + 1), tuple(a[None] for a in x), [rng], n, tol)[0]
+        return self.record(i, x, n, tol)
 
 
 def _tube_point(rng, n):
@@ -219,40 +231,52 @@ def _coordinate_draw(rng, n):
     return sample_four_vector(rng), sample_tube_matrix(rng)
 
 
-def _coordinate_identities(i, x, rng, n, tol):
-    z, W = x
+def _coordinate_stage(index, inputs, rngs, n, tol):
+    z, W = inputs
+    eps = tol["det_identity"]
     Z = to_matrix(z)
     zz = lorentz_product(z, z)
-    c_det = abs(det2(Z) - zz) <= tol["det_identity"] * (1.0 + abs(zz))
-    c_round = float(np.max(np.abs(from_matrix(Z) - z))) <= tol["roundtrip"] * (
-        1.0 + float(np.max(np.abs(z)))
-    )
+    c_det = np.abs(det2(Z) - zz) <= eps * (1.0 + np.abs(zz))
+    err = np.abs(from_matrix(Z) - z).max(axis=-1)
+    c_round = err <= tol["roundtrip"] * (1.0 + np.abs(z).max(axis=-1))
     imzz = lorentz_product(z.imag, z.imag).real
-    c_im = abs(det_im(Z) - imzz) <= tol["det_identity"] * (1.0 + abs(imzz))
-    c_bound = det_im(W) <= abs(det2(W)) + tol["det_identity"]
-    ok = bool(c_det and c_round and c_im and c_bound)
+    c_im = np.abs(det_im(Z) - imzz) <= eps * (1.0 + np.abs(imzz))
+    c_bound = det_im(W) <= np.abs(det2(W)) + eps
+    return list(zip(c_det.tolist(), c_round.tolist(), c_im.tolist(), c_bound.tolist()))
+
+
+def _coordinate_identities(i, x, n, tol):
+    c_det, c_round, c_im, c_bound = x[2:]
     return {
-        "det_identity": bool(c_det),
-        "roundtrip": bool(c_round),
-        "im_identity": bool(c_im),
-        "det_im_bound": bool(c_bound),
-        "verdict": _verdict(ok),
+        "det_identity": c_det,
+        "roundtrip": c_round,
+        "im_identity": c_im,
+        "det_im_bound": c_bound,
+        "verdict": _verdict(c_det and c_round and c_im and c_bound),
     }
 
 
-def _psh_levi(i, x, rng, n, tol):
-    (Z,) = x
+def _psh_levi_stage(index, inputs, rngs, n, tol):
+    (Z,) = inputs
     basis = full_tangent_basis(n)
     L = levi_form_phi(Z, basis)
-    mineig = np.linalg.eigvalsh(L)[0]
-    g = sample_sl2(rng)
-    phi_g, phi_0 = phi(np.stack([act_real(g, Z), Z])).tolist()
-    inv_err = abs(phi_g - phi_0) / phi_0
+    mineig = np.linalg.eigvalsh(L)[:, 0]
+    g = np.stack([sample_sl2(rng) for rng in rngs])
+    phi_g, phi_0 = phi(np.concatenate([act_real(g[:, None], Z), Z])).reshape(2, -1)
+    inv_err = np.abs(phi_g - phi_0) / phi_0
+    # every tenth sample checks the analytic Levi form against the stencil
+    st = [None] * len(Z)
+    for k, i in enumerate(index):
+        if i % 10 == 0:
+            Lst = levi_form(phi, Z[k], basis)
+            st[k] = float(np.linalg.norm(L[k] - Lst) / np.linalg.norm(Lst))
+    return list(zip(mineig, inv_err.tolist(), st))
+
+
+def _psh_levi(i, x, n, tol):
+    _, mineig, inv_err, st = x
     ok = mineig > 0.0 and inv_err <= tol["invariance"]
-    st = None
-    if i % 10 == 0:
-        Lst = levi_form(phi, Z, basis)
-        st = float(np.linalg.norm(L - Lst) / np.linalg.norm(Lst))
+    if st is not None:
         ok = ok and st <= tol["stencil_match"]
     return {
         "min_eigenvalue": mineig,
@@ -266,25 +290,30 @@ def _moment_draw(rng, n):
     return sample_tube_point(rng, n), rng.matrix()
 
 
-def _moment_oracle(i, x, rng, n, tol):
-    Z, A = x
+def _moment_stage(index, inputs, rngs, n, tol):
+    Z, A = inputs
     m = moment_map(Z)
-    JF = apply_J(orbit_fields(Z))
-    fd = directional_derivative(phi, Z, JF)
-    worst = float(np.max(np.abs(m - fd) / (1.0 + np.abs(fd))))
-    iP = np.stack([1j * (A @ A.conj().T + 0.2 * IDENTITY)])
-    zero_norm = float(np.linalg.norm(moment_map(iP)))
-    g = sample_sl2(rng)
-    xi = sample_algebra(rng)
-    lhs = float(np.dot(moment_map(act_real(g, Z)), xi))
-    rhs = float(np.dot(m, adjoint(adj2(g), xi)))
-    equi = abs(lhs - rhs) / (1.0 + abs(lhs))
+    fd = directional_derivative(phi, Z, apply_J(orbit_fields(Z)))
+    worst = np.max(np.abs(m - fd) / (1.0 + np.abs(fd)), axis=-1)
+    iP = 1j * (A @ A.conj().swapaxes(-1, -2) + 0.2 * IDENTITY)
+    m_ip = moment_map(iP[:, None])
+    zero_norm = np.sqrt(_dots(m_ip, m_ip))
+    # each sample draws g, then xi
+    g, xi = (np.stack(a) for a in zip(*[(sample_sl2(rng), sample_algebra(rng)) for rng in rngs]))
+    lhs = _dots(moment_map(act_real(g[:, None], Z)), xi)
+    rhs = _dots(m, adjoint(adj2(g), xi))
+    equi = np.abs(lhs - rhs) / (1.0 + np.abs(lhs))
+    return list(zip(worst.tolist(), zero_norm.tolist(), equi.tolist()))
+
+
+def _moment_oracle(i, x, n, tol):
+    worst, zero_norm, equi = x[2:]
     ok = worst <= tol["fd_match"] and zero_norm <= tol["ip_zero"] and equi <= tol["equivariance"]
     return {
         "fd_rel_err": worst,
         "ip_moment_norm": zero_norm,
         "equivariance_err": equi,
-        "verdict": _verdict(bool(ok)),
+        "verdict": _verdict(ok),
     }
 
 
@@ -292,10 +321,14 @@ def _flow_draw(rng, n):
     return sample_tube_point(rng, n), sample_algebra(rng)
 
 
-def _flow_monotone(i, x, rng, n, tol):
-    Z, xi = x
-    xi = xi / np.linalg.norm(xi)
-    rep = flow_monotonicity(xi, Z, t_max=0.25, steps=25, slack=tol["slack"])
+def _flow_stage(index, inputs, rngs, n, tol):
+    Z, xi = inputs
+    xi = xi / np.sqrt(_dots(xi, xi))[:, None]
+    return [(rep,) for rep in flow_monotonicity(xi, Z, t_max=0.25, steps=25, slack=tol["slack"])]
+
+
+def _flow_monotone(i, x, n, tol):
+    rep = x[2]
     ok = rep.nondecreasing and rep.strict_when_moving and len(rep.values) >= 2
     return {
         "kept": len(rep.values),
@@ -306,7 +339,7 @@ def _flow_monotone(i, x, rng, n, tol):
     }
 
 
-def _reduce_stage(inputs, rngs, n, tol):
+def _reduce_stage(index, inputs, rngs, n, tol):
     # both starts of every sample, Z and a real translate g Z, in one solve
     (Z,) = inputs
     g = np.stack([sample_sl2(rng) for rng in rngs])
@@ -314,7 +347,7 @@ def _reduce_stage(inputs, rngs, n, tol):
     return list(zip(rs[: len(Z)], rs[len(Z) :]))
 
 
-def _reduce_minimum(i, x, rng, n, tol):
+def _reduce_minimum(i, x, n, tol):
     Z, r0, r1 = x
     diff = abs(r0.phi_min - r1.phi_min)
     lower = float(np.sum(1.0 / np.abs(det2(Z))))
@@ -350,14 +383,14 @@ def _levi_unit(tol):
     return [_levi_record(0, 1, np.stack([1j * IDENTITY]), tol)]
 
 
-def _base_stage(inputs, rngs, n, tol):
+def _base_stage(index, inputs, rngs, n, tol):
     # every base point reduced in one solve; the tight tolerance keeps the
     # spurious sixth field direction well under lagrangian's rank tolerance
     (Z,) = inputs
     return [(r,) for r in orbit_minimize_all(Z, 1e-10)]
 
 
-def _levi_identity(i, x, rng, n, tol):
+def _levi_identity(i, x, n, tol):
     # the unit record holds index 0, so sample i is record i + 1
     _, rr = x
     if rr.converged:
@@ -365,7 +398,7 @@ def _levi_identity(i, x, rng, n, tol):
     return {"index": i + 1, "n": n, "deviation": None, "min_eigenvalue": None, "verdict": "fail"}
 
 
-def _lagrangian(i, x, rng, n, tol):
+def _lagrangian(i, x, n, tol):
     Z, rr = x
     fields = ("max_omega", "orbit_dim", "complex_orbit_dim", "normal_hessian_positive")
     if not rr.converged:
@@ -411,12 +444,12 @@ def _kempf_ness_draw(rng, n):
     return (c.reshape(c.shape[:-1] + (-1, 2, 2)),)
 
 
-def _kempf_ness_stage(inputs, rngs, n, tol):
+def _kempf_ness_stage(index, inputs, rngs, n, tol):
     (Z,) = inputs
     return [(r,) for r in kempf_ness_minimize_all(Z)]
 
 
-def _kempf_ness(i, x, rng, n, tol):
+def _kempf_ness(i, x, n, tol):
     Z, r = x
     rank = gram_rank(gram_map(Z))
     verdict = "inconclusive"  # also on a non-generic draw, where the rank criterion does not apply
@@ -446,12 +479,12 @@ def _saturation_unit(tol):
     return [{"index": "unit-degenerate", **_saturation_record(saturation_probe_all(deg[None])[0])}]
 
 
-def _saturation_stage(inputs, rngs, n, tol):
+def _saturation_stage(index, inputs, rngs, n, tol):
     (Z,) = inputs
     return [(sp,) for sp in saturation_probe_all(Z)]
 
 
-def _saturation_probe(i, x, rng, n, tol):
+def _saturation_probe(i, x, n, tol):
     return _saturation_record(x[1])
 
 
@@ -459,32 +492,41 @@ def _normal_form_draw(rng, n):
     return (sample_tube_matrix(rng),)
 
 
-def _normal_form(i, x, rng, n, tol):
-    (W,) = x
+def _normal_form_stage(index, inputs, rngs, n, tol):
+    (W,) = inputs
     nf = normal_form(W)
-    recon = float(np.max(np.abs(act_real(nf.group_element(), W) - nf.X)))
-    offdiag = abs(nf.X[1, 0])
-    balance = abs(abs(nf.X[0, 0]) - abs(nf.X[1, 1])) / abs(nf.X[0, 0])
-    Xc = nf.X.copy()
-    Xc[1, 0] = 0.0
+    X = nf.X
+    recon = np.abs(act_real(nf.group_element(), W) - X).max(axis=(-2, -1))
+    # |.| of single entries as the scalar abs rounds it
+    x_abs = np.hypot(X[:, 0, 0].real, X[:, 0, 0].imag)
+    offdiag = np.hypot(X[:, 1, 0].real, X[:, 1, 0].imag)
+    balance = np.abs(x_abs - np.hypot(X[:, 1, 1].real, X[:, 1, 1].imag)) / x_abs
+    Xc = X.copy()
+    Xc[:, 1, 0] = 0.0
     tb = triangular_bounds_check(Xc)
-    u = sample_su2(rng)
-    star_conj = float(np.max(np.abs(act_real(u, W) - u @ W @ u.conj().T)))
+    u = np.stack([sample_su2(rng) for rng in rngs])
+    star_conj = np.abs(act_real(u, W) - u @ W @ u.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bounds_ok = tb.strict_lower_ok & tb.det_upper_ok
+    fields = (recon, offdiag, balance, bounds_ok, star_conj)
+    return list(zip(*(f.tolist() for f in fields)))
+
+
+def _normal_form(i, x, n, tol):
+    recon, offdiag, balance, bounds_ok, star_conj = x[1:]
     ok = (
         recon <= tol["reconstruction"]
         and offdiag <= tol["offdiag"]
         and balance <= tol["balance"]
-        and tb.strict_lower_ok
-        and tb.det_upper_ok
+        and bounds_ok
         and star_conj <= tol["star_conjugation"]
     )
     return {
         "reconstruction_err": recon,
         "offdiag": offdiag,
         "balance_rel_err": balance,
-        "bounds_ok": bool(tb.strict_lower_ok and tb.det_upper_ok),
+        "bounds_ok": bounds_ok,
         "star_conjugation_err": star_conj,
-        "verdict": _verdict(bool(ok)),
+        "verdict": _verdict(ok),
     }
 
 
@@ -519,19 +561,26 @@ def _suite_boundary_weak(seed, n, samples, tol):
     return records
 
 
-def _boundary_mod_greal(i, x, rng, n, tol):
-    (Z0,) = x
-    e1 = np.eye(6)[0]
-    points = [act_real(exp_algebra(e1, 0.35 * k), Z0) for k in range(20)]
-    opts = ScanOptions(
-        phi_bound=max(50.0, 2.0 * phi(Z0)),
-        compact_bound=tol["compact_bound"],
-        det_floor=tol["det_floor"],
-    )
-    rep = boundary_scan(points, opts)
+def _mod_greal_stage(index, inputs, rngs, n, tol):
+    # one scan per sample, over the 20 real translates exp(0.35 k e1) Z
+    (Z,) = inputs
+    g = np.stack([exp_algebra(np.eye(6)[0], 0.35 * k) for k in range(20)])[:, None]
+    scans = []
+    for Z0, phi0 in zip(Z, phi(Z).tolist()):
+        opts = ScanOptions(
+            phi_bound=max(50.0, 2.0 * phi0),
+            compact_bound=tol["compact_bound"],
+            det_floor=tol["det_floor"],
+        )
+        scans.append((boundary_scan(list(act_real(g, Z0)), opts),))
+    return scans
+
+
+def _boundary_mod_greal(i, x, n, tol):
+    rep = x[1]
     # psi is invariant under the real group, so the 20 translates share it
     psis = [r.psi for r in rep.records if r.psi is not None]
-    converged = len(psis) == len(points) and all(r.psi_converged for r in rep.records)
+    converged = len(psis) == len(rep.records) and all(r.psi_converged for r in rep.records)
     spread = (max(psis) - min(psis)) / min(psis) if psis else None
     ok = (
         rep.mod_real_applicable
@@ -553,53 +602,50 @@ def _boundary_mod_greal(i, x, rng, n, tol):
 SUITES = {
     "coordinate-identities": _SuiteEntry(
         _EachSample(
-            "coordinate-identities", lambda n: 20, _coordinate_draw, _coordinate_identities
+            "coordinate-identities",
+            lambda n: 20,
+            _coordinate_draw,
+            _coordinate_stage,
+            _coordinate_identities,
         ),
         1000,
         1,
         {"det_identity": 1e-12, "roundtrip": 1e-12},
     ),
     "psh-levi": _SuiteEntry(
-        _EachSample("psh-levi", lambda n: 12 * n + 8, _tube_point, _psh_levi),
+        _EachSample("psh-levi", lambda n: 12 * n + 8, _tube_point, _psh_levi_stage, _psh_levi),
         40,
         2,
         {"invariance": 1e-10, "stencil_match": 1e-4},
     ),
     "moment-oracle": _SuiteEntry(
-        _EachSample("moment-oracle", lambda n: 12 * n + 22, _moment_draw, _moment_oracle),
+        _EachSample("moment-oracle", lambda n: 12 * n + 22, _moment_draw, _moment_stage, _moment_oracle),
         150,
         2,
         {"fd_match": 1e-6, "ip_zero": 1e-10, "equivariance": 1e-6},
     ),
     "flow-monotone": _SuiteEntry(
-        _EachSample("flow-monotone", lambda n: 12 * n + 6, _flow_draw, _flow_monotone),
+        _EachSample("flow-monotone", lambda n: 12 * n + 6, _flow_draw, _flow_stage, _flow_monotone),
         60,
         2,
         {"slack": 1e-9},
     ),
     "reduce-minimum": _SuiteEntry(
-        _EachSample(
-            "reduce-minimum", lambda n: 12 * n + 8, _tube_point, _reduce_minimum, stage=_reduce_stage
-        ),
+        _EachSample("reduce-minimum", lambda n: 12 * n + 8, _tube_point, _reduce_stage, _reduce_minimum),
         15,
         2,
         {"moment_tol": 1e-8, "translate_agreement": 1e-5},
     ),
     "levi-identity": _SuiteEntry(
         _EachSample(
-            "levi-identity",
-            lambda n: 12 * n,
-            _tube_point,
-            _levi_identity,
-            units=_levi_unit,
-            stage=_base_stage,
+            "levi-identity", lambda n: 12 * n, _tube_point, _base_stage, _levi_identity, units=_levi_unit
         ),
         1,
         2,
         {"deviation": 1e-3, "min_eig": 1e-6},
     ),
     "lagrangian": _SuiteEntry(
-        _EachSample("lagrangian", lambda n: 12 * n, _tube_point, _lagrangian, stage=_base_stage),
+        _EachSample("lagrangian", lambda n: 12 * n, _tube_point, _base_stage, _lagrangian),
         8,
         2,
         {"omega_tol": 1e-5},
@@ -609,9 +655,9 @@ SUITES = {
             "kempf-ness",
             lambda n: 8 * max(n, 3),
             _kempf_ness_draw,
+            _kempf_ness_stage,
             _kempf_ness,
             units=_kn_units,
-            stage=_kempf_ness_stage,
         ),
         30,
         3,
@@ -622,16 +668,16 @@ SUITES = {
             "saturation-probe",
             lambda n: 12 * n,
             _tube_point,
+            _saturation_stage,
             _saturation_probe,
             units=_saturation_unit,
-            stage=_saturation_stage,
         ),
         8,
         2,
         {},
     ),
     "normal-form": _SuiteEntry(
-        _EachSample("normal-form", lambda n: 16, _normal_form_draw, _normal_form),
+        _EachSample("normal-form", lambda n: 16, _normal_form_draw, _normal_form_stage, _normal_form),
         300,
         1,
         {
@@ -646,7 +692,7 @@ SUITES = {
     ),
     "boundary-mod-greal": _SuiteEntry(
         _EachSample(
-            "boundary-mod-greal", lambda n: 12 * n, _tube_point, _boundary_mod_greal
+            "boundary-mod-greal", lambda n: 12 * n, _tube_point, _mod_greal_stage, _boundary_mod_greal
         ),
         3,
         2,

@@ -14,7 +14,7 @@ from futuretube.boundary import (
     schur_unitary,
     triangular_bounds_check,
 )
-from futuretube.rng import stream_for
+from futuretube.rng import Block, stream_for
 
 iI = 1j * np.eye(2)
 
@@ -105,6 +105,60 @@ def test_schur_ordering_deterministic():
         assert abs(T[0, 0]) <= abs(T[1, 1]) + 1e-10
         assert abs(G.det2(u) - 1) < 1e-12
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _assert_stack_equals_each(W):
+    u, T = schur_unitary(W)
+    nf = normal_form(W)
+    X = nf.X.copy()
+    X[:, 1, 0] = 0.0
+    tb = triangular_bounds_check(X)
+    for k in range(len(W)):
+        uk, Tk = schur_unitary(W[k])
+        one = normal_form(W[k])
+        assert np.array_equal(_bits(u[k]), _bits(uk)) and np.array_equal(_bits(T[k]), _bits(Tk))
+        assert np.array_equal(_bits(nf.u[k]), _bits(one.u)) and nf.r[k] == one.r
+        assert np.array_equal(_bits(nf.X[k]), _bits(one.X))
+        assert np.array_equal(_bits(nf.group_element()[k]), _bits(one.group_element()))
+        tk = triangular_bounds_check(X[k])
+        assert (tb.quarter_z_sq[k], tb.im_diag_product[k], tb.abs_det[k]) == (
+            tk.quarter_z_sq,
+            tk.im_diag_product,
+            tk.abs_det,
+        )
+        assert (tb.strict_lower_ok[k], tb.det_upper_ok[k]) == (tk.strict_lower_ok, tk.det_upper_ok)
+
+
+def test_stacked_normal_form_equals_each_matrix():
+    # random tube matrices; a scalar c I, the branch where M is
+    # numerically scalar; and eigenvalues 1 + i, -1 + i of equal modulus,
+    # the (abs, real, imag) tie, as they are and conjugated by an SU(2)
+    # element, which keeps them and the tube
+    W = G.tube_matrices(Block(5, "nf-stack", 64, 12).normals(12))
+    tie = np.diag([1.0 + 1j, -1.0 + 1j])
+    u = A.sample_su2(stream_for(5, "nf-stack-tie", 0))
+    special = np.stack([(0.3 + 2j) * np.eye(2), tie, tie[::-1, ::-1], u @ tie @ u.conj().T])
+    _assert_stack_equals_each(np.concatenate([W, special]))
+    # general matrices, where the root (t + s)/2 is the smaller one in
+    # about half the draws
+    M = Block(5, "schur-stack", 64, 8).matrix()
+    u, T = schur_unitary(M)
+    for k in range(len(M)):
+        uk, Tk = schur_unitary(M[k])
+        assert np.array_equal(_bits(u[k]), _bits(uk)) and np.array_equal(_bits(T[k]), _bits(Tk))
+
+
+def test_stacked_normal_form_rejects_a_matrix_outside_the_tube():
+    W = G.tube_matrices(Block(5, "nf-stack-out", 4, 12).normals(12))
+    W[2] = np.eye(2)
+    with pytest.raises(G.DomainError):
+        normal_form(W)
+    with pytest.raises(G.DomainError):
+        triangular_bounds_check(np.triu(W))
 
 
 def test_parse_sequence_errors():

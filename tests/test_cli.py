@@ -204,6 +204,8 @@ _TRANSLATE = {
         # a negative tolerance is out of range
         ("run", {"suite": "coordinate-identities", "samples": 2, "tolerances": {"det_identity": -1}}),
         ("run", {"suite": "flow-monotone", "samples": 2, "tolerances": {"slack": -1e-3}}),
+        # a report that could not be written
+        ("run", {"suite": "flow-monotone", "samples": 2, "output_path": "no-such-directory/x.json"}),
     ],
 )
 def test_malformed_documents_are_usage_errors(tmp_path, capsys, command, doc):
@@ -247,3 +249,20 @@ def test_output_path_must_be_a_string_before_the_suite_runs(tmp_path, capsys, mo
     cfg = write_json(tmp_path / "cfg.json", {"suite": "flow-monotone", "output_path": ""})
     assert cli_entry(["run", cfg]) == 2
     assert "output_path must not be empty" in capsys.readouterr().err
+
+
+def test_output_path_in_a_missing_directory_fails_before_the_suite_runs(
+    tmp_path, capsys, monkeypatch
+):
+    from futuretube import suites
+
+    def not_run(*args, **kwargs):
+        raise AssertionError("the suite ran before its output directory was checked")
+
+    monkeypatch.setattr(suites.SUITES["flow-monotone"], "runner", not_run)
+    missing = tmp_path / "missing" / "x.json"
+    doc = {"suite": "flow-monotone", "samples": 2, "output_path": str(missing)}
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    assert cli_entry(["run", cfg]) == 2
+    assert "does not exist" in capsys.readouterr().err
+    assert not missing.parent.exists()

@@ -8,7 +8,7 @@ import pytest
 
 from futuretube import actions as A
 from futuretube import geometry as G
-from futuretube import rng, serialize
+from futuretube import rng, serialize, suites
 from futuretube.rng import Block, RowStream, Stream, normal_block, stream_for
 from futuretube.suites import SUITES, ExperimentConfig, run_suite
 
@@ -189,3 +189,19 @@ def test_pointwise_suites_draw_nothing_past_their_blocks(seed, monkeypatch):
     for name in POINTWISE:
         assert run_suite(ExperimentConfig(suite=name, seed=seed)).verdict == "pass"
     assert calls == []
+
+
+@pytest.mark.parametrize("name", POINTWISE)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chunked_records_equal_the_scalar_check(name, n):
+    # 70 samples take three chunks; each record equals the stack-of-one
+    # check on the sample's own scalar stream
+    entry = SUITES[name]
+    runner, tol = entry.runner, dict(entry.tolerances)
+    records = runner(11, n, 70, tol)
+    assert len(records) == 70 > 2 * suites._CHUNK
+    for i, record in enumerate(records):
+        stream = stream_for(11, name, i)
+        x = runner.draw(stream, n)
+        want = {"index": i, **runner.check(i, x, stream, n, tol)}
+        assert serialize.canonical_bytes(record) == serialize.canonical_bytes(want)
