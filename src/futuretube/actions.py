@@ -13,7 +13,7 @@ which pins the components of moment values across implementations.
 
 import numpy as np
 
-from .geometry import IDENTITY, as_tuple_point, det2, adj2
+from .geometry import IDENTITY, det2, adj2
 
 __all__ = [
     "BASIS",
@@ -25,7 +25,6 @@ __all__ = [
     "act_real",
     "act_complex",
     "flow_pairs",
-    "flow_point",
     "real_vector_field",
     "apply_J",
     "adjoint",
@@ -70,9 +69,8 @@ def expm_traceless(M):
     """exp of a traceless 2x2: cosh(d) I + sinh(d)/d M with d^2 = -det M.
 
     Below |d| = 1e-6 a degree-4 series is used; the two branches agree to
-    better than 1e-12 in the overlap.  A stack (m, 2, 2) gives the m
-    exponentials, each with the branch its own |d| selects, equal to the
-    one-matrix calls.
+    better than 1e-12 in the overlap.  Each matrix of a stack (..., 2, 2)
+    takes the branch its own |d| selects.
     """
     M = np.asarray(M, dtype=complex)
     dsq = np.reshape(-det2(M), -1)
@@ -136,18 +134,6 @@ def flow_pairs(xi, tau):
     """
     X = realize(xi)
     return expm_traceless(np.asarray(tau)[..., None, None, None] * np.stack([X, np.conj(X)], axis=-3))
-
-
-def flow_point(xi, tau, Z):
-    """Point moved by flow_pairs(xi, tau).
-
-    A 1-d array of m times gives the stack of the m moved points.
-    """
-    Z = np.asarray(Z, dtype=complex)
-    # one axis per tuple axis of Z, so each pair acts on every component
-    tau = np.reshape(tau, np.shape(tau) + (1,) * (Z.ndim - 2))
-    E = flow_pairs(xi, tau)
-    return E[..., 0, :, :] @ Z @ np.swapaxes(E[..., 1, :, :], -1, -2)
 
 
 def real_vector_field(xi, Z):
@@ -224,7 +210,8 @@ _FIELD_MAP = (
 
 
 def orbit_fields(Z):
-    """Stack of the six basis vector fields at Z, shape (6, N, 2, 2).
+    """The six basis vector fields at each point of a stack (..., N, 2, 2),
+    shape (..., 6, N, 2, 2).
 
     Field k is e_k Z + Z e_k^H, linear in the four entries of each
     component, so all six come from one matrix product with the constant
@@ -232,12 +219,9 @@ def orbit_fields(Z):
     order and C-contiguous.  The map's entries are 0, +-1, +-2, +-i and
     +-2i, and each field entry is the sum of at most two exact products,
     so the result equals the two products e_k Z and Z e_k^H added, bit
-    for bit.  A stack of points (m, N, 2, 2) gives (m, 6, N, 2, 2), each
-    equal to the one-point call.
+    for bit.
     """
     Z = np.asarray(Z, dtype=complex)
-    if Z.ndim != 4:
-        Z = as_tuple_point(Z)
     F = Z.reshape(Z.shape[:-3] + (1, Z.shape[-3], 4)) @ _FIELD_MAP
     return F.reshape(F.shape[:-1] + (2, 2))
 

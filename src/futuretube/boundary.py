@@ -70,17 +70,12 @@ def schur_unitary(M):
 
     The eigenvalue of smaller magnitude lands at (1,1); ties break on
     (Re, Im), and equal keys keep (t - s)/2.  The eigenvector phase makes
-    its largest component real positive, which pins u.  A stack
-    (m, 2, 2) gives the stacks of the m unitaries and triangular forms,
-    each equal to the one-matrix call.
+    its largest component real positive, which pins u.  Matrices
+    (..., 2, 2) give the unitaries and triangular forms (..., 2, 2).
     """
     M = np.asarray(M, dtype=complex)
-    one = M.ndim == 2
-    if one:
-        M = M[None]
     t = M[..., 0, 0] + M[..., 1, 1]
-    # rounded as on one matrix, where t * t multiplies numpy scalars and
-    # det2 multiplies 0-d arrays, which take the array path
+    # t t rounded as a numpy scalar product, det2 as an array product
     s = np.sqrt(_product(t, t) - 4.0 * det2(M) + 0j)
     lo, hi = (t - s) / 2.0, (t + s) / 2.0
     m_lo, m_hi = _modulus(lo), _modulus(hi)
@@ -105,8 +100,7 @@ def schur_unitary(M):
     U[..., 0, 0], U[..., 1, 0] = v[..., 0], v[..., 1]
     U[..., 0, 1], U[..., 1, 1] = -np.conj(v[..., 1]), np.conj(v[..., 0])
     u = U.conj().swapaxes(-1, -2)
-    X = u @ M @ U
-    return (u[0], X[0]) if one else (u, X)
+    return u, u @ M @ U
 
 
 def _balancing(r):
@@ -119,11 +113,11 @@ def _balancing(r):
 
 @dataclass
 class NormalForm:
-    """Balanced triangular form X = D(r) (u W u^{-1}) D(r); the fields
-    of a stack of normal forms are stacks."""
+    """Balanced triangular forms X = D(r) (u W u^{-1}) D(r) of matrices
+    (..., 2, 2); r has their leading shape."""
 
     u: np.ndarray
-    r: float
+    r: np.ndarray
     X: np.ndarray
 
     def group_element(self):
@@ -131,8 +125,7 @@ class NormalForm:
 
 
 def normal_form(W):
-    """Normal form of a tube matrix, or the normal forms of a stack
-    (m, 2, 2) of them, each equal to the one-matrix call.
+    """Normal forms of tube matrices (..., 2, 2).
 
     Triangularize by the deterministic Schur unitary, then balance the
     diagonal magnitudes with r^4 = |X22/X11|.  Inside the tube both
@@ -141,9 +134,6 @@ def normal_form(W):
     DomainError unless every matrix lies in the tube.
     """
     W = np.asarray(W, dtype=complex)
-    one = W.ndim == 2
-    if one:
-        W = W[None]
     if not tube_mask(W[..., None, :, :]).all():
         raise DomainError("normal_form is defined on tube matrices")
     u, X1 = schur_unitary(W)
@@ -151,34 +141,29 @@ def normal_form(W):
     if (x < 1e-300).any() or (y < 1e-300).any():
         raise DomainError("degenerate diagonal, point is not in the tube")
     # math.pow rounds as the scalar power does; the array power may not
-    r = np.array([math.pow(q, 0.25) for q in (y / x).tolist()])
+    r = np.reshape([math.pow(q, 0.25) for q in np.ravel(y / x).tolist()], np.shape(x))
     D = _balancing(r)
-    X = D @ X1 @ D
-    return NormalForm(u=u[0], r=float(r[0]), X=X[0]) if one else NormalForm(u=u, r=r, X=X)
+    return NormalForm(u=u, r=r, X=D @ X1 @ D)
 
 
 @dataclass
 class TriangularBounds:
-    quarter_z_sq: float
-    im_diag_product: float
-    abs_det: float
-    strict_lower_ok: bool  # |z|^2/4 < Im x * Im y
-    det_upper_ok: bool  # Im x * Im y <= |det|
+    quarter_z_sq: np.ndarray
+    im_diag_product: np.ndarray
+    abs_det: np.ndarray
+    strict_lower_ok: np.ndarray  # |z|^2/4 < Im x * Im y
+    det_upper_ok: np.ndarray  # Im x * Im y <= |det|
 
 
 def triangular_bounds_check(X):
     """The two inequalities tying the off-diagonal to the diagonal.
 
     For upper-triangular X in the tube: |z|^2/4 < Im x Im y <= |x y|.
-    A stack (m, 2, 2) gives bounds whose fields are arrays of the m
-    values, each equal to the one-matrix call.  ValueError unless every
-    matrix is upper triangular, DomainError unless every one lies in the
-    tube.
+    Matrices (..., 2, 2) give bounds whose fields have their leading
+    shape.  ValueError unless every matrix is upper triangular,
+    DomainError unless every one lies in the tube.
     """
     X = np.asarray(X, dtype=complex)
-    one = X.ndim == 2
-    if one:
-        X = X[None]
     scale = np.maximum(1.0, np.abs(X).max(axis=(-2, -1)))
     if (_modulus(X[..., 1, 0]) > 1e-10 * scale).any():
         raise ValueError("input is not upper triangular")
@@ -188,10 +173,7 @@ def triangular_bounds_check(X):
     qz = 0.25 * _modulus(z) ** 2
     prod = x.imag * y.imag
     ad = _modulus(_product(x, y))
-    fields = (qz, prod, ad, qz < prod, prod <= ad)
-    if one:
-        return TriangularBounds(*(f[0].item() for f in fields))
-    return TriangularBounds(*fields)
+    return TriangularBounds(qz, prod, ad, qz < prod, prod <= ad)
 
 
 # the threshold ladder of the weak-exhaustion verdict

@@ -98,7 +98,7 @@ def _read_point(path):
 
 def _cmd_phi(args):
     Z = _read_point(args.point)
-    value = phi(Z)
+    value = float(phi(Z))
     _emit({"phi": value}, args.json, [f"phi = {value!r}"])
     return 0
 
@@ -157,16 +157,17 @@ def _cmd_normal_form(args):
     Z = _read_point(args.point)
     if Z.shape[0] != 1:
         raise ValueError("normal-form expects a single matrix point")
-    nf = normal_form(Z[0])
+    nf = normal_form(Z)
+    r = float(nf.r[0])
     payload = {
-        "u": serialize.matrix_to_json(nf.u),
-        "r": nf.r,
-        "X": serialize.matrix_to_json(nf.X),
+        "u": serialize.matrix_to_json(nf.u[0]),
+        "r": r,
+        "X": serialize.matrix_to_json(nf.X[0]),
     }
     _emit(
         payload,
         args.json,
-        [f"u = {payload['u']!r}", f"r = {nf.r!r}", f"X = {payload['X']!r}"],
+        [f"u = {payload['u']!r}", f"r = {r!r}", f"X = {payload['X']!r}"],
     )
     return 0
 

@@ -10,6 +10,10 @@ so that det Z equals the complex-bilinear Lorentz square <z, z>.  The tube
 is the set of matrices whose Hermitian imaginary part (Z - Z^H)/2i is
 positive definite; tuples belong componentwise.  All values are plain
 numpy arrays: a matrix point is (2, 2) complex, a tuple point (N, 2, 2).
+Every kernel of the package takes tuple points as a stack (..., N, 2, 2)
+and matrices as (..., 2, 2) and returns results with the same leading
+axes; a bare matrix becomes a tuple point (as_tuple_point) only where
+input enters the program.
 """
 
 import numpy as np
@@ -45,15 +49,12 @@ IDENTITY = np.eye(2, dtype=complex)
 
 
 def lorentz_product(z, w):
-    """Complex-bilinear product z0*w0 - z1*w1 - z2*w2 - z3*w3.
-
-    Stacks of four-vectors (..., 4) give the array of their products; one
-    pair gives a complex."""
+    """Complex-bilinear product z0*w0 - z1*w1 - z2*w2 - z3*w3 of
+    four-vectors (..., 4)."""
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     p = z[..., 0] * w[..., 0] - z[..., 1] * w[..., 1]
-    p = p - z[..., 2] * w[..., 2] - z[..., 3] * w[..., 3]
-    return p if p.ndim else complex(p)
+    return p - z[..., 2] * w[..., 2] - z[..., 3] * w[..., 3]
 
 
 def to_matrix(z):
@@ -152,13 +153,14 @@ def tube_membership(Z):
 
 
 def tube_margin(Z):
-    """Smallest eigenvalue of hermitian_im over all components.
+    """Smallest eigenvalue of hermitian_im over all components of each
+    point of a stack (..., N, 2, 2).
 
     Positive exactly on the tube; used as a robust membership margin.
     """
-    a, d, b = _im_parts(as_tuple_point(Z))
+    a, d, b = _im_parts(np.asarray(Z, dtype=complex))
     rad = np.sqrt((a - d) ** 2 + 4.0 * (b.real**2 + b.imag**2))
-    return float(np.min((a + d - rad) / 2.0))
+    return np.min((a + d - rad) / 2.0, axis=-1)
 
 
 def four_vectors(x):

@@ -23,7 +23,6 @@ import numpy as np
 from .geometry import (
     DomainError,
     adj2,
-    as_tuple_point,
     det_im,
     hermitian_im,
     tube_mask,
@@ -67,22 +66,17 @@ def _positive_det_im(d):
 
 
 def phi(Z):
-    """Invariant potential; positive on the tube.
+    """Invariant potential of each point of a stack (..., N, 2, 2);
+    positive on the tube.
 
-    A tuple point (N, 2, 2) gives a float, a stack (m, N, 2, 2) the array
-    of its m values, each equal to the one-point call.  Raises
-    DomainError when some det Im(Z^j) <= 0, signaling that a point left
-    the tube.  When det Im of a point overflows, each of its components
-    is scaled by its largest |Im| entry s, and
+    Raises DomainError when some det Im(Z^j) <= 0, signaling that a point
+    left the tube.  When det Im of a point overflows, each of its
+    components is scaled by its largest |Im| entry s, and
     1/det Im(Z^j) = 1/(det Im(Z^j/s) s^2); a potential that underflows
     to zero raises DomainError as well.
     """
     Z = np.asarray(Z, dtype=complex)
-    stack = Z.ndim == 4
-    if not stack:
-        Z = as_tuple_point(Z)
-    values = _phi_values(Z, _det_im(Z))
-    return values if stack else float(values)
+    return _phi_values(Z, _det_im(Z))
 
 
 def phi_in_tube(Z):
@@ -99,16 +93,14 @@ def phi_in_tube(Z):
 
 
 def _phi_values(Z, d):
-    # phi of a point or a stack whose det Im is d
+    # phi of the points Z whose det Im is d
     if math.isfinite(d.max(initial=0.0)):
         return np.sum(1.0 / _positive_det_im(d), axis=-1)
-    if Z.ndim == 3:
-        return _phi_rescaled(Z[None], d[None])[0]
     return _phi_rescaled(Z, d)
 
 
 def _phi_rescaled(Z, d):
-    # phi of a stack with det Im d, rescaling only the points whose det Im
+    # phi with det Im d, rescaling only the points whose det Im
     # overflowed; dividing the others by s = 1 leaves their values exact
     over = ~np.isfinite(d.max(axis=-1))
     s = np.ones_like(d)
@@ -135,20 +127,11 @@ def dphi(Z, V):
     """Differential of phi at Z along the tangent tuple V.
 
     Per component: -tr(P^{-1} Q)/det P with P = Im Z^j and Q = Im V^j,
-    both in the Hermitian (Z - Z^H)/2i sense.  A stack of shape
-    (m, N, 2, 2) in V, in Z or in both (broadcast against each other)
-    gives the array of the m differentials, each equal to the one-point
-    call.
+    both in the Hermitian (Z - Z^H)/2i sense.  Stacks Z and V
+    (..., N, 2, 2) broadcast against each other.
     """
     Z = np.asarray(Z, dtype=complex)
-    V = np.asarray(V, dtype=complex)
-    stack = Z.ndim == 4 or V.ndim == 4
-    if Z.ndim != 4:
-        Z = as_tuple_point(Z)
-    if V.ndim != 4:
-        V = as_tuple_point(V)
-    values = _dphi(hermitian_im(Z), _positive_det_im(_det_im(Z)), V)
-    return values if stack else float(values)
+    return _dphi(hermitian_im(Z), _positive_det_im(_det_im(Z)), np.asarray(V, dtype=complex))
 
 
 def _dphi(P, d, V):
@@ -166,8 +149,7 @@ def _levi(adjP, d, V):
     With A = V/2i and t_a = tr(adj P A_a) per component,
     L_ab = sum_j 2 t_a conj(t_b) / p^3 - tr(adj A_a A_b^H) / p^2, both
     sums taken as one matrix product over the components (and the four
-    entries); Hermitian-symmetrized.  Each matrix of a stack equals the
-    one-point result.
+    entries); Hermitian-symmetrized.
     """
     A = V * (-0.5j)
     P = adjP[..., None, :, :, :]
@@ -201,8 +183,7 @@ def orbit_derivatives(P):
     and a function that, given a boolean selection of the rows, returns
     their Levi matrices (k, 6, 6); 4 Re of one is the normal Hessian
     omega(field_k, J field_l).  Both come from one det_im, one Im part,
-    one adjugate and one orbit_fields.  Each row equals the one-point
-    result.
+    one adjugate and one orbit_fields.
     """
     Pim = hermitian_im(P)
     d = _positive_det_im(_det_im(P))
@@ -223,16 +204,12 @@ def directional_derivative(f, Z, V):
     """Central differences of f at Z along each direction of the stack V
     (m, N, 2, 2), with steps h = 1e-4 and h/2 and one Richardson step.
 
-    f maps a stack (k, N, 2, 2) of points to their k values, as phi does;
-    the 4m difference points form one stack and take one call.  Returns
-    the array of the m values.  A stack of points (s, N, 2, 2) with
-    directions (s, m, N, 2, 2) gives the values (s, m) from one call of f
-    on all 4sm points, row k equal to the one-point call at point k.
+    f maps a stack (k, N, 2, 2) of points to their k values, as phi does.
+    Points Z (..., N, 2, 2) take directions V (..., m, N, 2, 2) and give
+    the values (..., m); all their difference points take one call of f.
     Domain errors from f propagate so callers can resample.
     """
     Z = np.asarray(Z, dtype=complex)
-    if Z.ndim != 4:
-        Z = as_tuple_point(Z)
     V = np.asarray(V, dtype=complex)
     if V.ndim != Z.ndim + 1:
         raise ValueError(f"expected a (m,N,2,2) stack of directions per point, got shape {V.shape}")
@@ -247,13 +224,9 @@ def directional_derivative(f, Z, V):
 
 
 def moment_map(Z):
-    """Six moment components <mu(Z), e_k> over the fixed basis.
-
-    A stack of points (m, N, 2, 2) gives the moments (m, 6), each row
-    equal to the one-point call."""
+    """Six moment components <mu(Z), e_k> over the fixed basis, (..., 6)
+    for points (..., N, 2, 2)."""
     Z = np.asarray(Z, dtype=complex)
-    if Z.ndim != 4:
-        Z = as_tuple_point(Z)
     d = _positive_det_im(_det_im(Z))
     return _dphi(hermitian_im(Z)[..., None, :, :, :], d[..., None, :], 1j * orbit_fields(Z))
 
@@ -272,7 +245,7 @@ def levi_form(f, Z, directions):
     _STACK_MATRICES matrices, one call of f each, so that memory stays
     bounded at large N.  A domain error from f raises StencilDomainError.
     """
-    Z = as_tuple_point(Z)
+    Z = np.asarray(Z, dtype=complex)
     B = np.asarray(directions, dtype=complex)
     d = B.shape[0]
     h = 1e-3
@@ -315,15 +288,12 @@ def levi_form_phi(Z, directions):
 
         L(V, W) = sum_j 2 tr(adj P A) tr(adj P B) / p^3 - tr(adj A B) / p^2.
 
-    Returns the Hermitian (m, m) matrix over m directions; it matches the
-    finite-difference stencil to the stated stencil tolerance.  A stack
-    of points (s, N, 2, 2) gives the matrices (s, m, m), with the
-    directions shared (m, N, 2, 2) or per point (s, m, N, 2, 2); each
-    matrix equals the one-point call.
+    Returns the Hermitian (..., m, m) matrices over m directions at
+    points (..., N, 2, 2), with the directions shared (m, N, 2, 2) or per
+    point (..., m, N, 2, 2); they match the finite-difference stencil to
+    the stated stencil tolerance.
     """
     Z = np.asarray(Z, dtype=complex)
-    if Z.ndim != 4:
-        Z = as_tuple_point(Z)
     d = _positive_det_im(_det_im(Z))
     return _levi(adj2(hermitian_im(Z)), d, np.asarray(directions, dtype=complex))
 
@@ -336,22 +306,16 @@ def omega_eval(Z, V, W):
     -(D_V d^c phi(W) - D_W d^c phi(V)), antisymmetric by construction.
     The differences are directional_derivative's, whose Richardson step
     keeps residuals at reduced points well below the isotropy tolerance.
-    Stacks V, W (m, N, 2, 2) give the m values of the pairs (V_k, W_k),
-    each equal to the one-pair call; all 8m difference points take one
-    dphi call.
+    Stacks V, W (m, N, 2, 2) give the m values of the pairs (V_k, W_k);
+    all 8m difference points take one dphi call.
     """
-    Z = as_tuple_point(Z)
     V = np.asarray(V, dtype=complex)
     W = np.asarray(W, dtype=complex)
-    stack = V.ndim == 4
-    if not stack:
-        V, W = as_tuple_point(V)[None], as_tuple_point(W)[None]
     # D_V along J W, then D_W along J V, paired point by point, once for
     # each of the four difference points
     J = np.concatenate([apply_J(W), apply_J(V)] * 4)
     d = directional_derivative(lambda P: dphi(P, J), Z, np.concatenate([V, W]))
-    values = -(d[: len(V)] - d[len(V):])
-    return values if stack else values.item()
+    return -(d[: len(V)] - d[len(V):])
 
 
 @dataclass
@@ -373,19 +337,14 @@ def flow_monotonicity(xi, Z, t_max, steps, slack=1e-9):
     tube; truncation is reported, never raised.  Strictness is required
     only across steps that move the point by more than 1e-9.  Stacks of
     directions xi (s, 6) and points Z (s, N, 2, 2) give the list of the s
-    reports, flow k moving point k along direction k; one direction and
-    one point give their report.  All s (steps + 1) flow points are built
-    as one stack, tested with one tube_mask, and the kept ones evaluated
-    with one dphi call; each report equals that of the stack of one.
-    Grid points past a truncation may overflow; they are built without
-    warnings and never evaluated.  DomainError unless every start lies in
-    the tube.
+    reports, flow k moving point k along direction k.  All s (steps + 1)
+    flow points are built as one stack, tested with one tube_mask, and
+    the kept ones evaluated with one dphi call.  Grid points past a
+    truncation may overflow; they are built without warnings and never
+    evaluated.  DomainError unless every start lies in the tube.
     """
     Z = np.asarray(Z, dtype=complex)
     xi = np.asarray(xi, dtype=float)
-    stack = Z.ndim == 4
-    if not stack:
-        Z, xi = as_tuple_point(Z)[None], xi[None]
     if not tube_mask(Z).all():
         raise DomainError("flow must start inside the tube")
     if steps <= 0 or t_max == 0.0:
@@ -432,4 +391,4 @@ def flow_monotonicity(xi, Z, t_max, steps, slack=1e-9):
                 strict_when_moving=bool(strict[k]),
             )
         )
-    return reports if stack else reports[0]
+    return reports

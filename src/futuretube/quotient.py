@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import IDENTITY, DomainError, as_tuple_point, det2, tube_mask, tube_membership, tube_margin
+from .geometry import IDENTITY, DomainError, as_tuple_point, det2, tube_mask, tube_margin
 from .actions import (
     BASIS,
     _dots,
@@ -34,16 +34,14 @@ __all__ = [
 
 
 def gram_map(Z):
-    """Symmetric N x N matrix of pairwise Lorentz products <Z^i, Z^j>.
+    """Symmetric N x N matrices (..., N, N) of pairwise Lorentz products
+    <Z^i, Z^j> of points (..., N, 2, 2).
 
     Diagonal entries are exactly det Z^j by polarization; the whole matrix
     is invariant under the complexified action.  Raises DomainError when
-    a product overflows.  A stack of points (m, N, 2, 2) gives the m
-    matrices (m, N, N), each equal to the one-point call.
+    a product overflows.
     """
     Z = np.asarray(Z, dtype=complex)
-    if Z.ndim != 4:
-        Z = as_tuple_point(Z)
     with np.errstate(over="ignore", invalid="ignore"):
         d = det2(Z)
         pair = det2(Z[..., :, None, :, :] + Z[..., None, :, :, :])
@@ -122,8 +120,8 @@ def _kn_gradient_hessian(Y):
     """Chart gradient and Hessian of the squared norm at (g, h) = (e, e).
 
     One 4 x 4 product P = sum_n conj(Y_n) (x) Y_n, then the constant map
-    _KN_MAP.  A stack (m, N, 2, 2) gives (m, 12) and (m, 12, 12), each
-    row equal to the one-point call; the gradient rows are contiguous.
+    _KN_MAP.  Points (..., N, 2, 2) give (..., 12) and (..., 12, 12);
+    the gradient rows are contiguous.
     """
     Yf = Y.reshape(Y.shape[:-3] + (-1, 4))
     P = np.conj(Yf).swapaxes(-1, -2) @ Yf
@@ -243,7 +241,6 @@ class SaturationReport:
     certified_in_extended_tube: bool
     gram_distance: float
     closed_point: np.ndarray
-    witness: np.ndarray | None
     witness_kind: str
     reduced_margin: float | None
     verdict: str  # certified | probe failed
@@ -279,27 +276,30 @@ def saturation_probe_all(Zs):
         raise ValueError("saturation probe starts from a tube point")
     kn = kempf_ness_minimize_all(Z)
     W = act_complex(np.array([r.minimizer for r in kn]).reshape(-1, 1, 2, 2, 2), Z)
-    inside = np.array([tube_margin(w) > 0.0 for w in W], dtype=bool)
+    inside = tube_margin(W) > 0.0
     # the minimizer carries Z to W, so on a closed orbit its inverse carries W back to Z
     have = inside | np.array([r.classification == "closed" for r in kn], dtype=bool)
     witness = np.where(inside[:, None, None, None], W, Z)
-    reduced = iter(orbit_minimize_all(witness[have]))
+    reduced = orbit_minimize_all(witness[have])
+    R = np.array([rr.reduced_point for rr in reduced]).reshape((-1,) + Z.shape[1:])
+    certified = np.zeros(len(Z), dtype=bool)
+    certified[have] = np.array([rr.converged for rr in reduced], dtype=bool) & tube_mask(R)
+    margin = np.zeros(len(Z))
+    margin[certified] = tube_margin(R[certified[have]])
+    gram_shift = gram_map(W) - gram_map(Z)
 
     reports = []
     for b, r in enumerate(kn):
-        rr = next(reduced) if have[b] else None
-        certified = rr is not None and rr.converged and tube_membership(rr.reduced_point)
         kind = "kn_point" if inside[b] else "minimizer_inverse" if have[b] else "none"
         reports.append(
             SaturationReport(
                 classification=r.classification,
-                certified_in_extended_tube=certified,
-                gram_distance=float(np.linalg.norm(gram_map(W[b]) - gram_map(Z[b]))),
+                certified_in_extended_tube=bool(certified[b]),
+                gram_distance=float(np.linalg.norm(gram_shift[b])),
                 closed_point=W[b],
-                witness=witness[b] if have[b] else None,
                 witness_kind=kind,
-                reduced_margin=tube_margin(rr.reduced_point) if certified else None,
-                verdict="certified" if certified else "probe failed",
+                reduced_margin=float(margin[b]) if certified[b] else None,
+                verdict="certified" if certified[b] else "probe failed",
             )
         )
     return reports

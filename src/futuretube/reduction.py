@@ -319,7 +319,6 @@ def section_probe(base):
 class SectionLeviReport:
     deviation: float
     min_eigenvalue: float
-    levi_min: np.ndarray
     levi_phi: np.ndarray
     passed: bool
 
@@ -346,7 +345,6 @@ def section_levi_identity(base, dev_tol=1e-3, eig_tol=1e-6):
     return SectionLeviReport(
         deviation=deviation,
         min_eigenvalue=min_eig,
-        levi_min=A,
         levi_phi=B,
         passed=bool(deviation <= dev_tol and min_eig >= -eig_tol),
     )

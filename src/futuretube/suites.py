@@ -188,8 +188,11 @@ class _EachSample:
     stopped; it makes each sample's remaining reads, in stream order,
     does the chunk's numerical work in one stacked call per kernel, and
     returns one tuple per sample, appended to that sample's inputs.
-    record(i, x, n, tol) only formats sample i's record from its inputs
-    x.  Only one chunk's inputs and RowStreams are alive at a time.  On
+    record(i, x, n, tol) makes sample i's record from its inputs x: most
+    records only format, but reduce-minimum's evaluates phi and its lower
+    bound, and levi-identity's and lagrangian's run their per-point checks
+    (section_levi_identity; lagrangian_check and critical_iff_moment_zero)
+    there.  Only one chunk's inputs and RowStreams are alive at a time.  On
     one scalar stream, check(i, x, rng, n, tol) runs draw's inputs
     through the stage of a stack of one and the record, and reads the
     same normals in the same order; the runner gives the same records
@@ -446,12 +449,12 @@ def _kempf_ness_draw(rng, n):
 
 def _kempf_ness_stage(index, inputs, rngs, n, tol):
     (Z,) = inputs
-    return [(r,) for r in kempf_ness_minimize_all(Z)]
+    ranks = [gram_rank(G) for G in gram_map(Z)]
+    return list(zip(kempf_ness_minimize_all(Z), ranks))
 
 
 def _kempf_ness(i, x, n, tol):
-    Z, r = x
-    rank = gram_rank(gram_map(Z))
+    _, r, rank = x
     verdict = "inconclusive"  # also on a non-generic draw, where the rank criterion does not apply
     if rank >= 3 and r.classification != "inconclusive":
         verdict = _verdict(r.classification == "closed")

@@ -103,7 +103,7 @@ def test_criterion_4_moment_oracle():
         e[k] = 1.0
 
         def along(t):
-            return psh.phi(A.flow_point(e, 1j * t, Z))
+            return psh.phi(A.act_complex(A.flow_pairs(e, 1j * t), Z))
 
         h = 1e-5
         fd = (8 * (along(h / 2) - along(-h / 2)) - (along(h) - along(-h))) / (6 * h)
@@ -127,7 +127,7 @@ def test_criterion_5_flow_monotonicity():
         Z = G.sample_tube_point(s, 2)
         xi = A.sample_algebra(s)
         xi /= np.linalg.norm(xi)
-        rep = psh.flow_monotonicity(xi, Z, t_max=0.25, steps=25, slack=1e-9)
+        rep = psh.flow_monotonicity(xi[None], Z[None], t_max=0.25, steps=25, slack=1e-9)[0]
         ok = ok and rep.nondecreasing and rep.strict_when_moving and len(rep.values) >= 2
         if not ok:
             break
@@ -173,7 +173,7 @@ def test_criterion_7_lagrangian_and_normal_hessian():
         scale = 1.0 + float(np.linalg.norm(r.reduced_point))
         for k in range(6):
             if np.linalg.norm(F[k]) > 1e-10 * scale:
-                ok = ok and psh.omega_eval(r.reduced_point, F[k], A.apply_J(F[k])) > 0.0
+                ok = ok and psh.omega_eval(r.reduced_point, F[k][None], A.apply_J(F[k])[None])[0] > 0.0
         if not ok:
             break
     c.finish(ok)

@@ -137,7 +137,7 @@ def test_apply_J():
     xi = A.sample_algebra(s)
 
     def curve(t):
-        return A.flow_point(xi, 1j * t, Z)
+        return A.act_complex(A.flow_pairs(xi, 1j * t), Z)
 
     fd = (curve(1e-5) - curve(-1e-5)) / 2e-5
     want = A.apply_J(A.real_vector_field(xi, Z))

@@ -26,6 +26,26 @@ def test_phi_command(tmp_path, capsys):
     assert doc["phi"] == 2.0
 
 
+def test_point_commands_print_plain_floats(tmp_path, capsys):
+    # the exact text lines: a numpy scalar would print as np.float64(2.0)
+    pair = write_json(tmp_path / "pair.json", serialize.point_to_json(np.stack([iI, iI])))
+    one = write_json(tmp_path / "one.json", serialize.point_to_json(iI))
+    expected = [
+        (["phi", pair], "phi = 2.0\n"),
+        (["moment", pair], "moment = [-0.0, -0.0, -0.0, -0.0, -0.0, -0.0]\nnorm = 0.0\n"),
+        (["reduce", pair], "phi_min = 2.0\nmoment_norm = 0.0\nconverged = True in 0 iterations\n"),
+        (
+            ["normal-form", one],
+            "u = [[[1.0, -0.0], [0.0, -0.0]], [[-0.0, -0.0], [1.0, 0.0]]]\n"
+            "r = 1.0\n"
+            "X = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]\n",
+        ),
+    ]
+    for argv, out in expected:
+        assert cli_entry(argv) == 0
+        assert capsys.readouterr().out == out
+
+
 def test_reduce_command(tmp_path, capsys):
     p = write_json(tmp_path / "pt.json", serialize.matrix_to_json(np.array([[1j, 1.0], [0.0, 1j]])))
     assert cli_entry(["--json", "reduce", p]) == 0

@@ -123,15 +123,15 @@ def test_tube_sampling_and_det_bound():
 def test_tube_margin_sign():
     s = stream_for(1, "geom-margin", 0)
     W = G.sample_tube_matrix(s)
-    assert G.tube_margin(W) > 0
-    assert G.tube_margin(-W) < 0
+    assert G.tube_margin(W[None]) > 0
+    assert G.tube_margin(-W[None]) < 0
 
 
 def test_phi_domain_error_outside():
     from futuretube.psh import phi
 
     with pytest.raises(G.DomainError):
-        phi(np.eye(2, dtype=complex))
+        phi(np.eye(2, dtype=complex)[None])
 
 
 def test_as_tuple_point_shapes():

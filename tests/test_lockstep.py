@@ -133,11 +133,11 @@ def test_lagrangian_omegas_equal_the_one_pair_calls():
     values = psh.omega_eval(Zr, V, W)
     assert values.shape == (21,)
     for k in range(21):
-        assert values[k] == psh.omega_eval(Zr, V[k], W[k])
+        assert values[k] == psh.omega_eval(Zr, V[k][None], W[k][None])[0]
     rep = lagrangian_check(r)
-    assert rep.max_omega == max(abs(psh.omega_eval(Zr, F[a], F[b])) for a, b in pairs)
+    assert rep.max_omega == max(abs(psh.omega_eval(Zr, F[a][None], F[b][None])[0]) for a, b in pairs)
     assert rep.normal_hessian_positive == all(
-        psh.omega_eval(Zr, F[k], A.apply_J(F[k])) > 0.0 for k in range(6)
+        psh.omega_eval(Zr, F[k][None], A.apply_J(F[k])[None])[0] > 0.0 for k in range(6)
     )
 
 

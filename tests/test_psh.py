@@ -19,21 +19,21 @@ def bare_fd(f, t0, h):
 
 def test_phi_frozen():
     assert psh.phi(np.stack([iI, iI])) == 2.0
-    assert psh.phi(2j * np.eye(2)) == 0.25
-    assert abs(psh.phi(np.array([[1j, 1.0], [0.0, 1j]])) - 4.0 / 3.0) < 1e-15
+    assert psh.phi((2j * np.eye(2))[None]) == 0.25
+    assert abs(psh.phi(np.array([[1j, 1.0], [0.0, 1j]])[None]) - 4.0 / 3.0) < 1e-15
     with pytest.raises(G.DomainError):
-        psh.phi(np.eye(2, dtype=complex))
+        psh.phi(np.eye(2, dtype=complex)[None])
 
 
 
 def test_phi_when_det_im_overflows():
     # det Im = 1e310 overflows; its inverse is a subnormal double
-    assert psh.phi(np.diag([1e155j, 1e155j])) == pytest.approx(1e-310, rel=1e-12)
+    assert psh.phi(np.diag([1e155j, 1e155j])[None]) == pytest.approx(1e-310, rel=1e-12)
     assert psh.phi(np.stack([iI, 1e308 * iI])) == 1.0
     # 1 / det Im underflows to zero: never returned as phi = 0.0
     for x in (1e200, 1e308):
         with pytest.raises(G.DomainError):
-            psh.phi(np.diag([x * 1j, x * 1j]))
+            psh.phi(np.diag([x * 1j, x * 1j])[None])
         with pytest.raises(G.DomainError):
             psh.phi(np.stack([x * iI, x * iI]))
 
@@ -90,7 +90,7 @@ def test_moment_calibration_plus_three():
     assert abs(m[0] - 3.0) <= 1e-12
 
     def along(t):
-        return psh.phi(A.flow_point(E1, 1j * t, Z))
+        return psh.phi(A.act_complex(A.flow_pairs(E1, 1j * t), Z))
 
     assert abs(bare_fd(along, 0.0, 1e-6) - 3.0) <= 1e-4
 
@@ -105,7 +105,7 @@ def test_moment_matches_flow_fd_all_components():
             e[k] = 1.0
 
             def along(t):
-                return psh.phi(A.flow_point(e, 1j * t, Z))
+                return psh.phi(A.act_complex(A.flow_pairs(e, 1j * t), Z))
 
             fd = bare_fd(along, 0.0, 1e-6)
             assert abs(m[k] - fd) <= 1e-6 * (1 + abs(fd))
@@ -217,11 +217,11 @@ def test_omega_antisymmetry_positivity_and_levi_identity():
         Z = G.sample_tube_point(s, 2)
         V = np.stack([s.matrix(), s.matrix()])
         W = np.stack([s.matrix(), s.matrix()])
-        ovw = psh.omega_eval(Z, V, W)
-        owv = psh.omega_eval(Z, W, V)
+        ovw = psh.omega_eval(Z, V[None], W[None])[0]
+        owv = psh.omega_eval(Z, W[None], V[None])[0]
         assert ovw == -owv  # antisymmetric by construction
-        assert psh.omega_eval(Z, V, V) == 0.0
-        assert psh.omega_eval(Z, V, A.apply_J(V)) > 0.0
+        assert psh.omega_eval(Z, V[None], V[None])[0] == 0.0
+        assert psh.omega_eval(Z, V[None], A.apply_J(V)[None])[0] > 0.0
         # cross-check against the analytic Levi pairing:
         # omega(V, W) = -4 Im sum L_jk V_j conj(W_k)
         L = psh.levi_form_phi(Z, A.full_tangent_basis(2))
@@ -232,13 +232,13 @@ def test_omega_antisymmetry_positivity_and_levi_identity():
 def test_flow_monotonicity():
     # stationary: i*I is fixed by the unitary-algebra direction e2 - e3
     rot = np.array([0.0, 1.0, -1.0, 0, 0, 0])
-    rep = psh.flow_monotonicity(rot, G.as_tuple_point(iI), t_max=0.5, steps=10)
+    rep = psh.flow_monotonicity(rot[None], G.as_tuple_point(iI)[None], t_max=0.5, steps=10)[0]
     assert rep.nondecreasing and rep.strict_when_moving
     assert max(rep.displacements) <= 1e-12
     assert max(rep.values) - min(rep.values) <= 1e-12
 
     # single sample at t_max = 0
-    rep = psh.flow_monotonicity(E1, G.as_tuple_point(iI), t_max=0.0, steps=0)
+    rep = psh.flow_monotonicity(E1[None], G.as_tuple_point(iI)[None], t_max=0.0, steps=0)[0]
     assert len(rep.values) == 1 and rep.nondecreasing
 
     # strictly increasing when the flow moves
@@ -247,7 +247,7 @@ def test_flow_monotonicity():
         Z = G.sample_tube_point(s, 2)
         xi = A.sample_algebra(s)
         xi /= np.linalg.norm(xi)
-        rep = psh.flow_monotonicity(xi, Z, t_max=0.25, steps=25)
+        rep = psh.flow_monotonicity(xi[None], Z[None], t_max=0.25, steps=25)[0]
         assert rep.nondecreasing
         assert rep.strict_when_moving
         assert len(rep.values) >= 2
@@ -256,7 +256,7 @@ def test_flow_monotonicity():
 def test_flow_truncates_at_domain_exit():
     # a strong push along e1 eventually leaves the tube
     Z = G.as_tuple_point(np.eye(2) * 0.0 + 1j * np.diag([1.0, 0.05]))
-    rep = psh.flow_monotonicity(E1, Z, t_max=3.0, steps=60)
+    rep = psh.flow_monotonicity(E1[None], Z[None], t_max=3.0, steps=60)[0]
     assert rep.truncated_at is not None
     assert len(rep.values) == rep.truncated_at
 

@@ -17,7 +17,7 @@ iI = 1j * np.eye(2)
 
 
 def test_gram_frozen():
-    assert np.allclose(gram_map(iI), [[-1.0]])
+    assert np.allclose(gram_map(iI[None]), [[-1.0]])
     got = gram_map(np.stack([iI, 1j * np.diag([1.0, -1.0])]))
     assert np.allclose(got, [[-1.0, 0.0], [0.0, 1.0]])
 

@@ -43,7 +43,7 @@ def brute_force_orbit_min(Z, rng, rounds=3000):
         xi = rng.normals(6)
         xi /= np.linalg.norm(xi)
         for sgn in (1.0, -1.0):
-            Q = A.flow_point(xi, 1j * sgn * step, P)
+            Q = A.act_complex(A.flow_pairs(xi, 1j * sgn * step), P)
             if G.tube_membership(Q):
                 v = psh.phi(Q)
                 if v < best:
@@ -189,7 +189,7 @@ def test_lagrangian_check_random_reduced():
         F = A.orbit_fields(r.reduced_point)
         for k in range(6):
             if np.linalg.norm(F[k]) > 1e-8:
-                assert psh.omega_eval(r.reduced_point, F[k], A.apply_J(F[k])) > 0
+                assert psh.omega_eval(r.reduced_point, F[k][None], A.apply_J(F[k])[None])[0] > 0
 
 
 def test_lagrangian_needs_convergence():
@@ -224,7 +224,7 @@ def test_monotone_flow_uniqueness_at_reduced_points():
         r = orbit_minimize(Z, moment_tol=1e-10)
         xi = A.sample_algebra(s)
         xi /= np.linalg.norm(xi)
-        rep = psh.flow_monotonicity(xi, r.reduced_point, t_max=0.2, steps=20)
+        rep = psh.flow_monotonicity(xi[None], r.reduced_point[None], t_max=0.2, steps=20)[0]
         moved = max(rep.displacements) > 1e-9
         stayed_zero = max(abs(v) for v in rep.values) <= 1e-7
         assert moved != stayed_zero

@@ -1,7 +1,7 @@
 """Stacked kernels equal their one-point calls exactly.
 
-phi, dphi, expm_traceless and orbit_fields take a stack (m, ..., 2, 2) and return m
-results; directional_derivative, levi_form and flow_monotonicity build
+phi, dphi, expm_traceless and orbit_fields take points with any leading
+axes (..., N, 2, 2) and return results with those axes; directional_derivative, levi_form and flow_monotonicity build
 their stencil or grid as such stacks and take fields f on stacks.  Every comparison here is
 `==` on the floats, not a tolerance: stacking only moves the loop from
 Python into numpy.  The per-point references below are the loops these
@@ -17,6 +17,7 @@ import pytest
 from futuretube import actions as A
 from futuretube import geometry as G
 from futuretube import psh
+from futuretube import quotient
 from futuretube.rng import stream_for
 
 iI = 1j * np.eye(2)
@@ -64,6 +65,34 @@ def test_dphi_broadcasts_a_stacked_point():
     assert one_point.tolist() == [psh.dphi(Z[0], V[k]) for k in range(5)]
 
 
+def _bits(a):
+    # float or complex results as their raw 64-bit words
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_kernels_broadcast_two_leading_axes():
+    # a (2, 3) grid of points gives the flattened stack's results reshaped,
+    # bit for bit
+    Z, V = _points("stack-grid", 2, 6), _points("stack-grid-v", 2, 6)
+    Zg, Vg = Z.reshape(2, 3, 2, 2, 2), V.reshape(2, 3, 2, 2, 2)
+    basis = A.full_tangent_basis(2)
+    kernels = (
+        psh.phi,
+        psh.moment_map,
+        lambda P: psh.levi_form_phi(P, basis),
+        A.orbit_fields,
+        quotient.gram_map,
+        G.tube_margin,
+    )
+    for kernel in kernels:
+        flat = kernel(Z)
+        grid = kernel(Zg)
+        assert grid.shape == (2, 3) + flat.shape[1:]
+        assert np.array_equal(_bits(grid), _bits(flat.reshape(grid.shape)))
+    assert np.array_equal(_bits(psh.dphi(Zg, Vg)), _bits(psh.dphi(Z, V).reshape(2, 3)))
+    assert np.array_equal(G.tube_mask(Zg), G.tube_mask(Z).reshape(2, 3))
+
+
 def test_expm_traceless_on_a_stack_straddling_the_series_branch():
     X = A.realize(A.sample_algebra(stream_for(5, "stack-expm", 0)))
     unit = X / np.sqrt(-G.det2(X))  # |d| = 1
@@ -83,12 +112,12 @@ def test_flow_pair_and_flow_point_on_an_array_of_times():
     Z = G.sample_tube_point(s, 3)
     taus = np.array([1j * t for t in (0.0, 0.1, 0.7)])
     E = A.flow_pairs(xi, taus)
-    points = A.flow_point(xi, taus, Z)
+    points = A.act_complex(E[:, None], Z)
     assert E.shape == (3, 2, 2, 2) and points.shape == (3,) + Z.shape
     for k, tau in enumerate(taus.tolist()):
         assert np.array_equal(E[k], A.flow_pairs(xi, tau))
-        assert np.array_equal(points[k], A.flow_point(xi, tau, Z))
-        assert np.array_equal(A.flow_point(xi, tau, Z[0]), points[k, 0])
+        assert np.array_equal(points[k], A.act_complex(A.flow_pairs(xi, tau), Z))
+        assert np.array_equal(A.act_complex(A.flow_pairs(xi, tau), Z[0]), points[k, 0])
 
 
 def _reference_orbit_fields(Z):
@@ -148,7 +177,7 @@ def test_omega_eval_matches_per_point_differences():
         return psh.directional_derivative(lambda Y: psh.dphi(Y, A.apply_J(U)), Z, D[None])[0]
 
     for V, W in ((F[0], F[1]), (F[2], A.apply_J(F[2])), (F[4], F[5])):
-        assert psh.omega_eval(Z, V, W) == -(d_along(V, W) - d_along(W, V))
+        assert psh.omega_eval(Z, V[None], W[None])[0] == -(d_along(V, W) - d_along(W, V))
 
 
 def _reference_levi_form(f, Z, B, h=1e-3):
@@ -241,7 +270,7 @@ def _reference_flow(xi, Z, t_max, steps):
     truncated_at = None
     prev = None
     for i, t in enumerate(ts):
-        Zt = A.flow_point(xi, 1j * t, Z)
+        Zt = A.act_complex(A.flow_pairs(xi, 1j * t), Z)
         if not G.tube_membership(Zt):
             truncated_at = i
             break
@@ -258,7 +287,7 @@ def test_flow_truncation_matches_the_per_step_loop():
     xi = A.sample_algebra(s)
     cases.append((xi / np.linalg.norm(xi), G.sample_tube_point(s, 2), 4.0, 40))
     for xi, Z, t_max, steps in cases:
-        rep = psh.flow_monotonicity(xi, Z, t_max=t_max, steps=steps)
+        rep = psh.flow_monotonicity(xi[None], Z[None], t_max=t_max, steps=steps)[0]
         ts, values, displacements, truncated_at = _reference_flow(xi, Z, t_max, steps)
         assert truncated_at is not None and 1 < truncated_at < steps
         assert rep.truncated_at == truncated_at
@@ -276,10 +305,10 @@ def test_flow_past_overflow_truncates_without_warnings():
     ts, values, displacements, truncated_at = _reference_flow(e4, Z, 1000.0, 10)
     assert truncated_at == 1
     with pytest.warns(RuntimeWarning):
-        A.flow_point(e4, 800j, Z)
+        A.act_complex(A.flow_pairs(e4, 800j), Z)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = psh.flow_monotonicity(e4, Z, t_max=1000.0, steps=10)
+        rep = psh.flow_monotonicity(e4[None], Z[None], t_max=1000.0, steps=10)[0]
     assert rep.truncated_at == truncated_at
     assert (rep.ts, rep.values, rep.displacements) == (ts, values, displacements)
 
@@ -289,7 +318,7 @@ def test_untruncated_flow_matches_the_per_step_loop():
     Z = G.sample_tube_point(s, 2)
     xi = A.sample_algebra(s)
     xi /= np.linalg.norm(xi)
-    rep = psh.flow_monotonicity(xi, Z, t_max=0.25, steps=25)
+    rep = psh.flow_monotonicity(xi[None], Z[None], t_max=0.25, steps=25)[0]
     ts, values, displacements, truncated_at = _reference_flow(xi, Z, 0.25, 25)
     assert rep.truncated_at is truncated_at is None
     assert (rep.ts, rep.values, rep.displacements) == (ts, values, displacements)
