@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .geometry import DomainError, tube_membership
+from .geometry import DomainError, tube_mask
 from .psh import moment_map, phi
 from .quotient import gram_map, gram_rank
 from .reduction import orbit_minimize
@@ -143,7 +143,7 @@ def _cmd_gram(args):
     payload = {
         "gram": serialize.jsonable(Gm),
         "rank": gram_rank(Gm),
-        "in_tube": tube_membership(Z),
+        "in_tube": bool(tube_mask(Z)),
     }
     _emit(
         payload,

@@ -28,9 +28,9 @@ __all__ = [
     "adj2",
     "hermitian_im",
     "det_im",
+    "scaled_det_im",
     "as_tuple_point",
     "tube_mask",
-    "tube_membership",
     "tube_margin",
     "four_vectors",
     "hermitians",
@@ -122,6 +122,25 @@ def det_im(Z):
     return a * d - (b.real**2 + b.imag**2)
 
 
+def _scaled_im_parts(Z):
+    """a, d, Re b and Im b of _im_parts(Z) times 2^-e, and e, the
+    np.frexp exponent of the largest of the four in each component (not
+    the largest exponent: a zero part has exponent 0).  The scaling is
+    exact: a formula of degree k in them, times 2^(k e), is the unscaled
+    formula bit for bit wherever both stay normal doubles."""
+    a, d, b = _im_parts(np.asarray(Z, dtype=complex))
+    br, bi = b.real, b.imag
+    e = np.frexp(np.fmax(np.fmax(np.fabs(a), np.fabs(d)), np.fmax(np.fabs(br), np.fabs(bi))))[1]
+    return np.ldexp(a, -e), np.ldexp(d, -e), np.ldexp(br, -e), np.ldexp(bi, -e), e
+
+
+def scaled_det_im(Z):
+    """det_im(Z) as (a, q, e) with det Im = q 2^(2e) and a = Im Z_00 2^-e;
+    q is at most 1 in size, so no finite point overflows it."""
+    a, d, br, bi, e = _scaled_im_parts(Z)
+    return a, a * d - (br**2 + bi**2), e
+
+
 def as_tuple_point(Z):
     """Coerce a (2,2) matrix or an (N,2,2) stack to tuple-point shape."""
     Z = np.asarray(Z, dtype=complex)
@@ -132,24 +151,15 @@ def as_tuple_point(Z):
     return Z
 
 
-def tube_mask(Z, d=None):
+def tube_mask(Z):
     """Per-point tube test over a stack (..., N, 2, 2) of tuple points.
 
     A point is in the tube iff every component has positive definite
-    Hermitian imaginary part; a stack (m, N, 2, 2) gives m booleans.  d
-    is det_im(Z) when the caller has it.  A det Im that overflows is inf,
-    which is positive, and raises no numpy warning.
+    Hermitian imaginary part, a > 0 and q > 0 of scaled_det_im, at every
+    magnitude of finite entries; a stack (m, N, 2, 2) gives m booleans.
     """
-    Z = np.asarray(Z, dtype=complex)
-    if d is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = det_im(Z)
-    return np.all((Z[..., 0, 0].imag > 0) & (d > 0), axis=-1)
-
-
-def tube_membership(Z):
-    """True iff every component has positive definite Hermitian imaginary part."""
-    return bool(tube_mask(as_tuple_point(Z)))
+    a, q, _ = scaled_det_im(Z)
+    return np.all((a > 0) & (q > 0), axis=-1)
 
 
 def tube_margin(Z):
@@ -157,10 +167,11 @@ def tube_margin(Z):
     point of a stack (..., N, 2, 2).
 
     Positive exactly on the tube; used as a robust membership margin.
+    It is taken of the scaled parts of _scaled_im_parts and scaled back.
     """
-    a, d, b = _im_parts(np.asarray(Z, dtype=complex))
-    rad = np.sqrt((a - d) ** 2 + 4.0 * (b.real**2 + b.imag**2))
-    return np.min((a + d - rad) / 2.0, axis=-1)
+    a, d, br, bi, e = _scaled_im_parts(Z)
+    rad = np.sqrt((a - d) ** 2 + 4.0 * (br**2 + bi**2))
+    return np.min(np.ldexp((a + d - rad) / 2.0, e), axis=-1)
 
 
 def four_vectors(x):

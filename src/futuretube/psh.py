@@ -15,7 +15,6 @@ On the calibration field |z|^2 over C these conventions give a Levi form
 of 1 and omega(1, i) = 4.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .geometry import (
     adj2,
     det_im,
     hermitian_im,
+    scaled_det_im,
     tube_mask,
 )
 from .actions import _dots, act_complex, apply_J, flow_pairs, orbit_fields, real_vector_field
@@ -49,66 +49,55 @@ class StencilDomainError(DomainError):
     """A finite-difference stencil point left the domain; resample or shrink."""
 
 
-def _det_im(Z):
-    """det_im(Z) without numpy's overflow warning: an overflow gives inf or
-    nan, which phi rescales and _positive_det_im rejects by name."""
+def _positive_det_im(Z):
+    """det_im(Z) in plain arithmetic; DomainError unless it is finite and
+    Z lies in the tube.  The scaled tube test runs only to name an error."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return det_im(Z)
-
-
-def _positive_det_im(d):
-    """The det Im values d; DomainError unless all are positive and finite."""
-    if not d.min(initial=np.inf) > 0.0:
-        raise DomainError("det Im <= 0: point is outside the tube")
+        d = det_im(Z)
     if not d.max(initial=0.0) < np.inf:
         raise DomainError("det Im overflows: the point is too large to evaluate")
+    if not (d.min(initial=np.inf) > 0.0 and Z[..., 0, 0].imag.min(initial=np.inf) > 0.0):
+        if tube_mask(Z).all():
+            raise DomainError("det Im underflows: the point is too small to evaluate")
+        raise DomainError("Im Z is not positive definite: point is outside the tube")
     return d
+
+
+def _nonzero(p):
+    # a power of det Im values d > 0, taken with overflows ignored: inf
+    # makes its terms 0, but 0 (an underflow) raises DomainError
+    if not p.min(initial=np.inf) > 0.0:
+        raise DomainError("det Im underflows: the point is too small to evaluate")
+    return p
 
 
 def phi(Z):
     """Invariant potential of each point of a stack (..., N, 2, 2);
     positive on the tube.
 
-    Raises DomainError when some det Im(Z^j) <= 0, signaling that a point
-    left the tube.  When det Im of a point overflows, each of its
-    components is scaled by its largest |Im| entry s, and
-    1/det Im(Z^j) = 1/(det Im(Z^j/s) s^2); a potential that underflows
-    to zero raises DomainError as well.
+    Each term 1/det Im(Z^j) is 2^(-2e)/q of scaled_det_im, which no step
+    overflows, exact where 1/det Im is a normal double.  DomainError
+    when a point lies outside the tube or a value is not a finite
+    positive double.
     """
-    Z = np.asarray(Z, dtype=complex)
-    return _phi_values(Z, _det_im(Z))
+    values = phi_in_tube(Z)
+    if not values.max(initial=0.0) < np.inf:
+        if tube_mask(Z).all():
+            raise DomainError("phi overflows: det Im is too small to represent 1/det Im")
+        raise DomainError("Im Z is not positive definite: point is outside the tube")
+    return values
 
 
 def phi_in_tube(Z):
     """phi at the points of a stack (m, N, 2, 2) that lie in the tube and
-    inf at the others, from one det_im for the test and the values."""
-    d = _det_im(Z)
-    inside = tube_mask(Z, d)
-    if inside.all():
-        return _phi_values(Z, d)
-    values = np.full(inside.shape, np.inf)
-    if inside.any():
-        values[inside] = _phi_values(Z[inside], d[inside])
-    return values
-
-
-def _phi_values(Z, d):
-    # phi of the points Z whose det Im is d
-    if math.isfinite(d.max(initial=0.0)):
-        return np.sum(1.0 / _positive_det_im(d), axis=-1)
-    return _phi_rescaled(Z, d)
-
-
-def _phi_rescaled(Z, d):
-    # phi with det Im d, rescaling only the points whose det Im
-    # overflowed; dividing the others by s = 1 leaves their values exact
-    over = ~np.isfinite(d.max(axis=-1))
-    s = np.ones_like(d)
-    s[over] = np.abs(hermitian_im(Z[over])).max(axis=(-2, -1))
-    d = d.copy()
-    d[over] = det_im(Z[over] / s[over][..., None, None])
-    values = np.sum(1.0 / _positive_det_im(d) / s / s, axis=-1)
-    if not np.all(values[over] > 0.0):
+    inf at the others, from one scaled_det_im for the test and the values;
+    a value that overflows is inf too, the barrier to a descent."""
+    a, q, e = scaled_det_im(Z)
+    inside = np.all((a > 0) & (q > 0), axis=-1)
+    # the terms of points outside are discarded; [()] leaves one point a scalar
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = np.where(inside, np.sum(np.ldexp(1.0 / q, -2 * e), axis=-1), np.inf)[()]
+    if not values.min(initial=np.inf) > 0.0:
         raise DomainError("phi underflows: det Im is too large to represent 1/det Im")
     return values
 
@@ -131,15 +120,14 @@ def dphi(Z, V):
     (..., N, 2, 2) broadcast against each other.
     """
     Z = np.asarray(Z, dtype=complex)
-    return _dphi(hermitian_im(Z), _positive_det_im(_det_im(Z)), np.asarray(V, dtype=complex))
+    return _dphi(hermitian_im(Z), _positive_det_im(Z), np.asarray(V, dtype=complex))
 
 
 def _dphi(P, d, V):
-    # dphi at points with Im part P and det Im d; p**2 overflows to inf
-    # for p above about 1e154, and the term is then 0
+    # dphi at points with Im part P and det Im d
     tr = _trace_adj_product(P, hermitian_im(V))
     with np.errstate(over="ignore"):
-        return -np.sum(tr / d**2, axis=-1)
+        return -np.sum(tr / _nonzero(d**2), axis=-1)
 
 
 def _levi(adjP, d, V):
@@ -160,7 +148,8 @@ def _levi(adjP, d, V):
         + P[..., 1, 1] * A[..., 1, 1]
     )
     with np.errstate(over="ignore"):
-        w3, w2 = 2.0 / d**3, 1.0 / d**2
+        # d**2 >= d**3 where d <= 1, so it underflows only if d**3 does
+        w3, w2 = 2.0 / _nonzero(d**3), 1.0 / d**2
     X = adj2(A) * w2[..., None, :, None, None]
     L = (t * w3[..., None, :]) @ _dagger(t) - _flat(X) @ _dagger(_flat(A))
     return (L + _dagger(L)) / 2.0
@@ -186,7 +175,7 @@ def orbit_derivatives(P):
     one adjugate and one orbit_fields.
     """
     Pim = hermitian_im(P)
-    d = _positive_det_im(_det_im(P))
+    d = _positive_det_im(P)
     F = orbit_fields(P)
     adjP = adj2(Pim)
 
@@ -227,7 +216,7 @@ def moment_map(Z):
     """Six moment components <mu(Z), e_k> over the fixed basis, (..., 6)
     for points (..., N, 2, 2)."""
     Z = np.asarray(Z, dtype=complex)
-    d = _positive_det_im(_det_im(Z))
+    d = _positive_det_im(Z)
     return _dphi(hermitian_im(Z)[..., None, :, :, :], d[..., None, :], 1j * orbit_fields(Z))
 
 
@@ -294,8 +283,7 @@ def levi_form_phi(Z, directions):
     the stated stencil tolerance.
     """
     Z = np.asarray(Z, dtype=complex)
-    d = _positive_det_im(_det_im(Z))
-    return _levi(adj2(hermitian_im(Z)), d, np.asarray(directions, dtype=complex))
+    return _levi(adj2(hermitian_im(Z)), _positive_det_im(Z), np.asarray(directions, dtype=complex))
 
 
 def omega_eval(Z, V, W):

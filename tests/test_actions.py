@@ -59,7 +59,7 @@ def test_act_real_preserves_det_tube_and_im_conjugation():
         Z = G.sample_tube_point(s, 2)
         g = A.sample_sl2(s)
         W = A.act_real(g, Z)
-        assert G.tube_membership(W)
+        assert G.tube_mask(W)
         assert np.max(np.abs(G.det2(W) - G.det2(Z))) <= 1e-10 * (1 + np.max(np.abs(G.det2(Z))))
         want = g @ G.hermitian_im(Z) @ g.conj().T
         assert np.max(np.abs(G.hermitian_im(W) - want)) <= 1e-10 * (1 + np.max(np.abs(want)))

@@ -50,7 +50,7 @@ def test_normal_form_reconstruction_property():
         s = stream_for(6, "nf-recon", i)
         W = G.sample_tube_matrix(s)
         nf = normal_form(W)
-        assert G.tube_membership(nf.X)
+        assert G.tube_mask(G.as_tuple_point(nf.X))
         assert abs(nf.X[1, 0]) <= 1e-10
         assert abs(abs(nf.X[0, 0]) - abs(nf.X[1, 1])) <= 1e-8 * abs(nf.X[0, 0])
         recon = A.act_real(nf.group_element(), W)

@@ -286,3 +286,43 @@ def test_output_path_in_a_missing_directory_fails_before_the_suite_runs(
     assert cli_entry(["run", cfg]) == 2
     assert "does not exist" in capsys.readouterr().err
     assert not missing.parent.exists()
+
+
+def _run(tmp_path, capsys, command, Z):
+    p = write_json(tmp_path / "pt.json", serialize.point_to_json(Z))
+    code = cli_entry([command, p])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_negative_definite_point_is_a_usage_error(tmp_path, capsys):
+    for Z in (-iI[None], np.stack([-iI, iI])):
+        for command in ("phi", "moment"):
+            code, out, err = _run(tmp_path, capsys, command, Z)
+            assert code == 2 and out == ""
+            assert "error:" in err and "outside the tube" in err
+        code, out, err = _run(tmp_path, capsys, "reduce", Z)
+        assert code == 2 and out == "" and "error: orbit_minimize starts from a tube point" in err
+
+
+def test_tiny_tube_points_are_usage_errors(tmp_path, capsys):
+    for x, phi_code in ((1e-161, 2), (1e-170, 2), (1e-100, 0)):
+        for command, want in (("phi", phi_code), ("moment", 2), ("reduce", 2)):
+            code, out, err = _run(tmp_path, capsys, command, x * iI[None])
+            assert code == want, (x, command)
+            assert ("error:" in err) == (want == 2)
+    assert _run(tmp_path, capsys, "phi", 1e-100 * iI[None])[1] == "phi = 1e+200\n"
+    # det Im = 1e-120 evaluates as before
+    assert _run(tmp_path, capsys, "phi", 1e-60 * iI[None])[1] == "phi = 1e+120\n"
+    assert _run(tmp_path, capsys, "moment", 1e-60 * iI[None])[1].endswith("norm = 0.0\n")
+    code, out, _ = _run(tmp_path, capsys, "reduce", 1e-60 * iI[None])
+    assert code == 0 and "converged = True" in out
+
+
+def test_overflowing_tube_point_names_the_overflow(tmp_path, capsys):
+    found = np.stack([1e155 * iI + np.array([[0.0, 1e154 + 2e154j], [3e154, 0.0]]), 1e155 * iI])
+    assert _run(tmp_path, capsys, "phi", found)[:2] == (0, "phi = 2.0204081632653e-310\n")
+    for command in ("moment", "reduce"):
+        code, out, err = _run(tmp_path, capsys, command, found)
+        assert code == 2 and out == ""
+        assert "error: det Im overflows" in err

@@ -82,17 +82,17 @@ def test_det_im_matches_lorentz_of_imag_part():
 
 def test_positive_definite_criterion():
     # a Hermitian H is positive definite iff 1j * H lies in the tube
-    assert G.tube_membership(1j * np.eye(2, dtype=complex))
-    assert not G.tube_membership(1j * np.diag([1.0, -1.0]).astype(complex))
+    assert G.tube_mask(G.as_tuple_point(1j * np.eye(2, dtype=complex)))
+    assert not G.tube_mask(G.as_tuple_point(1j * np.diag([1.0, -1.0]).astype(complex)))
     # det < 0 case from the hermitian_im example
-    assert not G.tube_membership(1j * np.array([[1.0, -1.5j], [1.5j, 1.0]]))
+    assert not G.tube_mask(G.as_tuple_point(1j * np.array([[1.0, -1.5j], [1.5j, 1.0]])))
 
 
 def test_tube_membership():
-    assert G.tube_membership(np.stack([iI, iI]))
-    assert not G.tube_membership(np.stack([iI, np.eye(2, dtype=complex)]))
+    assert G.tube_mask(np.stack([iI, iI]))
+    assert not G.tube_mask(np.stack([iI, np.eye(2, dtype=complex)]))
     Z = np.array([[1j, 1.0], [0.0, 1j]])
-    assert G.tube_membership(Z)
+    assert G.tube_mask(G.as_tuple_point(Z))
     assert abs(G.det_im(Z) - 0.75) < 1e-15
 
 
@@ -115,7 +115,7 @@ def test_tube_sampling_and_det_bound():
     for i in range(300):
         s = stream_for(1, "geom-tube", i)
         W = G.sample_tube_matrix(s)
-        assert G.tube_membership(W)
+        assert G.tube_mask(G.as_tuple_point(W))
         # det Im Z <= |det Z| on the tube
         assert G.det_im(W) <= abs(G.det2(W)) + 1e-12
 
@@ -125,6 +125,26 @@ def test_tube_margin_sign():
     W = G.sample_tube_matrix(s)
     assert G.tube_margin(W[None]) > 0
     assert G.tube_margin(-W[None]) < 0
+
+
+def test_tube_test_and_margin_at_every_magnitude():
+    import warnings
+
+    # det Im of the first component is inf - inf in plain arithmetic
+    found = np.stack([1e155 * iI + np.array([[0.0, 1e154 + 2e154j], [3e154, 0.0]]), 1e155 * iI])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert G.tube_mask(found)
+        # 1e155 - |1e154 (-1 + i)|
+        assert G.tube_margin(found) == pytest.approx(1e155 - np.sqrt(2.0) * 1e154, rel=1e-12)
+        assert G.tube_margin(found) == pytest.approx(8.5857864376e154, rel=1e-10)
+        assert not G.tube_mask(-found)
+        # det Im = 1e-340 underflows to 0 in plain arithmetic
+        tiny = G.as_tuple_point(1e-170 * iI)
+        assert G.tube_mask(tiny)
+        assert G.tube_margin(tiny) == 1e-170
+        assert not G.tube_mask(-tiny)
+        assert not G.tube_mask(np.zeros((1, 2, 2), dtype=complex))
 
 
 def test_phi_domain_error_outside():

@@ -184,7 +184,7 @@ def test_tube_mask_of_an_overflowing_point_raises_no_warning():
     big = np.stack([1e155 * iI + 1e154 * np.array([[1.0, 2.0], [3.0, 0.0]]), 1e155 * iI])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert G.tube_membership(big)
+        assert G.tube_mask(big)
 
 
 def test_reduce_of_an_overflowing_point_is_a_usage_error(tmp_path):

@@ -1,5 +1,7 @@
 """Potential, derivatives, Levi forms, moment map and flow monotonicity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -301,3 +303,60 @@ def test_overflowing_det_im_raises_no_warning():
         ):
             with pytest.raises(G.DomainError):
                 kernel(OVERFLOWING)
+
+
+# Im Z of the first component is 1e155 I plus an off-diagonal of size
+# 1.4e154: its det Im overflows as inf - inf, though the point lies in the tube
+FOUND = np.stack([1e155 * iI + np.array([[0.0, 1e154 + 2e154j], [3e154, 0.0]]), 1e155 * iI])
+
+
+def test_negative_definite_points_lie_outside_the_tube():
+    # det Im = 1 > 0 at -iI, but Im Z is negative definite
+    for Z in (G.as_tuple_point(-iI), np.stack([-iI, iI])):
+        for kernel in (
+            psh.phi,
+            lambda Z: psh.dphi(Z, Z),
+            psh.moment_map,
+            lambda Z: psh.levi_form_phi(Z, A.full_tangent_basis(len(Z))),
+        ):
+            with pytest.raises(G.DomainError, match="outside the tube"):
+                kernel(Z)
+
+
+def test_tiny_tube_points_raise_named_domain_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for x in (1e-161, 1e-170):
+            Z = G.as_tuple_point(x * iI)
+            assert G.tube_mask(Z)
+            # 1 / det Im overflows
+            with pytest.raises(G.DomainError, match="phi overflows"):
+                psh.phi(Z)
+        # det Im = 1e-200 is a double, its square is not
+        Z = G.as_tuple_point(1e-100 * iI)
+        assert psh.phi(Z) == 1e200
+        for kernel in (
+            lambda Z: psh.dphi(Z, Z),
+            psh.moment_map,
+            lambda Z: psh.levi_form_phi(Z, A.full_tangent_basis(1)),
+        ):
+            with pytest.raises(G.DomainError, match="det Im underflows"):
+                kernel(Z)
+        # det Im = 1e-120: phi and the moment as before
+        Z = G.as_tuple_point(1e-60 * iI)
+        assert psh.phi(Z) == 1e120
+        assert np.array_equal(psh.moment_map(Z), np.zeros(6))
+
+
+def test_overflowing_tube_point_has_a_phi_and_a_named_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert psh.phi(FOUND) == 2.0204081632653e-310
+        assert psh.phi_in_tube(FOUND[None]) == psh.phi(FOUND)
+        for kernel in (
+            lambda Z: psh.dphi(Z, Z),
+            psh.moment_map,
+            lambda Z: psh.levi_form_phi(Z, A.full_tangent_basis(2)),
+        ):
+            with pytest.raises(G.DomainError, match="det Im overflows"):
+                kernel(FOUND)

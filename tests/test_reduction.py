@@ -44,7 +44,7 @@ def brute_force_orbit_min(Z, rng, rounds=3000):
         xi /= np.linalg.norm(xi)
         for sgn in (1.0, -1.0):
             Q = A.act_complex(A.flow_pairs(xi, 1j * sgn * step), P)
-            if G.tube_membership(Q):
+            if G.tube_mask(Q):
                 v = psh.phi(Q)
                 if v < best:
                     P, best = Q, v
@@ -81,7 +81,7 @@ def test_orbit_minimize_against_fiber_oracle():
         assert r.converged
         assert abs(r.phi_min - want) <= 1e-9 * want
         # reduced point stays in the tube and on the fiber
-        assert G.tube_membership(r.reduced_point)
+        assert G.tube_mask(r.reduced_point)
         assert abs(G.det2(r.reduced_point[0]) - G.det2(W)) <= 1e-9 * (1 + abs(G.det2(W)))
         # reconstruction through the recorded minimizer
         back = A.act_complex(r.minimizer, r.start)

@@ -46,6 +46,42 @@ def test_phi_on_a_stack_rescales_only_the_overflowing_points():
     assert values[1] == pytest.approx(2.0025e-310, rel=1e-4)
 
 
+def _plain_im_kernels(Z):
+    # phi, tube_margin and tube_mask in unscaled arithmetic, and whether
+    # every intermediate value is zero or a normal finite double
+    a, d, b = G._im_parts(Z)
+    with np.errstate(all="ignore"):
+        steps = [a * d, b.real**2, b.imag**2, (a - d) ** 2]
+        det = steps[0] - (steps[1] + steps[2])
+        rad = np.sqrt(steps[3] + 4.0 * (steps[1] + steps[2]))
+        steps += [det, 1.0 / det, rad, a + d - rad]
+        phi = np.sum(1.0 / det, axis=-1)
+    margin = np.min((a + d - rad) / 2.0, axis=-1)
+    normal = [(x == 0.0) | ((np.abs(x) >= np.finfo(float).tiny) & np.isfinite(x)) for x in steps]
+    return phi, margin, np.all((a > 0) & (det > 0), axis=-1), np.all(normal, axis=(0, -1))
+
+
+def test_scaled_kernels_equal_the_plain_formulas_bit_for_bit():
+    Z = _points("stack-scaled", 3, 40)
+    compared = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for k in range(-160, 161, 5):
+            W = Z * 10.0**k
+            mask, margin = G.tube_mask(W), G.tube_margin(W)
+            assert mask.all() and (margin > 0).all()
+            phi, plain_margin, plain_mask, ok = _plain_im_kernels(W)
+            assert np.array_equal(margin[ok].view(np.uint64), plain_margin[ok].view(np.uint64))
+            assert np.array_equal(mask[ok], plain_mask[ok])
+            ok &= phi < np.inf
+            if ok.any():
+                values = psh.phi(W[ok])
+                assert np.array_equal(values.view(np.uint64), phi[ok].view(np.uint64))
+            compared += int(ok.sum())
+    # the plain formulas stay in range from 1e-150 to 1e150
+    assert compared == 40 * 61
+
+
 def test_phi_on_a_stack_rejects_a_point_outside_the_tube():
     Z = _points("stack-phi-out", 2, 3)
     Z[1, 0] = 1j * np.diag([1.0, -1.0])
@@ -271,7 +307,7 @@ def _reference_flow(xi, Z, t_max, steps):
     prev = None
     for i, t in enumerate(ts):
         Zt = A.act_complex(A.flow_pairs(xi, 1j * t), Z)
-        if not G.tube_membership(Zt):
+        if not G.tube_mask(Zt):
             truncated_at = i
             break
         values.append(psh.dphi(Zt, A.apply_J(A.real_vector_field(xi, Zt))))
