@@ -97,7 +97,7 @@ def _gauge(Z):
     and it is I exactly when P is scalar.
     """
     P = hermitian_im(Z[:, 0])
-    Q = P / (0.5 * (P[:, 0, 0] + P[:, 1, 1]).real)[:, None, None]
+    Q = P / (0.5 * P[:, 0, 0] + 0.5 * P[:, 1, 1]).real[:, None, None]
     s = np.sqrt(det2(Q).real)
     trace = (Q[:, 0, 0] + Q[:, 1, 1]).real
     return (adj2(Q) + s[:, None, None] * IDENTITY) / np.sqrt(s * (trace + 2.0 * s))[:, None, None]

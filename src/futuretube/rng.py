@@ -150,27 +150,14 @@ def _mapped(fn, x):
     return np.array(list(map(fn, x.ravel().tolist()))).reshape(x.shape)
 
 
-_CHUNK_PAIRS = 1024
-
-
 def normal_block(seed, label, count, k, start=0):
     """(count, k) normals: row r holds the first k normals of
     stream_for(seed, label, start + r), equal to them bit for bit.
 
-    Rows are drawn in chunks of about _CHUNK_PAIRS Box-Muller pairs, so
-    the working memory stays flat in count.
+    Every row is drawn in one pass, so the caller bounds count.
     """
     pairs = (k + 1) // 2
-    out = np.empty((count, 2 * pairs))
-    rows = max(1, _CHUNK_PAIRS // max(pairs, 1))
-    for a in range(0, count, rows):
-        out[a : a + rows] = _normal_rows(seed, label, int(start) + a, min(rows, count - a), pairs)
-    return out[:, :k]
-
-
-def _normal_rows(seed, label, start, count, pairs):
-    # the 2 * pairs normals of streams start .. start + count - 1
-    index = np.arange(count, dtype=np.uint64) + np.uint64(start & _MASK64)
+    index = np.arange(count, dtype=np.uint64) + np.uint64(int(start) & _MASK64)
     state, inc = _stream_keys(seed, label, index)
     A, C = _jump_table(4 * pairs)
     u32 = _pcg_output(A[:-1] * state[:, None] + C[:-1] * inc[:, None])
@@ -180,7 +167,7 @@ def _normal_rows(seed, label, start, count, pairs):
     out = np.empty((count, 2 * pairs))
     out[:, 0::2] = r * _mapped(math.cos, t)
     out[:, 1::2] = r * _mapped(math.sin, t)
-    return out
+    return out[:, :k]
 
 
 class RowStream(Stream):

@@ -4,9 +4,9 @@ Every suite draws each sample from its own stream keyed by
 (seed, suite name, sample index), so records are independent of
 evaluation order and a fixed config reproduces a byte-identical report
 body (wall time excluded).  A per-sample suite takes its samples in
-chunks: it draws the normals of a chunk's samples as one block, stages
-them, doing all their numerical work in one stacked call per kernel,
-and then formats their records one by one.
+chunks: it draws the normals of a chunk's samples as one block and
+stages them, doing all their numerical work in one stacked call per
+kernel and returning one record per sample.
 The registry is closed; adding a suite is a code change recorded in the
 artifact version.
 """
@@ -166,8 +166,9 @@ def _verdict(ok):
     return "pass" if ok else "fail"
 
 
-# samples staged and recorded at a time; at least every solver suite's
-# default sample count, so that those take one stage call
+# samples staged at a time, and so the one bound on a block of normals;
+# at least every solver suite's default sample count, so that those take
+# one stage call
 _CHUNK = 32
 
 
@@ -178,34 +179,27 @@ class _EachSample:
     This is the one loop over samples and the one place that keys
     streams: sample i reads the first draws(n) normals of
     stream_for(seed, name, i).  The samples go through in chunks of at
-    most _CHUNK, and each chunk in three steps: its normals are drawn as
-    one Block, its samples are staged, then recorded.  draw(rng, n)
-    returns the tuple of inputs that need no rejection sampling, read in
-    stream order; on the Block it gives them for every sample of the
-    chunk at once, stacked along a leading axis.  stage(index, inputs,
-    rngs, n, tol) gets the range index of the chunk's sample indices,
-    their stacked inputs and their RowStreams, which go on where draw
-    stopped; it makes each sample's remaining reads, in stream order,
-    does the chunk's numerical work in one stacked call per kernel, and
-    returns one tuple per sample, appended to that sample's inputs.
-    record(i, x, n, tol) makes sample i's record from its inputs x: most
-    records only format, but reduce-minimum's evaluates phi and its lower
-    bound, and levi-identity's and lagrangian's run their per-point checks
-    (section_levi_identity; lagrangian_check and critical_iff_moment_zero)
-    there.  Only one chunk's inputs and RowStreams are alive at a time.  On
-    one scalar stream, check(i, x, rng, n, tol) runs draw's inputs
-    through the stage of a stack of one and the record, and reads the
-    same normals in the same order; the runner gives the same records
-    for every chunk size.  The record gets "index": i unless it carries
-    its own index.  units(tol), when given, returns fixed records placed
-    first.
+    most _CHUNK, and each chunk in two steps: its normals are drawn as
+    one Block, then its samples are staged.  draw(rng, n) returns the
+    tuple of inputs that need no rejection sampling, read in stream
+    order; on the Block it gives them for every sample of the chunk at
+    once, stacked along a leading axis.  stage(index, inputs, rngs, n,
+    tol) gets the range index of the chunk's sample indices, their
+    stacked inputs and their RowStreams, which go on where draw stopped;
+    it makes each sample's remaining reads, in stream order, does the
+    chunk's numerical work in one stacked call per kernel, and returns
+    one record per sample.  Only one chunk's inputs and RowStreams are
+    alive at a time.  On one scalar stream, the stage of a stack of one
+    reads the same normals in the same order, and the runner gives the
+    same records for every chunk size.  A record gets "index": i unless
+    it carries its own index.  units(tol), when given, returns fixed
+    records placed first.
     """
 
     name: str
     draws: Callable
     draw: Callable
     stage: Callable
-    record: Callable
     units: Callable | None = None
 
     def __call__(self, seed, n, samples, tol):
@@ -215,15 +209,8 @@ class _EachSample:
             block = Block(seed, self.name, len(index), self.draws(n), start)
             inputs = self.draw(block, n)
             staged = self.stage(index, inputs, [block.row(k) for k in range(len(index))], n, tol)
-            for k, (i, extra) in enumerate(zip(index, staged)):
-                x = tuple(a[k] for a in inputs) + extra
-                records.append({"index": i, **self.record(i, x, n, tol)})
+            records.extend({"index": i, **record} for i, record in zip(index, staged))
         return records
-
-    def check(self, i, x, rng, n, tol):
-        """Sample i's record from its own inputs x and stream rng."""
-        x = x + self.stage(range(i, i + 1), tuple(a[None] for a in x), [rng], n, tol)[0]
-        return self.record(i, x, n, tol)
 
 
 def _tube_point(rng, n):
@@ -245,18 +232,16 @@ def _coordinate_stage(index, inputs, rngs, n, tol):
     imzz = lorentz_product(z.imag, z.imag).real
     c_im = np.abs(det_im(Z) - imzz) <= eps * (1.0 + np.abs(imzz))
     c_bound = det_im(W) <= np.abs(det2(W)) + eps
-    return list(zip(c_det.tolist(), c_round.tolist(), c_im.tolist(), c_bound.tolist()))
-
-
-def _coordinate_identities(i, x, n, tol):
-    c_det, c_round, c_im, c_bound = x[2:]
-    return {
-        "det_identity": c_det,
-        "roundtrip": c_round,
-        "im_identity": c_im,
-        "det_im_bound": c_bound,
-        "verdict": _verdict(c_det and c_round and c_im and c_bound),
-    }
+    return [
+        {
+            "det_identity": d,
+            "roundtrip": r,
+            "im_identity": m,
+            "det_im_bound": b,
+            "verdict": _verdict(d and r and m and b),
+        }
+        for d, r, m, b in zip(c_det.tolist(), c_round.tolist(), c_im.tolist(), c_bound.tolist())
+    ]
 
 
 def _psh_levi_stage(index, inputs, rngs, n, tol):
@@ -266,27 +251,25 @@ def _psh_levi_stage(index, inputs, rngs, n, tol):
     mineig = np.linalg.eigvalsh(L)[:, 0]
     g = np.stack([sample_sl2(rng) for rng in rngs])
     phi_g, phi_0 = phi(np.concatenate([act_real(g[:, None], Z), Z])).reshape(2, -1)
-    inv_err = np.abs(phi_g - phi_0) / phi_0
-    # every tenth sample checks the analytic Levi form against the stencil
-    st = [None] * len(Z)
+    inv_err = (np.abs(phi_g - phi_0) / phi_0).tolist()
+    records = []
     for k, i in enumerate(index):
+        ok = mineig[k] > 0.0 and inv_err[k] <= tol["invariance"]
+        st = None
+        # every tenth sample checks the analytic Levi form against the stencil
         if i % 10 == 0:
             Lst = levi_form(phi, Z[k], basis)
-            st[k] = float(np.linalg.norm(L[k] - Lst) / np.linalg.norm(Lst))
-    return list(zip(mineig, inv_err.tolist(), st))
-
-
-def _psh_levi(i, x, n, tol):
-    _, mineig, inv_err, st = x
-    ok = mineig > 0.0 and inv_err <= tol["invariance"]
-    if st is not None:
-        ok = ok and st <= tol["stencil_match"]
-    return {
-        "min_eigenvalue": mineig,
-        "invariance_rel_err": inv_err,
-        "stencil_rel_err": st,
-        "verdict": _verdict(bool(ok)),
-    }
+            st = float(np.linalg.norm(L[k] - Lst) / np.linalg.norm(Lst))
+            ok = ok and st <= tol["stencil_match"]
+        records.append(
+            {
+                "min_eigenvalue": mineig[k],
+                "invariance_rel_err": inv_err[k],
+                "stencil_rel_err": st,
+                "verdict": _verdict(bool(ok)),
+            }
+        )
+    return records
 
 
 def _moment_draw(rng, n):
@@ -306,18 +289,17 @@ def _moment_stage(index, inputs, rngs, n, tol):
     lhs = _dots(moment_map(act_real(g[:, None], Z)), xi)
     rhs = _dots(m, adjoint(adj2(g), xi))
     equi = np.abs(lhs - rhs) / (1.0 + np.abs(lhs))
-    return list(zip(worst.tolist(), zero_norm.tolist(), equi.tolist()))
-
-
-def _moment_oracle(i, x, n, tol):
-    worst, zero_norm, equi = x[2:]
-    ok = worst <= tol["fd_match"] and zero_norm <= tol["ip_zero"] and equi <= tol["equivariance"]
-    return {
-        "fd_rel_err": worst,
-        "ip_moment_norm": zero_norm,
-        "equivariance_err": equi,
-        "verdict": _verdict(ok),
-    }
+    return [
+        {
+            "fd_rel_err": w,
+            "ip_moment_norm": z,
+            "equivariance_err": e,
+            "verdict": _verdict(
+                w <= tol["fd_match"] and z <= tol["ip_zero"] and e <= tol["equivariance"]
+            ),
+        }
+        for w, z, e in zip(worst.tolist(), zero_norm.tolist(), equi.tolist())
+    ]
 
 
 def _flow_draw(rng, n):
@@ -327,19 +309,18 @@ def _flow_draw(rng, n):
 def _flow_stage(index, inputs, rngs, n, tol):
     Z, xi = inputs
     xi = xi / np.sqrt(_dots(xi, xi))[:, None]
-    return [(rep,) for rep in flow_monotonicity(xi, Z, t_max=0.25, steps=25, slack=tol["slack"])]
-
-
-def _flow_monotone(i, x, n, tol):
-    rep = x[2]
-    ok = rep.nondecreasing and rep.strict_when_moving and len(rep.values) >= 2
-    return {
-        "kept": len(rep.values),
-        "truncated_at": rep.truncated_at,
-        "nondecreasing": rep.nondecreasing,
-        "strict_when_moving": rep.strict_when_moving,
-        "verdict": _verdict(bool(ok)),
-    }
+    return [
+        {
+            "kept": len(rep.values),
+            "truncated_at": rep.truncated_at,
+            "nondecreasing": rep.nondecreasing,
+            "strict_when_moving": rep.strict_when_moving,
+            "verdict": _verdict(
+                bool(rep.nondecreasing and rep.strict_when_moving and len(rep.values) >= 2)
+            ),
+        }
+        for rep in flow_monotonicity(xi, Z, t_max=0.25, steps=25, slack=tol["slack"])
+    ]
 
 
 def _reduce_stage(index, inputs, rngs, n, tol):
@@ -347,28 +328,28 @@ def _reduce_stage(index, inputs, rngs, n, tol):
     (Z,) = inputs
     g = np.stack([sample_sl2(rng) for rng in rngs])
     rs = orbit_minimize_all(np.concatenate([Z, act_real(g[:, None], Z)]), tol["moment_tol"])
-    return list(zip(rs[: len(Z)], rs[len(Z) :]))
-
-
-def _reduce_minimum(i, x, n, tol):
-    Z, r0, r1 = x
-    diff = abs(r0.phi_min - r1.phi_min)
-    lower = float(np.sum(1.0 / np.abs(det2(Z))))
-    ok = (
-        r0.converged
-        and r1.converged
-        and diff <= tol["translate_agreement"]
-        and r0.phi_min >= lower - 1e-9
-        and r0.phi_min <= phi(Z) + 1e-9
-    )
-    return {
-        "converged": bool(r0.converged and r1.converged),
-        "phi_min": r0.phi_min,
-        "translate_diff": diff,
-        "lower_bound": lower,
-        "moment_norm": r0.moment_norm,
-        "verdict": _verdict(bool(ok)),
-    }
+    records = []
+    for Z0, r0, r1 in zip(Z, rs[: len(Z)], rs[len(Z) :]):
+        diff = abs(r0.phi_min - r1.phi_min)
+        lower = float(np.sum(1.0 / np.abs(det2(Z0))))
+        ok = (
+            r0.converged
+            and r1.converged
+            and diff <= tol["translate_agreement"]
+            and r0.phi_min >= lower - 1e-9
+            and r0.phi_min <= phi(Z0) + 1e-9
+        )
+        records.append(
+            {
+                "converged": bool(r0.converged and r1.converged),
+                "phi_min": r0.phi_min,
+                "translate_diff": diff,
+                "lower_bound": lower,
+                "moment_norm": r0.moment_norm,
+                "verdict": _verdict(bool(ok)),
+            }
+        )
+    return records
 
 
 def _levi_record(index, n, base, tol):
@@ -386,31 +367,40 @@ def _levi_unit(tol):
     return [_levi_record(0, 1, np.stack([1j * IDENTITY]), tol)]
 
 
-def _base_stage(index, inputs, rngs, n, tol):
+def _reduce_bases(Z):
     # every base point reduced in one solve; the tight tolerance keeps the
     # spurious sixth field direction well under lagrangian's rank tolerance
-    (Z,) = inputs
-    return [(r,) for r in orbit_minimize_all(Z, 1e-10)]
+    return orbit_minimize_all(Z, 1e-10)
 
 
-def _levi_identity(i, x, n, tol):
+def _levi_identity_stage(index, inputs, rngs, n, tol):
     # the unit record holds index 0, so sample i is record i + 1
-    _, rr = x
-    if rr.converged:
-        return _levi_record(i + 1, n, rr.reduced_point, tol)
-    return {"index": i + 1, "n": n, "deviation": None, "min_eigenvalue": None, "verdict": "fail"}
+    (Z,) = inputs
+    records = []
+    for i, rr in zip(index, _reduce_bases(Z)):
+        if rr.converged:
+            records.append(_levi_record(i + 1, n, rr.reduced_point, tol))
+        else:
+            records.append(
+                {"index": i + 1, "n": n, "deviation": None, "min_eigenvalue": None, "verdict": "fail"}
+            )
+    return records
 
 
-def _lagrangian(i, x, n, tol):
-    Z, rr = x
+def _lagrangian_stage(index, inputs, rngs, n, tol):
+    (Z,) = inputs
     fields = ("max_omega", "orbit_dim", "complex_orbit_dim", "normal_hessian_positive")
-    if not rr.converged:
-        return {**dict.fromkeys(fields, None), "verdict": "fail"}
-    lag = lagrangian_check(rr, tol=tol["omega_tol"])
-    crit = critical_iff_moment_zero(rr.reduced_point)
-    away = critical_iff_moment_zero(Z)
-    ok = lag.passed and lag.normal_hessian_positive and crit.consistent and away.consistent
-    return {**{k: getattr(lag, k) for k in fields}, "verdict": _verdict(bool(ok))}
+    records = []
+    for Z0, rr in zip(Z, _reduce_bases(Z)):
+        if not rr.converged:
+            records.append({**dict.fromkeys(fields, None), "verdict": "fail"})
+            continue
+        lag = lagrangian_check(rr, tol=tol["omega_tol"])
+        crit = critical_iff_moment_zero(rr.reduced_point)
+        away = critical_iff_moment_zero(Z0)
+        ok = lag.passed and lag.normal_hessian_positive and crit.consistent and away.consistent
+        records.append({**{k: getattr(lag, k) for k in fields}, "verdict": _verdict(bool(ok))})
+    return records
 
 
 # index, point, expected classification and norm; a norm of None asks
@@ -449,22 +439,22 @@ def _kempf_ness_draw(rng, n):
 
 def _kempf_ness_stage(index, inputs, rngs, n, tol):
     (Z,) = inputs
-    ranks = [gram_rank(G) for G in gram_map(Z)]
-    return list(zip(kempf_ness_minimize_all(Z), ranks))
-
-
-def _kempf_ness(i, x, n, tol):
-    _, r, rank = x
-    verdict = "inconclusive"  # also on a non-generic draw, where the rank criterion does not apply
-    if rank >= 3 and r.classification != "inconclusive":
-        verdict = _verdict(r.classification == "closed")
-    return {
-        "gram_rank": rank,
-        "classification": r.classification,
-        "gradient_norm": r.gradient_norm,
-        "iterations": r.iterations,
-        "verdict": verdict,
-    }
+    records = []
+    for r, G in zip(kempf_ness_minimize_all(Z), gram_map(Z)):
+        rank = gram_rank(G)
+        verdict = "inconclusive"  # also on a non-generic draw, where the rank criterion does not apply
+        if rank >= 3 and r.classification != "inconclusive":
+            verdict = _verdict(r.classification == "closed")
+        records.append(
+            {
+                "gram_rank": rank,
+                "classification": r.classification,
+                "gradient_norm": r.gradient_norm,
+                "iterations": r.iterations,
+                "verdict": verdict,
+            }
+        )
+    return records
 
 
 def _saturation_record(sp):
@@ -484,11 +474,7 @@ def _saturation_unit(tol):
 
 def _saturation_stage(index, inputs, rngs, n, tol):
     (Z,) = inputs
-    return [(sp,) for sp in saturation_probe_all(Z)]
-
-
-def _saturation_probe(i, x, n, tol):
-    return _saturation_record(x[1])
+    return [_saturation_record(sp) for sp in saturation_probe_all(Z)]
 
 
 def _normal_form_draw(rng, n):
@@ -511,26 +497,23 @@ def _normal_form_stage(index, inputs, rngs, n, tol):
     star_conj = np.abs(act_real(u, W) - u @ W @ u.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     bounds_ok = tb.strict_lower_ok & tb.det_upper_ok
     fields = (recon, offdiag, balance, bounds_ok, star_conj)
-    return list(zip(*(f.tolist() for f in fields)))
-
-
-def _normal_form(i, x, n, tol):
-    recon, offdiag, balance, bounds_ok, star_conj = x[1:]
-    ok = (
-        recon <= tol["reconstruction"]
-        and offdiag <= tol["offdiag"]
-        and balance <= tol["balance"]
-        and bounds_ok
-        and star_conj <= tol["star_conjugation"]
-    )
-    return {
-        "reconstruction_err": recon,
-        "offdiag": offdiag,
-        "balance_rel_err": balance,
-        "bounds_ok": bounds_ok,
-        "star_conjugation_err": star_conj,
-        "verdict": _verdict(ok),
-    }
+    return [
+        {
+            "reconstruction_err": rc,
+            "offdiag": od,
+            "balance_rel_err": bl,
+            "bounds_ok": bd,
+            "star_conjugation_err": sc,
+            "verdict": _verdict(
+                rc <= tol["reconstruction"]
+                and od <= tol["offdiag"]
+                and bl <= tol["balance"]
+                and bd
+                and sc <= tol["star_conjugation"]
+            ),
+        }
+        for rc, od, bl, bd, sc in zip(*(f.tolist() for f in fields))
+    ]
 
 
 def _suite_boundary_weak(seed, n, samples, tol):
@@ -568,99 +551,86 @@ def _mod_greal_stage(index, inputs, rngs, n, tol):
     # one scan per sample, over the 20 real translates exp(0.35 k e1) Z
     (Z,) = inputs
     g = np.stack([exp_algebra(np.eye(6)[0], 0.35 * k) for k in range(20)])[:, None]
-    scans = []
+    records = []
     for Z0, phi0 in zip(Z, phi(Z).tolist()):
         opts = ScanOptions(
             phi_bound=max(50.0, 2.0 * phi0),
             compact_bound=tol["compact_bound"],
             det_floor=tol["det_floor"],
         )
-        scans.append((boundary_scan(list(act_real(g, Z0)), opts),))
-    return scans
-
-
-def _boundary_mod_greal(i, x, n, tol):
-    rep = x[1]
-    # psi is invariant under the real group, so the 20 translates share it
-    psis = [r.psi for r in rep.records if r.psi is not None]
-    converged = len(psis) == len(rep.records) and all(r.psi_converged for r in rep.records)
-    spread = (max(psis) - min(psis)) / min(psis) if psis else None
-    ok = (
-        rep.mod_real_applicable
-        and rep.mod_real_exhaustion
-        and converged
-        and spread <= tol["psi_spread"]
-    )
-    return {
-        "gram_converged": rep.gram_converged,
-        "phi_bounded": rep.phi_bounded,
-        "raw_escapes": rep.raw_escapes,
-        "compact": rep.compact_after_normalization,
-        "psi_converged": converged,
-        "psi_spread": spread,
-        "verdict": _verdict(bool(ok)),
-    }
+        rep = boundary_scan(list(act_real(g, Z0)), opts)
+        # psi is invariant under the real group, so the 20 translates share it
+        psis = [r.psi for r in rep.records if r.psi is not None]
+        converged = len(psis) == len(rep.records) and all(r.psi_converged for r in rep.records)
+        spread = (max(psis) - min(psis)) / min(psis) if psis else None
+        ok = (
+            rep.mod_real_applicable
+            and rep.mod_real_exhaustion
+            and converged
+            and spread <= tol["psi_spread"]
+        )
+        records.append(
+            {
+                "gram_converged": rep.gram_converged,
+                "phi_bounded": rep.phi_bounded,
+                "raw_escapes": rep.raw_escapes,
+                "compact": rep.compact_after_normalization,
+                "psi_converged": converged,
+                "psi_spread": spread,
+                "verdict": _verdict(bool(ok)),
+            }
+        )
+    return records
 
 
 SUITES = {
     "coordinate-identities": _SuiteEntry(
-        _EachSample(
-            "coordinate-identities",
-            lambda n: 20,
-            _coordinate_draw,
-            _coordinate_stage,
-            _coordinate_identities,
-        ),
+        _EachSample("coordinate-identities", lambda n: 20, _coordinate_draw, _coordinate_stage),
         1000,
         1,
         {"det_identity": 1e-12, "roundtrip": 1e-12},
     ),
     "psh-levi": _SuiteEntry(
-        _EachSample("psh-levi", lambda n: 12 * n + 8, _tube_point, _psh_levi_stage, _psh_levi),
+        _EachSample("psh-levi", lambda n: 12 * n + 8, _tube_point, _psh_levi_stage),
         40,
         2,
         {"invariance": 1e-10, "stencil_match": 1e-4},
     ),
     "moment-oracle": _SuiteEntry(
-        _EachSample("moment-oracle", lambda n: 12 * n + 22, _moment_draw, _moment_stage, _moment_oracle),
+        _EachSample("moment-oracle", lambda n: 12 * n + 22, _moment_draw, _moment_stage),
         150,
         2,
         {"fd_match": 1e-6, "ip_zero": 1e-10, "equivariance": 1e-6},
     ),
     "flow-monotone": _SuiteEntry(
-        _EachSample("flow-monotone", lambda n: 12 * n + 6, _flow_draw, _flow_stage, _flow_monotone),
+        _EachSample("flow-monotone", lambda n: 12 * n + 6, _flow_draw, _flow_stage),
         60,
         2,
         {"slack": 1e-9},
     ),
     "reduce-minimum": _SuiteEntry(
-        _EachSample("reduce-minimum", lambda n: 12 * n + 8, _tube_point, _reduce_stage, _reduce_minimum),
+        _EachSample("reduce-minimum", lambda n: 12 * n + 8, _tube_point, _reduce_stage),
         15,
         2,
         {"moment_tol": 1e-8, "translate_agreement": 1e-5},
     ),
     "levi-identity": _SuiteEntry(
         _EachSample(
-            "levi-identity", lambda n: 12 * n, _tube_point, _base_stage, _levi_identity, units=_levi_unit
+            "levi-identity", lambda n: 12 * n, _tube_point, _levi_identity_stage, units=_levi_unit
         ),
         1,
         2,
         {"deviation": 1e-3, "min_eig": 1e-6},
     ),
     "lagrangian": _SuiteEntry(
-        _EachSample("lagrangian", lambda n: 12 * n, _tube_point, _base_stage, _lagrangian),
+        _EachSample("lagrangian", lambda n: 12 * n, _tube_point, _lagrangian_stage),
         8,
         2,
         {"omega_tol": 1e-5},
     ),
     "kempf-ness": _SuiteEntry(
         _EachSample(
-            "kempf-ness",
-            lambda n: 8 * max(n, 3),
-            _kempf_ness_draw,
-            _kempf_ness_stage,
-            _kempf_ness,
-            units=_kn_units,
+            "kempf-ness", lambda n: 8 * max(n, 3), _kempf_ness_draw, _kempf_ness_stage, units=_kn_units
         ),
         30,
         3,
@@ -668,19 +638,14 @@ SUITES = {
     ),
     "saturation-probe": _SuiteEntry(
         _EachSample(
-            "saturation-probe",
-            lambda n: 12 * n,
-            _tube_point,
-            _saturation_stage,
-            _saturation_probe,
-            units=_saturation_unit,
+            "saturation-probe", lambda n: 12 * n, _tube_point, _saturation_stage, units=_saturation_unit
         ),
         8,
         2,
         {},
     ),
     "normal-form": _SuiteEntry(
-        _EachSample("normal-form", lambda n: 16, _normal_form_draw, _normal_form_stage, _normal_form),
+        _EachSample("normal-form", lambda n: 16, _normal_form_draw, _normal_form_stage),
         300,
         1,
         {
@@ -694,9 +659,7 @@ SUITES = {
         _suite_boundary_weak, 40, 1, {"phi_exact": 1e-12}
     ),
     "boundary-mod-greal": _SuiteEntry(
-        _EachSample(
-            "boundary-mod-greal", lambda n: 12 * n, _tube_point, _mod_greal_stage, _boundary_mod_greal
-        ),
+        _EachSample("boundary-mod-greal", lambda n: 12 * n, _tube_point, _mod_greal_stage),
         3,
         2,
         {"compact_bound": 100.0, "det_floor": 1e-6, "psi_spread": 1e-8},

@@ -188,16 +188,21 @@ def test_tube_mask_of_an_overflowing_point_raises_no_warning():
 
 
 def test_reduce_of_an_overflowing_point_is_a_usage_error(tmp_path):
-    big = np.stack([1e155 * iI + 1e154 * np.array([[1.0, 2.0], [3.0, 0.0]]), 1e155 * iI])
-    path = tmp_path / "pt.json"
-    path.write_text(json.dumps(serialize.point_to_json(big)))
-    done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "futuretube.cli", "reduce", str(path)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": SRC},
-        timeout=120,
-    )
-    assert done.returncode == 2
-    assert "det Im overflows" in done.stderr
-    assert "Traceback" not in done.stderr
+    # the point whose det Im overflows as inf - inf, and one whose Im trace
+    # overflows in the gauge fix unless its halves are added
+    found = np.stack([1e155 * iI + 1e154 * np.array([[1.0, 2.0], [3.0, 0.0]]), 1e155 * iI])
+    huge = np.stack([1e308 * iI, 1e308 * iI])
+    for big, named in ((found, "det Im overflows"), (huge, "phi underflows")):
+        path = tmp_path / "pt.json"
+        path.write_text(json.dumps(serialize.point_to_json(big)))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "futuretube.cli", "reduce", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ")
+        assert named in done.stderr
+        assert "Traceback" not in done.stderr

@@ -9,6 +9,7 @@ from futuretube import actions as A
 from futuretube import geometry as G
 from futuretube import psh
 from futuretube.rng import stream_for
+from futuretube.suites import ExperimentConfig, run_suite
 
 iI = 1j * np.eye(2)
 E1 = np.array([1.0, 0, 0, 0, 0, 0])
@@ -360,3 +361,12 @@ def test_overflowing_tube_point_has_a_phi_and_a_named_overflow():
         ):
             with pytest.raises(G.DomainError, match="det Im overflows"):
                 kernel(FOUND)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the O(h^2) truncation error of the levi_form stencil "
+    "at h = 1e-3 puts record 30's stencil_rel_err at 1.10e-4, over the 1e-4 bound",
+)
+def test_psh_levi_passes_at_seed_2():
+    assert run_suite(ExperimentConfig(suite="psh-levi", seed=2)).verdict == "pass"

@@ -158,14 +158,20 @@ class CountingStream(Stream):
         return super().normal()
 
 
+def stage_of_one(runner, i, rng, n, tol):
+    """Sample i's record from its own scalar stream rng: draw's inputs
+    through the stage of a stack of one."""
+    x = runner.draw(rng, n)
+    return runner.stage(range(i, i + 1), tuple(a[None] for a in x), [rng], n, tol)[0]
+
+
 @pytest.mark.parametrize("name", PER_SAMPLE)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_declared_draws_equal_the_scalar_path(name, n):
     entry = SUITES[name]
     runner, tol = entry.runner, dict(entry.tolerances)
     spy = CountingStream(stream_for(7, name, 0))
-    x = runner.draw(spy, n)
-    record = runner.check(0, x, spy, n, tol)
+    record = stage_of_one(runner, 0, spy, n, tol)
     assert spy.count == runner.draws(n)
     if n == 1:
         # the same sample drawn from the block gives the same record
@@ -191,17 +197,19 @@ def test_pointwise_suites_draw_nothing_past_their_blocks(seed, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("name", POINTWISE)
+@pytest.mark.parametrize("name", PER_SAMPLE)
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_chunked_records_equal_the_scalar_check(name, n):
-    # 70 samples take three chunks; each record equals the stack-of-one
-    # check on the sample's own scalar stream
+def test_chunked_records_equal_the_scalar_check(name, n, monkeypatch):
+    # 5 samples take three chunks of at most 2; the fixed unit records come
+    # first, and each sample's record equals the stage of a stack of one on
+    # the sample's own scalar stream
+    monkeypatch.setattr(suites, "_CHUNK", 2)
     entry = SUITES[name]
     runner, tol = entry.runner, dict(entry.tolerances)
-    records = runner(11, n, 70, tol)
-    assert len(records) == 70 > 2 * suites._CHUNK
-    for i, record in enumerate(records):
-        stream = stream_for(11, name, i)
-        x = runner.draw(stream, n)
-        want = {"index": i, **runner.check(i, x, stream, n, tol)}
+    units = runner.units(tol) if runner.units is not None else []
+    records = runner(11, n, 5, tol)
+    assert len(records) - len(units) == 5 > 2 * suites._CHUNK
+    assert serialize.canonical_bytes(records[: len(units)]) == serialize.canonical_bytes(units)
+    for i, record in enumerate(records[len(units) :]):
+        want = {"index": i, **stage_of_one(runner, i, stream_for(11, name, i), n, tol)}
         assert serialize.canonical_bytes(record) == serialize.canonical_bytes(want)
