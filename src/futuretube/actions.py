@@ -65,6 +65,13 @@ def coefficients(X):
     return np.stack([p.real, q.real, r.real, p.imag, q.imag, r.imag], axis=-1)
 
 
+# numpy buffers each broadcast operand of a ufunc call, up to 8192
+# elements: past this many entries in an operand, the products of
+# expm_traceless and _mul2 are taken entry by entry, which keeps the
+# buffers at a quarter of the size
+_ENTRYWISE = 1024
+
+
 def expm_traceless(M):
     """exp of a traceless 2x2: cosh(d) I + sinh(d)/d M with d^2 = -det M.
 
@@ -75,17 +82,26 @@ def expm_traceless(M):
     M = np.asarray(M, dtype=complex)
     dsq = np.reshape(-det2(M), -1)
     d = np.sqrt(dsq)
-    c = np.empty_like(d)
-    s = np.empty_like(d)
     small = np.abs(d) < 1e-6
-    q = dsq[small]
-    c[small] = 1.0 + q / 2.0 + q * q / 24.0
-    s[small] = 1.0 + q / 6.0 + q * q / 120.0
-    big = ~small
-    c[big] = np.cosh(d[big])
-    s[big] = np.sinh(d[big]) / d[big]
-    shape = M.shape[:-2] + (1, 1)
-    return c.reshape(shape) * IDENTITY + s.reshape(shape) * M
+    c = np.cosh(d)
+    s = np.sinh(d) / np.where(small, 1.0, d)
+    if small.any():
+        q = dsq[small]
+        c[small] = 1.0 + q / 2.0 + q * q / 24.0
+        s[small] = 1.0 + q / 6.0 + q * q / 120.0
+    c, s = c.reshape(M.shape[:-2]), s.reshape(M.shape[:-2])
+    # [[c + s M00, s M01], [s M10, c + s M11]]; entry by entry on a large
+    # stack, as _mul2 multiplies
+    if M.size <= _ENTRYWISE:
+        E = s[..., None, None] * M
+    else:
+        E = np.empty_like(M)
+        for r in range(2):
+            for k in range(2):
+                np.multiply(s, M[..., r, k], out=E[..., r, k])
+    E[..., 0, 0] += c
+    E[..., 1, 1] += c
+    return E
 
 
 def exp_algebra(xi, t=1.0):
@@ -120,7 +136,25 @@ def act_complex(p, Z):
     flow_pairs gives it; a stack of pairs broadcasts against Z as g does
     in act_real."""
     p = np.asarray(p, dtype=complex)
-    return p[..., 0, :, :] @ np.asarray(Z, dtype=complex) @ p[..., 1, :, :].swapaxes(-1, -2)
+    gZ = _mul2(p[..., 0, :, :], np.asarray(Z, dtype=complex))
+    return _mul2(gZ, p[..., 1, :, :].swapaxes(-1, -2))
+
+
+def _mul2(X, Y):
+    # the 2x2 products X Y, broadcast over leading axes, from numpy's
+    # elementwise products (matmul makes one call per matrix of a stack);
+    # by columns and rows or entry by entry, the arithmetic is the same
+    if max(X.size, Y.size) <= _ENTRYWISE:
+        out = X[..., :, :1] * Y[..., :1, :]
+        out += X[..., :, 1:] * Y[..., 1:, :]
+        return out
+    out = np.empty(np.broadcast_shapes(X.shape, Y.shape), dtype=complex)
+    for r in range(2):
+        for c in range(2):
+            o = out[..., r, c]
+            np.multiply(X[..., r, 0], Y[..., 0, c], out=o)
+            o += X[..., r, 1] * Y[..., 1, c]
+    return out
 
 
 def flow_pairs(xi, tau):

@@ -27,7 +27,14 @@ from .geometry import (
     scaled_det_im,
     tube_mask,
 )
-from .actions import _dots, act_complex, apply_J, flow_pairs, orbit_fields, real_vector_field
+from .actions import (
+    _FIELD_MAP,
+    _dots,
+    act_complex,
+    apply_J,
+    flow_pairs,
+    real_vector_field,
+)
 
 __all__ = [
     "StencilDomainError",
@@ -164,25 +171,104 @@ def _flat(V):
     return V.reshape(V.shape[:-3] + (4 * V.shape[-3],))
 
 
+def _orbit_traces(Z):
+    """Traces tau (..., 6, N) of the six orbit fields against the
+    adjugates of Im Z^j, and det Im (..., N), at points (..., N, 2, 2).
+
+    With A = adj Im Y and F_k = e_k Y + Y e_k^H, tau_k = tr(A F_k) =
+    tr(e_k Y A) + tr(e_k^H A Y), a constant map of the entries of Y A and
+    A Y.  It is real: Y = X + i P with X, P Hermitian, and the imaginary
+    part tr(adj P (e_k P + P e_k^H)) = det P tr(e_k + e_k^H) vanishes.  Over
+    the basis, with Y00 = x + i a, Y11 = y + i d, s = Y01 + Y10 and
+    t = Y01 - Y10,
+
+        tau = (2 (d x - a y), d Re s - y Im s, a Re s - x Im s,
+               Re s Re t + Im s Im t, d Im t + y Re t, -a Im t - x Re t).
+    """
+    Z = np.asarray(Z, dtype=complex)
+    det = _positive_det_im(Z)
+    x, a = Z[..., 0, 0].real, Z[..., 0, 0].imag
+    y, d = Z[..., 1, 1].real, Z[..., 1, 1].imag
+    s, t = Z[..., 0, 1] + Z[..., 1, 0], Z[..., 0, 1] - Z[..., 1, 0]
+    sr, si, tr, ti = s.real, s.imag, t.real, t.imag
+    tau = np.stack(
+        [
+            2.0 * (d * x - a * y),
+            d * sr - y * si,
+            a * sr - x * si,
+            sr * tr + si * ti,
+            d * ti + y * tr,
+            -a * ti - x * tr,
+        ],
+        axis=-2,
+    )
+    return tau, det
+
+
+def _orbit_moment(tau, d):
+    # mu_k = dphi(J F_k) = -sum_j tau_k / d_j^2, as one matrix-vector
+    # product per point, whose rounding does not depend on the stack
+    with np.errstate(over="ignore"):
+        w2 = 1.0 / _nonzero(d**2)
+    return -(tau @ w2[..., None])[..., 0]
+
+
+def _gram_map():
+    """Constant map (36, 16) from S = sum_j z_j z_j^H / d_j^2, z_j the four
+    entries of Y_j, to the Gram part of the Levi matrices of the fields.
+
+    That part is sum_j tr(adj A_a A_b^H) / d_j^2 with A_a = F_a / 2i, and
+    the entries of adj F_a and F_b are the rows z _FIELD_MAP[a] ADJ and
+    z _FIELD_MAP[b] of each component, with ADJ the adjugate as a 4 x 4
+    map; so entry (a, b) is sum_pq (_FIELD_MAP[a] ADJ _FIELD_MAP[b]^H)_pq S_pq / 4.
+    """
+    adj = adj2(np.eye(4, dtype=complex).reshape(4, 2, 2)).reshape(4, 4)
+    K = np.einsum("apr,rs,bqs->abpq", _FIELD_MAP, adj, np.conj(_FIELD_MAP))
+    return 0.25 * K.reshape(36, 16)
+
+
+_GRAM_MAP = _gram_map()
+
+
+def _orbit_levi(P, tau, d):
+    # the Levi matrices of orbit_derivatives, from _orbit_traces(P)
+    with np.errstate(over="ignore"):
+        # d**2 >= d**3 where d <= 1, so it underflows only if d**3 does
+        w3, w2 = 0.5 / _nonzero(d**3), 1.0 / d**2
+    # the two sums one after the other, so that one stack-sized
+    # temporary is alive at a time; S from its conjugate, conj(z w2)^T z
+    L = (tau * w3[..., None, :]) @ tau.swapaxes(-1, -2)
+    z = P.reshape(P.shape[:-2] + (4,))
+    zw = z * w2[..., None]
+    S = np.conj(np.conj(zw, out=zw).swapaxes(-1, -2) @ z)
+    # a batched matrix-vector product: its rounding does not depend on the stack
+    L = L - (_GRAM_MAP @ S.reshape(S.shape[:-2] + (16, 1))).reshape(L.shape)
+    return (L + _dagger(L)) / 2.0
+
+
 def orbit_derivatives(P):
     """Moment values of a stack of points (b, N, 2, 2), and the Levi
-    matrices of their six orbit fields on demand.
+    matrices of their six orbit fields on demand, in closed form.
 
-    Returns the moment (b, 6), whose row k equals moment_map of point k,
-    and a function that, given a boolean selection of the rows, returns
-    their Levi matrices (k, 6, 6); 4 Re of one is the normal Hessian
-    omega(field_k, J field_l).  Both come from one det_im, one Im part,
-    one adjugate and one orbit_fields.
+    Returns the moment (b, 6), which is moment_map of the stack, bit for
+    bit, and a function that, given a boolean selection of the rows,
+    returns their Levi matrices (k, 6, 6); 4 Re of one is the normal
+    Hessian omega(field_k, J field_l).  Both come from the real traces
+    tau of _orbit_traces, and no field is built.  A Levi matrix is _levi
+    over the six fields: its first sum is sum_j tau_a tau_b / (2 d_j^3)
+    (t = tau / 2i there), its second the constant map _GRAM_MAP of the
+    weighted Gram matrix S = sum_j z_j z_j^H / d_j^2 of the entries z_j
+    of each component; Hermitian-symmetrized.
     """
-    Pim = hermitian_im(P)
-    d = _positive_det_im(P)
-    F = orbit_fields(P)
-    adjP = adj2(Pim)
+    P = np.asarray(P, dtype=complex)
+    tau, d = _orbit_traces(P)
 
     def levi(sel):
-        return _levi(adjP[sel], d[sel], F[sel])
+        if sel.all():
+            return _orbit_levi(P, tau, d)  # the stack itself, not a copy
+        return _orbit_levi(P[sel], tau[sel], d[sel])
 
-    return _dphi(Pim[:, None], d[:, None], 1j * F), levi
+    return _orbit_moment(tau, d), levi
 
 
 # matrices per call of f in levi_form: bounds a stencil's memory at large N
@@ -214,10 +300,9 @@ def directional_derivative(f, Z, V):
 
 def moment_map(Z):
     """Six moment components <mu(Z), e_k> over the fixed basis, (..., 6)
-    for points (..., N, 2, 2)."""
-    Z = np.asarray(Z, dtype=complex)
-    d = _positive_det_im(Z)
-    return _dphi(hermitian_im(Z)[..., None, :, :, :], d[..., None, :], 1j * orbit_fields(Z))
+    for points (..., N, 2, 2), in the closed form orbit_derivatives
+    shares."""
+    return _orbit_moment(*_orbit_traces(Z))
 
 
 def levi_form(f, Z, directions):

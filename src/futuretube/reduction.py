@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .actions import (
     _dots,
-    act_real,
+    act_complex,
     apply_J,
     damped_newton,
     descend,
@@ -75,9 +75,6 @@ class ReductionResult:
     iterations: int
 
 
-# field matrices per orbit_derivatives call: bounds the memory of a model
-# evaluation on a large stack
-_FIELD_MATRICES = 2**9
 # moves per solve; a start still descending after them is unconverged
 _MAX_ITERS = 2000
 
@@ -130,8 +127,9 @@ def orbit_minimize_all(Zs, moment_tol=1e-8):
     exp(i g) chart, and its derivative along the chart is the normal
     Hessian J_kl = omega(field_k, J field_l) = 4 Re <field_k, field_l>_Levi,
     so a damped solve of J xi = -mu is a Newton step for the zero of the
-    moment; psh.orbit_derivatives gives both from one evaluation of the
-    fields per iteration.  The damping 0.01 |mu| handles the gauge directions where
+    moment; psh.orbit_derivatives gives both in closed form from one
+    set of per-component traces per iteration, without building the
+    fields.  The damping 0.01 |mu| handles the gauge directions where
     the fields degenerate (point stabilizers).  Trial steps leaving the
     tube are rejected.
     """
@@ -141,27 +139,19 @@ def orbit_minimize_all(Zs, moment_tol=1e-8):
     if not tube_mask(Z0).all():
         raise DomainError("orbit_minimize starts from a tube point")
     g0 = _gauge(Z0)
-    Y0 = act_real(g0[:, None], Z0)
+    # the real action of g0, g Z g^H, as the pair (g0, conj g0)
+    p0 = np.stack([g0, np.conj(g0)], axis=1)
+    Y0 = act_complex(p0[:, None], Z0)
     moment_norm = np.zeros(len(Z0))
-    size = max(1, _FIELD_MATRICES // (6 * Z0.shape[1]))
 
     def model(live, P, value, pairs):
-        # a chunk of points at a time, so that only its fields are held;
-        # the normal Hessian only where the descent goes on
-        m = np.empty((len(P), 6))
-        mn = np.empty(len(P))
-        J = np.empty((len(P), 6, 6))
-        for k in range(0, len(P), size):
-            rows = slice(k, k + size)
-            m[rows], levi = orbit_derivatives(P[rows])
-            mn[rows] = np.sqrt(_dots(m[rows], m[rows]))  # np.linalg.norm of each row, bit for bit
-            more = ~(mn[rows] <= moment_tol)
-            if more.any():
-                J[rows][more] = 4.0 * np.real(levi(more))
+        m, levi = orbit_derivatives(P)
+        mn = np.sqrt(_dots(m, m))  # np.linalg.norm of each row, bit for bit
         moment_norm[live] = mn
 
         def direction(sel):
-            return damped_newton(m[sel], J[sel], 0.01 * mn[sel] + 1e-300)
+            # the normal Hessian only where the descent goes on
+            return damped_newton(m[sel], 4.0 * np.real(levi(sel)), 0.01 * mn[sel] + 1e-300)
 
         return mn <= moment_tol, direction
 
@@ -169,7 +159,7 @@ def orbit_minimize_all(Zs, moment_tol=1e-8):
         Y0, phi_in_tube(Y0), model, _transverse_chart, phi_in_tube, _MAX_ITERS
     )
     # det g0 = 1 up to rounding, so the products stay unimodular
-    minimizers = pairs @ np.stack([g0, np.conj(g0)], axis=1)
+    minimizers = pairs @ p0
     return [
         ReductionResult(
             start=Z0[b],

@@ -84,6 +84,21 @@ def test_act_complex_group_law_and_embedding():
         )
 
 
+def test_act_complex_matches_the_matrix_products():
+    # the broadcast shapes of descend's trial points, (k, 1) pairs on k
+    # points, and of flow_monotonicity's grids, (s, T, 1) pairs on (s, 1)
+    s = stream_for(2, "act-cplx-matmul", 0)
+    pairs = np.stack([np.stack([A.sample_sl2(s), A.sample_sl2(s)]) for _ in range(12)])
+    for p, Z in (
+        (pairs[:, None], np.stack([G.sample_tube_point(s, 32) for _ in range(12)])),
+        (pairs.reshape(3, 4, 1, 2, 2, 2), np.stack([G.sample_tube_point(s, 2) for _ in range(3)])[:, None]),
+    ):
+        ref = p[..., 0, :, :] @ Z @ p[..., 1, :, :].swapaxes(-1, -2)
+        got = A.act_complex(p, Z)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_act_complex_on_stacked_pairs_equals_the_one_pair_calls():
     s = stream_for(2, "act-cplx-stack", 0)
     g = np.stack([A.sample_sl2(s) for _ in range(3)])

@@ -269,3 +269,25 @@ def test_section_levi_identity_guards():
     if np.linalg.norm(psh.moment_map(Z)) > 1e-3:
         with pytest.raises(ValueError):
             section_levi_identity(Z)
+
+
+def test_reduce_minimum_at_n_32_converges_in_few_iterations(monkeypatch):
+    # phi is about 32 at n = 32, and the Armijo test cannot resolve
+    # decreases below its rounding: a step whose trial points round badly
+    # can hold a solve just above the moment tolerance for its whole
+    # budget of _MAX_ITERS moves
+    from futuretube import suites
+
+    iterations = []
+
+    def counted(*args, **kwargs):
+        results = orbit_minimize_all(*args, **kwargs)
+        iterations.extend(r.iterations for r in results)
+        return results
+
+    monkeypatch.setattr(suites, "orbit_minimize_all", counted)
+    for seed in range(16):
+        rep = suites.run_suite(suites.ExperimentConfig(suite="reduce-minimum", seed=seed, n=32))
+        assert rep.verdict == "pass" and rep.aggregate["fail_count"] == 0
+    assert len(iterations) == 16 * 2 * 15
+    assert max(iterations) <= 20

@@ -156,6 +156,23 @@ def test_flow_pair_and_flow_point_on_an_array_of_times():
         assert np.array_equal(A.act_complex(A.flow_pairs(xi, tau), Z[0]), points[k, 0])
 
 
+def test_flow_grid_above_the_entrywise_size_equals_the_one_pair_calls():
+    # a flow grid as flow_monotonicity builds it: past _ENTRYWISE entries
+    # in an operand, expm_traceless and act_complex take their products
+    # entry by entry, with the same bits
+    s = stream_for(5, "stack-act-large", 0)
+    Z = _points("stack-act-large", 2, 4)
+    xi = np.stack([A.sample_algebra(s) for _ in range(4)])
+    ts = np.linspace(0.0, 0.5, 160)
+    pairs = A.flow_pairs(xi[:, None, None], 1j * ts[:, None])
+    points = A.act_complex(pairs, Z[:, None])
+    assert pairs[..., 0, :, :].size > A._ENTRYWISE >= Z[0].size
+    for k in range(4):
+        for t in (0, 77, 159):
+            assert np.array_equal(pairs[k, t, 0], A.flow_pairs(xi[k], 1j * ts[t]))
+            assert np.array_equal(points[k, t], A.act_complex(pairs[k, t, 0], Z[k]))
+
+
 def _reference_orbit_fields(Z):
     # the two products e_k Z and Z e_k^H that the constant field map replaces
     Z = np.asarray(Z, dtype=complex)
