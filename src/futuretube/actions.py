@@ -68,7 +68,11 @@ def coefficients(X):
 # numpy buffers each broadcast operand of a ufunc call, up to 8192
 # elements: past this many entries in an operand, the products of
 # expm_traceless and _mul2 are taken entry by entry, which keeps the
-# buffers at a quarter of the size
+# buffers at a quarter of the size and is faster.  Below it one broadcast
+# product by columns and rows makes 3 ufunc calls to the entrywise 12,
+# and the solvers' small stacks are dominated by that call overhead
+# (entrywise at every size made perfbench's orbit-solvers report_s 13%
+# slower on 2 vCPUs)
 _ENTRYWISE = 1024
 
 

@@ -264,8 +264,6 @@ def orbit_derivatives(P):
     tau, d = _orbit_traces(P)
 
     def levi(sel):
-        if sel.all():
-            return _orbit_levi(P, tau, d)  # the stack itself, not a copy
         return _orbit_levi(P[sel], tau[sel], d[sel])
 
     return _orbit_moment(tau, d), levi

@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .actions import (
     _dots,
-    act_complex,
+    act_real,
     apply_J,
     damped_newton,
     descend,
@@ -139,9 +139,7 @@ def orbit_minimize_all(Zs, moment_tol=1e-8):
     if not tube_mask(Z0).all():
         raise DomainError("orbit_minimize starts from a tube point")
     g0 = _gauge(Z0)
-    # the real action of g0, g Z g^H, as the pair (g0, conj g0)
-    p0 = np.stack([g0, np.conj(g0)], axis=1)
-    Y0 = act_complex(p0[:, None], Z0)
+    Y0 = act_real(g0[:, None], Z0)
     moment_norm = np.zeros(len(Z0))
 
     def model(live, P, value, pairs):
@@ -159,7 +157,7 @@ def orbit_minimize_all(Zs, moment_tol=1e-8):
         Y0, phi_in_tube(Y0), model, _transverse_chart, phi_in_tube, _MAX_ITERS
     )
     # det g0 = 1 up to rounding, so the products stay unimodular
-    minimizers = pairs @ p0
+    minimizers = pairs @ np.stack([g0, np.conj(g0)], axis=1)
     return [
         ReductionResult(
             start=Z0[b],

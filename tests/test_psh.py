@@ -285,6 +285,9 @@ def test_dphi_on_a_stack_matches_each_direction():
     values = psh.dphi(Z, V)
     assert values.shape == (12,)
     assert all(values[k] == psh.dphi(Z, V[k]) for k in range(12))
+    # moment_map is the closed form of the same six derivatives
+    mu = psh.moment_map(Z)
+    assert np.max(np.abs(values[6:] - mu)) <= 1e-13 * np.max(np.abs(mu))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 32])
