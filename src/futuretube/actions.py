@@ -267,11 +267,10 @@ def orbit_fields(Z):
 def damped_newton(grad, H, lam):
     """Step d solving (H + lam I) d = -grad, with the derivative grad . d.
 
-    Both solvers pass a positive semidefinite H taken along non-compact
-    directions only: orbit_minimize the Levi matrix of phi along the
-    transverse fields, kempf_ness_minimize the chart Hessian of the norm
-    restricted to the Hermitian directions.  So lam > 0 is plain
-    Levenberg damping, and no shift for negative curvature is needed.
+    orbit_minimize passes a positive semidefinite H taken along
+    non-compact directions only, the Levi matrix of phi along the
+    transverse fields.  So lam > 0 is plain Levenberg damping, and no
+    shift for negative curvature is needed.
     The k systems come as stacks grad (k, m), H (k, m, m) and lam (k,);
     each step depends on its own system only, and falls back to steepest
     descent -grad when its solve fails or does not give a descent

@@ -71,7 +71,7 @@ __all__ = [
     "report_body_bytes",
 ]
 
-ARTIFACT_VERSION = "0.4.0"
+ARTIFACT_VERSION = "0.5.0"
 
 
 @dataclass
@@ -451,8 +451,7 @@ def _kempf_ness_stage(index, inputs, rngs, n, tol):
             {
                 "gram_rank": rank,
                 "classification": r.classification,
-                "gradient_norm": r.gradient_norm,
-                "iterations": r.iterations,
+                "achieved_norm_sq": r.achieved_norm_sq,
                 "verdict": verdict,
             }
         )

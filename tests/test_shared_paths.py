@@ -4,9 +4,8 @@ aliasing) and realize against its tensordot reference."""
 import numpy as np
 
 from futuretube import geometry as G
-from futuretube import psh, quotient, reduction
-from futuretube.actions import BASIS, act_complex, descend, realize
-from futuretube.quotient import kempf_ness_minimize
+from futuretube import psh, reduction
+from futuretube.actions import BASIS, descend, realize
 from futuretube.reduction import orbit_minimize
 from futuretube.rng import stream_for
 
@@ -28,26 +27,12 @@ def test_orbit_minimize_budget_reports_the_final_point(monkeypatch):
     assert r.phi_min == psh.phi(r.reduced_point)
 
 
-def test_kempf_ness_budget_is_inconclusive_at_the_final_point(monkeypatch):
-    W = np.stack([stream_for(3, "descent-edge-kn", 0).matrix() for _ in range(3)])
-    monkeypatch.setattr(quotient, "_MAX_ITERS", 1)
-    r = kempf_ness_minimize(W)
-    assert r.iterations == 1
-    assert r.classification == "inconclusive"
-    assert not r.converged
-    Y = act_complex(r.minimizer, W)
-    assert abs(r.achieved_norm_sq - float(np.sum(np.abs(Y) ** 2))) <= 1e-8
-
-
 def test_zero_iteration_minimizers_do_not_alias_identity():
     before = G.IDENTITY.copy()
     r = orbit_minimize(iI)
     assert r.iterations == 0
     r.minimizer[0, 0, 0] = 5.0
     r.minimizer[1, 1, 1] = 7.0
-    k = kempf_ness_minimize(iI)
-    assert k.iterations == 0 and k.classification == "closed"
-    k.minimizer[0, 0, 1] = 3.0
     assert np.array_equal(G.IDENTITY, before)
 
 
