@@ -13,7 +13,7 @@ which pins the components of moment values across implementations.
 
 import numpy as np
 
-from .geometry import IDENTITY, det2, adj2
+from .geometry import det2, adj2
 
 __all__ = [
     "BASIS",
@@ -33,8 +33,6 @@ __all__ = [
     "sample_algebra",
     "full_tangent_basis",
     "orbit_fields",
-    "damped_newton",
-    "descend",
 ]
 
 _E1 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -264,115 +262,7 @@ def orbit_fields(Z):
     return F.reshape(F.shape[:-1] + (2, 2))
 
 
-def damped_newton(grad, H, lam):
-    """Step d solving (H + lam I) d = -grad, with the derivative grad . d.
-
-    orbit_minimize passes a positive semidefinite H taken along
-    non-compact directions only, the Levi matrix of phi along the
-    transverse fields.  So lam > 0 is plain Levenberg damping, and no
-    shift for negative curvature is needed.
-    The k systems come as stacks grad (k, m), H (k, m, m) and lam (k,);
-    each step depends on its own system only, and falls back to steepest
-    descent -grad when its solve fails or does not give a descent
-    direction, so every derivative is < 0 for a nonzero gradient.
-    """
-    d = _solve(H + np.asarray(lam)[..., None, None] * np.eye(grad.shape[-1]), -grad)
-    deriv = _dots(grad, d)
-    bad = ~(np.isfinite(deriv) & (deriv < 0.0))
-    if bad.any():
-        d[bad] = -grad[bad]
-        deriv[bad] = -_dots(grad[bad], grad[bad])
-    return d, deriv
-
-
 def _dots(a, b):
     # dot products of the last axes, each the BLAS dot of a one-row call
     # (so np.linalg.norm of a row is np.sqrt(_dots(a, a)), bit for bit)
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _solve(M, b):
-    # solutions of the systems M x = b, nan where M is singular; a
-    # singular system fails numpy's whole stack, so then solve one by one
-    try:
-        return np.linalg.solve(M, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if M.ndim == 2:
-            return np.full(b.shape, np.nan)
-        return np.stack([_solve(Mi, bi) for Mi, bi in zip(M, b)])
-
-
-def descend(Y, value, model, chart, objective, max_iters):
-    """Armijo descent of an objective over an exponential chart of SL2 x SL2,
-    in lockstep over a stack of starts.
-
-    Y is a stack (B, N, 2, 2) of starts and value the array of their B
-    objective values; every sample takes its own steps.
-    model(live, Y, value, pairs) gets the indices live of the samples still
-    descending with their points, values and the pairs (k, 2, 2, 2)
-    carrying their starts there.  It is called at the start and after
-    every move, so its last call on a sample describes that sample's
-    returned point.  It returns a boolean array, True where a sample
-    stops, and a function that, given a boolean selection of the others,
-    returns their directions d (k, m) and the derivatives (k,) (< 0) of
-    the objective along them; it is called only for samples with
-    iterations left.  chart(d, s) gives the pairs (A, B) of the steps
-    s d, s of shape (k,), as one array (k, 2, 2, 2) with the pair on
-    axis 1; the trial point is A Y B^t.  objective(Yt) gives the values
-    of a stack of points, inf outside its domain.
-
-    For each sample, steps start at 1 and halve until
-    objective(Yt) <= value + 1e-4 s deriv; a step below 1e-18 ends that
-    sample's descent.  The pair is renormalized to det 1 after every
-    move.  Returns the final points, their values, their pairs
-    (B, 2, 2, 2) and the number of accepted moves of each sample.  A
-    sample's results do not depend on the other samples of the stack.
-    """
-    Y = np.array(Y, dtype=complex)
-    value = np.array(value, dtype=float)
-    # pairs (g, h) as one stack (B, 2, 2, 2), renormalized in one call
-    pairs = np.repeat(IDENTITY[None, None], len(Y), axis=0).repeat(2, axis=1)
-    its = np.zeros(len(Y), dtype=int)
-    live = np.arange(len(Y))
-    # y, v, p, it: the state of the live samples, written back to Y,
-    # value, pairs, its whenever some of them stop
-    y, v, p, it = Y, value, pairs, its
-    while live.size:
-        stop, direction = model(live, y, v, p)
-        go = ~stop & (it < max_iters)
-        if np.count_nonzero(go) < len(go):
-            Y[live], value[live], pairs[live], its[live] = y, v, p, it
-            if not go.any():
-                break
-            live, y, v, p, it = live[go], y[go], v[go], p[go], it[go]
-        d, deriv = direction(go)
-        direction = None  # frees the model's data before its next call
-        # every sample tries the step 1; those rejected halve theirs
-        s = np.ones(len(live))
-        E = chart(d, s)
-        Yt = act_complex(E[:, None], y)
-        vt = objective(Yt)
-        ok = vt <= v + 1e-4 * s * deriv
-        if np.count_nonzero(ok) == len(ok):
-            y, v, it, p = Yt, vt, it + 1, make_unimodular(E @ p)
-            continue
-        rows = np.arange(len(live))
-        moved = np.zeros(len(live), dtype=bool)
-        while True:
-            acc = rows[ok]
-            y[acc], v[acc], it[acc] = Yt[ok], vt[ok], it[acc] + 1
-            p[acc] = make_unimodular(E[ok] @ p[acc])
-            moved[acc] = True
-            rows = rows[~ok]
-            s[rows] *= 0.5
-            rows = rows[s[rows] >= 1e-18]
-            if not rows.size:
-                break
-            E = chart(d[rows], s[rows])
-            Yt = act_complex(E[:, None], y[rows])
-            vt = objective(Yt)
-            ok = vt <= v[rows] + 1e-4 * s[rows] * deriv[rows]
-        if np.count_nonzero(moved) < len(moved):
-            Y[live], value[live], pairs[live], its[live] = y, v, p, it
-            live, y, v, p, it = live[moved], y[moved], v[moved], p[moved], it[moved]
-    return Y, value, pairs, its

@@ -142,11 +142,11 @@ def scaled_det_im(Z):
 
 
 def as_tuple_point(Z):
-    """Coerce a (2,2) matrix or an (N,2,2) stack to tuple-point shape."""
+    """Coerce a (2,2) matrix or an (N,2,2) stack, N >= 1, to tuple-point shape."""
     Z = np.asarray(Z, dtype=complex)
     if Z.ndim == 2:
         Z = Z[None, :, :]
-    if Z.ndim != 3 or Z.shape[1:] != (2, 2):
+    if Z.ndim != 3 or Z.shape[1:] != (2, 2) or len(Z) == 0:
         raise ValueError(f"expected (N,2,2) tuple point, got shape {Z.shape}")
     return Z
 

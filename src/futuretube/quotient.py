@@ -104,7 +104,7 @@ def kempf_ness_minimize_all(Zs):
     times |Z|^2.  A zero start is its own closed orbit, of norm 0.
     """
     Z = np.asarray(Zs, dtype=complex)
-    if Z.ndim != 4 or Z.shape[2:] != (2, 2):
+    if Z.ndim != 4 or Z.shape[2:] != (2, 2) or Z.shape[1] == 0:
         raise ValueError(f"expected a (B,N,2,2) stack of tuple points, got shape {Z.shape}")
     Q, R = np.linalg.qr(Z.reshape(Z.shape[:2] + (4,)) @ _PAULI.T)
     k = R.shape[-2]

@@ -25,12 +25,12 @@ from .geometry import (
 )
 from .actions import (
     _dots,
+    act_complex,
     act_real,
     apply_J,
-    damped_newton,
-    descend,
     flow_pairs,
     full_tangent_basis,
+    make_unimodular,
     orbit_fields,
 )
 from .psh import (
@@ -79,10 +79,6 @@ class ReductionResult:
 _MAX_ITERS = 2000
 
 
-def _transverse_chart(xi, s):
-    return flow_pairs(xi, 1j * s)
-
-
 def _gauge(Z):
     """g = det(P)^(1/4) P^(-1/2) for P = Im Z^1 of each point of a stack.
 
@@ -122,54 +118,124 @@ def orbit_minimize_all(Zs, moment_tol=1e-8):
     orbit, and the cost of a solve no longer depends on where its start
     lies on that orbit.  g is folded into the returned minimizer, the
     pair (g, h) as one (2, 2, 2) array.
-    Moves are then Z <- exp(i s xi) . Z, descending with
-    actions.descend.  The moment value is the gradient of phi in the
-    exp(i g) chart, and its derivative along the chart is the normal
-    Hessian J_kl = omega(field_k, J field_l) = 4 Re <field_k, field_l>_Levi,
+    Moves are then Z <- exp(i s xi) . Z.  The moment value is the
+    gradient of phi in the exp(i g) chart, and its derivative along the
+    chart is the normal Hessian
+    J_kl = omega(field_k, J field_l) = 4 Re <field_k, field_l>_Levi,
     so a damped solve of J xi = -mu is a Newton step for the zero of the
     moment; psh.orbit_derivatives gives both in closed form from one
     set of per-component traces per iteration, without building the
     fields.  The damping 0.01 |mu| handles the gauge directions where
-    the fields degenerate (point stabilizers).  Trial steps leaving the
-    tube are rejected.
+    the fields degenerate (point stabilizers).
+    Each start runs its own Armijo search: its step halves from 1 until
+    phi falls by 1e-4 s mu.xi, and ends the descent below 1e-18; trial
+    points outside the tube have phi = inf.  A start stops at a moment
+    norm <= moment_tol, after _MAX_ITERS moves or without a move.
     """
     Z0 = np.asarray(Zs, dtype=complex)
-    if Z0.ndim != 4 or Z0.shape[2:] != (2, 2):
+    if Z0.ndim != 4 or Z0.shape[2:] != (2, 2) or Z0.shape[1] == 0:
         raise ValueError(f"expected a (B,N,2,2) stack of tuple points, got shape {Z0.shape}")
     if not tube_mask(Z0).all():
         raise DomainError("orbit_minimize starts from a tube point")
     g0 = _gauge(Z0)
-    Y0 = act_real(g0[:, None], Z0)
-    moment_norm = np.zeros(len(Z0))
-
-    def model(live, P, value, pairs):
-        m, levi = orbit_derivatives(P)
+    # y, v, p, it: point, phi, pair (g, h) and moves of the live starts,
+    # written back to Y, value, pairs, its whenever some of them stop
+    y = Y = act_real(g0[:, None], Z0)
+    v = value = phi_in_tube(Y)
+    p = pairs = np.repeat(IDENTITY[None, None], len(Y), axis=0).repeat(2, axis=1)
+    it = its = np.zeros(len(Y), dtype=int)
+    moment_norm = np.zeros(len(Y))
+    live = np.arange(len(Y))
+    while live.size:
+        m, levi = orbit_derivatives(y)
         mn = np.sqrt(_dots(m, m))  # np.linalg.norm of each row, bit for bit
         moment_norm[live] = mn
-
-        def direction(sel):
-            # the normal Hessian only where the descent goes on
-            return damped_newton(m[sel], 4.0 * np.real(levi(sel)), 0.01 * mn[sel] + 1e-300)
-
-        return mn <= moment_tol, direction
-
-    P, phi_min, pairs, its = descend(
-        Y0, phi_in_tube(Y0), model, _transverse_chart, phi_in_tube, _MAX_ITERS
-    )
+        # a NaN norm does not stop here: the tube test rejects all its steps
+        go = ~(mn <= moment_tol) & (it < _MAX_ITERS)
+        if np.count_nonzero(go) < len(go):
+            Y[live], value[live], pairs[live], its[live] = y, v, p, it
+            if not go.any():
+                break
+            live, y, v, p, it = live[go], y[go], v[go], p[go], it[go]
+        # the normal Hessian only where the descent goes on
+        xi, deriv = _newton_step(m[go], 4.0 * np.real(levi(go)), 0.01 * mn[go] + 1e-300)
+        # every start tries the step 1; those rejected halve theirs
+        s = np.ones(len(live))
+        E = flow_pairs(xi, 1j * s)
+        Yt = act_complex(E[:, None], y)
+        vt = phi_in_tube(Yt)
+        ok = vt <= v + 1e-4 * s * deriv
+        # all accepted, the usual case: without this path the bits are the
+        # same, but the in-process orbit-solvers pass median was about
+        # 1 ms (2.5%) slower on 2 vCPUs
+        if np.count_nonzero(ok) == len(ok):
+            y, v, it, p = Yt, vt, it + 1, make_unimodular(E @ p)
+            continue
+        rows = np.arange(len(live))
+        moved = np.zeros(len(live), dtype=bool)
+        while True:
+            acc = rows[ok]
+            y[acc], v[acc], it[acc] = Yt[ok], vt[ok], it[acc] + 1
+            p[acc] = make_unimodular(E[ok] @ p[acc])
+            moved[acc] = True
+            rows = rows[~ok]
+            s[rows] *= 0.5
+            rows = rows[s[rows] >= 1e-18]
+            if not rows.size:
+                break
+            E = flow_pairs(xi[rows], 1j * s[rows])
+            Yt = act_complex(E[:, None], y[rows])
+            vt = phi_in_tube(Yt)
+            ok = vt <= v[rows] + 1e-4 * s[rows] * deriv[rows]
+        if np.count_nonzero(moved) < len(moved):
+            Y[live], value[live], pairs[live], its[live] = y, v, p, it
+            live, y, v, p, it = live[moved], y[moved], v[moved], p[moved], it[moved]
     # det g0 = 1 up to rounding, so the products stay unimodular
     minimizers = pairs @ np.stack([g0, np.conj(g0)], axis=1)
     return [
         ReductionResult(
             start=Z0[b],
             minimizer=minimizers[b],
-            reduced_point=P[b],
-            phi_min=float(phi_min[b]),
+            reduced_point=Y[b],
+            phi_min=float(value[b]),
             moment_norm=float(moment_norm[b]),
             converged=bool(moment_norm[b] <= moment_tol),
             iterations=int(its[b]),
         )
         for b in range(len(Z0))
     ]
+
+
+def _newton_step(grad, H, lam):
+    """Step d solving (H + lam I) d = -grad, with the derivative grad . d.
+
+    orbit_minimize passes a positive semidefinite H taken along
+    non-compact directions only, the Levi matrix of phi along the
+    transverse fields.  So lam > 0 is plain Levenberg damping, and no
+    shift for negative curvature is needed.
+    The k systems come as stacks grad (k, m), H (k, m, m) and lam (k,);
+    each step depends on its own system only, and falls back to steepest
+    descent -grad when its solve fails or does not give a descent
+    direction, so every derivative is < 0 for a nonzero gradient.
+    """
+    d = _solve(H + np.asarray(lam)[..., None, None] * np.eye(grad.shape[-1]), -grad)
+    deriv = _dots(grad, d)
+    bad = ~(np.isfinite(deriv) & (deriv < 0.0))
+    if bad.any():
+        d[bad] = -grad[bad]
+        deriv[bad] = -_dots(grad[bad], grad[bad])
+    return d, deriv
+
+
+def _solve(M, b):
+    # solutions of the systems M x = b, nan where M is singular; a
+    # singular system fails numpy's whole stack, so then solve one by one
+    try:
+        return np.linalg.solve(M, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if M.ndim == 2:
+            return np.full(b.shape, np.nan)
+        return np.stack([_solve(Mi, bi) for Mi, bi in zip(M, b)])
 
 
 def big_psi(Zs, moment_tol=1e-8):

@@ -23,6 +23,7 @@ from . import serialize
 from .rng import Block
 from .geometry import (
     IDENTITY,
+    adj2,
     det2,
     det_im,
     from_matrix,
@@ -35,7 +36,6 @@ from .geometry import (
 from .actions import (
     _dots,
     act_real,
-    adj2,
     adjoint,
     apply_J,
     exp_algebra,

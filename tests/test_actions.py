@@ -85,7 +85,7 @@ def test_act_complex_group_law_and_embedding():
 
 
 def test_act_complex_matches_the_matrix_products():
-    # the broadcast shapes of descend's trial points, (k, 1) pairs on k
+    # the broadcast shapes of orbit_minimize_all's trial points, (k, 1) pairs on k
     # points, and of flow_monotonicity's grids, (s, T, 1) pairs on (s, 1)
     s = stream_for(2, "act-cplx-matmul", 0)
     pairs = np.stack([np.stack([A.sample_sl2(s), A.sample_sl2(s)]) for _ in range(12)])

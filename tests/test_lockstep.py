@@ -164,9 +164,9 @@ def test_stacked_damped_newton_equals_the_one_system_calls():
     H = M @ M.swapaxes(-1, -2)
     H[2] = 0.0  # singular with lam 0: falls back to steepest descent
     lam = np.array([0.1, 1e-3, 0.0, 2.0])
-    d, deriv = A.damped_newton(grad, H, lam)
+    d, deriv = reduction._newton_step(grad, H, lam)
     for i in range(4):
-        di, derivi = A.damped_newton(grad[i], H[i], lam[i])
+        di, derivi = reduction._newton_step(grad[i], H[i], lam[i])
         assert np.array_equal(d[i], di) and deriv[i] == derivi
     assert np.array_equal(d[2], -grad[2])
 

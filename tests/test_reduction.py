@@ -6,6 +6,7 @@ import pytest
 from futuretube import actions as A
 from futuretube import geometry as G
 from futuretube import psh, reduction
+from futuretube.quotient import kempf_ness_minimize_all, saturation_probe
 from futuretube.reduction import (
     ConvergenceError,
     big_psi,
@@ -167,6 +168,16 @@ def test_empty_stacks_reduce_to_nothing():
     empty = np.zeros((0, 2, 2, 2), dtype=complex)
     assert orbit_minimize_all(empty) == []
     assert big_psi(empty).shape == (0,)
+
+
+def test_tuple_points_without_components_are_rejected_by_shape():
+    none = np.zeros((0, 2, 2), dtype=complex)
+    for solve in (G.as_tuple_point, orbit_minimize, saturation_probe):
+        with pytest.raises(ValueError, match=r"got shape \(0, 2, 2\)"):
+            solve(none)
+    for solve in (orbit_minimize_all, kempf_ness_minimize_all):
+        with pytest.raises(ValueError, match=r"got shape \(3, 0, 2, 2\)"):
+            solve(np.zeros((3, 0, 2, 2), dtype=complex))
 
 
 def test_lagrangian_check_at_identity_base():

@@ -1,11 +1,11 @@
-"""Shared paths: edges of the chart descent (budget exits, stops,
-aliasing) and realize against its tensordot reference."""
+"""Shared paths: edges of the orbit solver's descent (budget exits,
+stops, aliasing) and realize against its tensordot reference."""
 
 import numpy as np
 
 from futuretube import geometry as G
 from futuretube import psh, reduction
-from futuretube.actions import BASIS, descend, realize
+from futuretube.actions import BASIS, act_real, realize
 from futuretube.reduction import orbit_minimize
 from futuretube.rng import stream_for
 
@@ -36,37 +36,32 @@ def test_zero_iteration_minimizers_do_not_alias_identity():
     assert np.array_equal(G.IDENTITY, before)
 
 
-def test_descend_stops_when_no_trial_step_is_accepted():
-    # start 0 (i I) rejects every trial step; start 1 (2i I) accepts its
-    # first, then stops
-    Y0 = np.stack([iI, 2 * iI])[:, None]
-    calls = []
+def test_a_start_whose_trial_steps_all_leave_the_tube_stops_unmoved(monkeypatch):
+    # every trial point of the first start, told apart by det Z^1 (an
+    # invariant of the orbit), is moved out of the tube; the second start
+    # descends as it does alone
+    Z = np.stack([_unreduced_point(), 3 * G.sample_tube_point(stream_for(4, "descent-edge", 0), 2)])
+    blocked = G.det2(Z[0, 0])
+    act_complex = reduction.act_complex
 
-    def model(live, Y, value, pairs):
-        calls.append(live.tolist())
+    def leave_tube(p, Y):
+        Yt = act_complex(p, Y)
+        Yt[np.isclose(G.det2(Yt[:, 0]), blocked, rtol=1e-6, atol=0.0)] *= -1.0
+        return Yt
 
-        def direction(sel):
-            moves = Y[sel, 0, 0, 0].imag > 1.5
-            return np.ones((len(moves), 6)) * moves[:, None], -np.ones(len(moves))
-
-        return value < 1.0, direction
-
-    def chart(d, s):
-        A = np.eye(2) + (d[:, 0] * s)[:, None, None] * np.diag([1.0, 0.0])
-        return np.stack([A, np.broadcast_to(np.eye(2), A.shape)], axis=1).astype(complex)
-
-    def objective(Yt):
-        return np.where(Yt[:, 0, 0, 0].imag > 2.0, 0.5, np.inf)
-
-    Y, value, pairs, it = descend(Y0, np.ones(2), model, chart, objective, 10)
-    assert it[0] == 0 and value[0] == 1.0
-    assert np.array_equal(Y[0], Y0[0]) and sum(0 in c for c in calls) == 1
-    assert np.array_equal(pairs[0], np.stack([np.eye(2)] * 2))
-    # start 1 ends as it does alone
-    alone = descend(Y0[1:], np.ones(1), model, chart, objective, 10)
-    assert it[1] == alone[3][0] == 1 and value[1] == alone[1][0] == 0.5
-    assert np.array_equal(Y[1], alone[0][0])
-    assert np.array_equal(pairs[1], alone[2][0])
+    monkeypatch.setattr(reduction, "act_complex", leave_tube)
+    r0, r1 = reduction.orbit_minimize_all(Z)
+    g0 = reduction._gauge(Z[:1])[0]
+    Y0 = act_real(g0, Z[0])
+    assert r0.iterations == 0 and not r0.converged
+    assert np.array_equal(r0.reduced_point, Y0)
+    assert np.array_equal(r0.minimizer, np.stack([g0, np.conj(g0)]))
+    assert r0.moment_norm == float(np.linalg.norm(psh.moment_map(Y0))) > 1e-2
+    alone = orbit_minimize(Z[1])
+    assert r1.iterations == alone.iterations > 0 and r1.converged
+    assert np.array_equal(r1.reduced_point, alone.reduced_point)
+    assert np.array_equal(r1.minimizer, alone.minimizer)
+    assert (r1.phi_min, r1.moment_norm) == (alone.phi_min, alone.moment_norm)
 
 
 def test_realize_matches_tensordot_reference():
