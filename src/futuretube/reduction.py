@@ -3,7 +3,10 @@
 The minimizer descends along the six transverse directions exp(i s xi),
 using the moment value itself as the gradient: mu_xi is exactly the
 derivative of phi along exp(i t xi).  The potential is its own barrier,
-so trial steps leaving the tube are rejected by the line search.  Reduced
+so trial steps leaving the tube are rejected by the line search.  Near
+the minimum the decrease of phi that a step predicts falls below phi's
+rounding; there a step is accepted on a decrease of the moment norm
+instead, so the stop does not depend on how trial points round.  Reduced
 points realize the fiberwise minimum, and the checks below grade the
 structure expected there: vanishing symplectic form on the real orbit,
 positive normal Hessian, and the Levi identity between the fiberwise
@@ -102,8 +105,9 @@ def orbit_minimize(Z, moment_tol=1e-8):
     The stack of one of orbit_minimize_all, which documents the method.
     Converged means the moment norm fell below moment_tol.
     Non-convergence is reported through the flag, not raised: it signals
-    either an exhausted budget of _MAX_ITERS moves or a fiber whose
-    infimum this probe did not attain.
+    an exhausted budget of _MAX_ITERS moves, a moment below what
+    rounding resolves (a moment_tol under the rounding floor of phi), or
+    a fiber whose infimum this probe did not attain.
     """
     return orbit_minimize_all(as_tuple_point(Z)[None], moment_tol)[0]
 
@@ -129,8 +133,13 @@ def orbit_minimize_all(Zs, moment_tol=1e-8):
     the fields degenerate (point stabilizers).
     Each start runs its own Armijo search: its step halves from 1 until
     phi falls by 1e-4 s mu.xi, and ends the descent below 1e-18; trial
-    points outside the tube have phi = inf.  A start stops at a moment
-    norm <= moment_tol, after _MAX_ITERS moves or without a move.
+    points outside the tube have phi = inf.  Where that predicted
+    decrease is below a few ulp of phi (the rounding floor, _accepted),
+    a trial in the tube is accepted when its moment norm is below the
+    current one, and a rejected trial ends the descent, since a shorter
+    step predicts less still.  A start stops at a moment norm
+    <= moment_tol, after _MAX_ITERS moves, or without a move: its step
+    fell below 1e-18, or its trial at the floor was rejected.
     """
     Z0 = np.asarray(Zs, dtype=complex)
     if Z0.ndim != 4 or Z0.shape[2:] != (2, 2) or Z0.shape[1] == 0:
@@ -158,13 +167,15 @@ def orbit_minimize_all(Zs, moment_tol=1e-8):
                 break
             live, y, v, p, it = live[go], y[go], v[go], p[go], it[go]
         # the normal Hessian only where the descent goes on
-        xi, deriv = _newton_step(m[go], 4.0 * np.real(levi(go)), 0.01 * mn[go] + 1e-300)
-        # every start tries the step 1; those rejected halve theirs
+        mn = mn[go]
+        xi, deriv = _newton_step(m[go], 4.0 * np.real(levi(go)), 0.01 * mn + 1e-300)
+        # every start tries the step 1; those rejected above the floor
+        # halve theirs
         s = np.ones(len(live))
         E = flow_pairs(xi, 1j * s)
         Yt = act_complex(E[:, None], y)
         vt = phi_in_tube(Yt)
-        ok = vt <= v + 1e-4 * s * deriv
+        ok, floor = _accepted(Yt, vt, v, mn, s, deriv)
         # all accepted, the usual case: without this path the bits are the
         # same, but the in-process orbit-solvers pass median was about
         # 1 ms (2.5%) slower on 2 vCPUs
@@ -178,7 +189,8 @@ def orbit_minimize_all(Zs, moment_tol=1e-8):
             y[acc], v[acc], it[acc] = Yt[ok], vt[ok], it[acc] + 1
             p[acc] = make_unimodular(E[ok] @ p[acc])
             moved[acc] = True
-            rows = rows[~ok]
+            # a shorter step than a rejected floor trial is at the floor too
+            rows = rows[~ok & ~floor]
             s[rows] *= 0.5
             rows = rows[s[rows] >= 1e-18]
             if not rows.size:
@@ -186,7 +198,7 @@ def orbit_minimize_all(Zs, moment_tol=1e-8):
             E = flow_pairs(xi[rows], 1j * s[rows])
             Yt = act_complex(E[:, None], y[rows])
             vt = phi_in_tube(Yt)
-            ok = vt <= v[rows] + 1e-4 * s[rows] * deriv[rows]
+            ok, floor = _accepted(Yt, vt, v[rows], mn[rows], s[rows], deriv[rows])
         if np.count_nonzero(moved) < len(moved):
             Y[live], value[live], pairs[live], its[live] = y, v, p, it
             live, y, v, p, it = live[moved], y[moved], v[moved], p[moved], it[moved]
@@ -204,6 +216,31 @@ def orbit_minimize_all(Zs, moment_tol=1e-8):
         )
         for b in range(len(Z0))
     ]
+
+
+# a predicted decrease of phi below _FLOOR phi, a few ulp of it, is lost
+# in its rounding
+_FLOOR = 4.0 * np.finfo(float).eps
+
+
+def _accepted(Yt, vt, v, mn, s, deriv):
+    """Which trials of a line search are accepted, and which rejected
+    ones were at the rounding floor of phi.
+
+    A trial passes Armijo when phi falls by 1e-4 s mu.xi.  Where that
+    predicted decrease is below _FLOOR v, the measured change of phi is
+    rounding, and a trial in the tube that fails Armijo is accepted
+    instead when its moment norm, the gradient, is below the current mn:
+    where phi cannot resolve a decrease, Hager and Zhang (SIAM J. Optim.
+    16, 2005) decide on the gradient.
+    """
+    ok = vt <= v + 1e-4 * s * deriv
+    floor = ~ok & (-1e-4 * s * deriv < _FLOOR * v)
+    probe = floor & np.isfinite(vt)
+    if probe.any():
+        m = orbit_derivatives(Yt[probe])[0]
+        ok[probe] = np.sqrt(_dots(m, m)) < mn[probe]
+    return ok, floor
 
 
 def _newton_step(grad, H, lam):

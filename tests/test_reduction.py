@@ -284,21 +284,39 @@ def test_section_levi_identity_guards():
 
 def test_reduce_minimum_at_n_32_converges_in_few_iterations(monkeypatch):
     # phi is about 32 at n = 32, and the Armijo test cannot resolve
-    # decreases below its rounding: a step whose trial points round badly
-    # can hold a solve just above the moment tolerance for its whole
-    # budget of _MAX_ITERS moves
+    # decreases below its rounding: there a trial is accepted on its
+    # moment norm instead, so no solve backtracks through the rounding of
+    # its trial points
     from futuretube import suites
 
     iterations = []
+    calls = []
+    phi_in_tube = reduction.phi_in_tube
 
     def counted(*args, **kwargs):
         results = orbit_minimize_all(*args, **kwargs)
         iterations.extend(r.iterations for r in results)
         return results
 
+    def counted_phi(Y):
+        calls.append(len(Y))
+        return phi_in_tube(Y)
+
     monkeypatch.setattr(suites, "orbit_minimize_all", counted)
+    monkeypatch.setattr(reduction, "phi_in_tube", counted_phi)
     for seed in range(16):
         rep = suites.run_suite(suites.ExperimentConfig(suite="reduce-minimum", seed=seed, n=32))
         assert rep.verdict == "pass" and rep.aggregate["fail_count"] == 0
     assert len(iterations) == 16 * 2 * 15
-    assert max(iterations) <= 20
+    assert max(iterations) <= 8
+    assert len(calls) <= 160
+
+
+def test_a_tolerance_below_the_rounding_floor_ends_in_bounded_work():
+    # at n = 32 a moment norm of 1e-12 is below what phi's rounding
+    # resolves: each start stops at the first trial that does not lower
+    # its moment norm, close to the tolerance, well before _MAX_ITERS
+    Z = np.stack([G.sample_tube_point(stream_for(seed, "x", 0), 32) for seed in range(16)])
+    results = orbit_minimize_all(Z, moment_tol=1e-12)
+    assert max(r.iterations for r in results) < reduction._MAX_ITERS
+    assert all(r.converged or r.moment_norm <= 1e-10 for r in results)

@@ -5,7 +5,7 @@ import numpy as np
 
 from futuretube import geometry as G
 from futuretube import psh, reduction
-from futuretube.actions import BASIS, act_real, realize
+from futuretube.actions import BASIS, act_complex, act_real, flow_pairs, realize
 from futuretube.reduction import orbit_minimize
 from futuretube.rng import stream_for
 
@@ -36,17 +36,20 @@ def test_zero_iteration_minimizers_do_not_alias_identity():
     assert np.array_equal(G.IDENTITY, before)
 
 
-def test_a_start_whose_trial_steps_all_leave_the_tube_stops_unmoved(monkeypatch):
+def _solve_with_the_first_start_blocked(monkeypatch, start):
     # every trial point of the first start, told apart by det Z^1 (an
-    # invariant of the orbit), is moved out of the tube; the second start
-    # descends as it does alone
-    Z = np.stack([_unreduced_point(), 3 * G.sample_tube_point(stream_for(4, "descent-edge", 0), 2)])
+    # invariant of the orbit), is moved out of the tube: it stops unmoved,
+    # and the second start descends as it does alone.  Returns the first
+    # start's number of trials and its moment norm
+    Z = np.stack([start, 3 * G.sample_tube_point(stream_for(4, "descent-edge", 0), 2)])
     blocked = G.det2(Z[0, 0])
-    act_complex = reduction.act_complex
+    trials = []
 
     def leave_tube(p, Y):
         Yt = act_complex(p, Y)
-        Yt[np.isclose(G.det2(Yt[:, 0]), blocked, rtol=1e-6, atol=0.0)] *= -1.0
+        hit = np.isclose(G.det2(Yt[:, 0]), blocked, rtol=1e-6, atol=0.0)
+        trials.append(np.count_nonzero(hit))
+        Yt[hit] *= -1.0
         return Yt
 
     monkeypatch.setattr(reduction, "act_complex", leave_tube)
@@ -56,12 +59,29 @@ def test_a_start_whose_trial_steps_all_leave_the_tube_stops_unmoved(monkeypatch)
     assert r0.iterations == 0 and not r0.converged
     assert np.array_equal(r0.reduced_point, Y0)
     assert np.array_equal(r0.minimizer, np.stack([g0, np.conj(g0)]))
-    assert r0.moment_norm == float(np.linalg.norm(psh.moment_map(Y0))) > 1e-2
+    assert r0.moment_norm == float(np.linalg.norm(psh.moment_map(Y0)))
     alone = orbit_minimize(Z[1])
     assert r1.iterations == alone.iterations > 0 and r1.converged
     assert np.array_equal(r1.reduced_point, alone.reduced_point)
     assert np.array_equal(r1.minimizer, alone.minimizer)
     assert (r1.phi_min, r1.moment_norm) == (alone.phi_min, alone.moment_norm)
+    return sum(trials), r0.moment_norm
+
+
+def test_a_start_whose_trial_steps_all_leave_the_tube_stops_unmoved(monkeypatch):
+    _, moment_norm = _solve_with_the_first_start_blocked(monkeypatch, _unreduced_point())
+    assert moment_norm > 1e-2
+
+
+def test_a_reduced_start_whose_floor_trials_leave_the_tube_stops_unmoved(monkeypatch):
+    # a start reduced to a moment norm near 1e-7, where the predicted
+    # Armijo decrease is below phi's rounding: its one trial leaves the
+    # tube, and it stops there without halving its step
+    Y = orbit_minimize(_unreduced_point(), moment_tol=1e-13).reduced_point
+    xi = np.array([1.0, 0.5, -0.3, 0.2, 0.1, -0.7])
+    trials, moment_norm = _solve_with_the_first_start_blocked(monkeypatch, act_complex(flow_pairs(xi, 1e-8j), Y))
+    assert trials == 1
+    assert 1e-8 < moment_norm < 1e-6
 
 
 def test_realize_matches_tensordot_reference():
