@@ -25,7 +25,6 @@ __all__ = [
     "act_real",
     "act_complex",
     "flow_pairs",
-    "real_vector_field",
     "apply_J",
     "adjoint",
     "sample_sl2",
@@ -172,16 +171,6 @@ def flow_pairs(xi, tau):
     return expm_traceless(np.asarray(tau)[..., None, None, None] * np.stack([X, np.conj(X)], axis=-3))
 
 
-def real_vector_field(xi, Z):
-    """d/dt at 0 of act_real(exp(t xi), Z): xi Z + Z xi^H componentwise.
-
-    A stack of directions (m, 6) with points (m, N, 2, 2) gives the field
-    of direction k at point k."""
-    X = realize(xi)[..., None, :, :]
-    Z = np.asarray(Z, dtype=complex)
-    return X @ Z + Z @ X.conj().swapaxes(-1, -2)
-
-
 def apply_J(V):
     """Ambient complex structure: multiply every entry by i."""
     return 1j * np.asarray(V, dtype=complex)
@@ -264,5 +253,10 @@ def orbit_fields(Z):
 
 def _dots(a, b):
     # dot products of the last axes, each the BLAS dot of a one-row call
-    # (so np.linalg.norm of a row is np.sqrt(_dots(a, a)), bit for bit)
+    # (so np.linalg.norm of a real row is np.sqrt(_dots(a, a)), bit for bit)
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(x):
+    # np.linalg.norm of each complex row (..., k), bit for bit
+    return np.sqrt(_dots(x.real, x.real) + _dots(x.imag, x.imag))

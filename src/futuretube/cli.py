@@ -123,7 +123,7 @@ def _cmd_reduce(args):
         "moment_norm": r.moment_norm,
         "converged": r.converged,
         "iterations": r.iterations,
-        "reduced_point": serialize.point_to_json(r.reduced_point),
+        "reduced_point": serialize.jsonable(r.reduced_point),
     }
     _emit(
         payload,
@@ -160,9 +160,9 @@ def _cmd_normal_form(args):
     nf = normal_form(Z)
     r = float(nf.r[0])
     payload = {
-        "u": serialize.matrix_to_json(nf.u[0]),
+        "u": serialize.jsonable(nf.u[0]),
         "r": r,
-        "X": serialize.matrix_to_json(nf.X[0]),
+        "X": serialize.jsonable(nf.X[0]),
     }
     _emit(
         payload,

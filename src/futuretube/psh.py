@@ -30,10 +30,10 @@ from .geometry import (
 from .actions import (
     _FIELD_MAP,
     _dots,
+    _norms,
     act_complex,
     apply_J,
     flow_pairs,
-    real_vector_field,
 )
 
 __all__ = [
@@ -410,7 +410,7 @@ def flow_monotonicity(xi, Z, t_max, steps, slack=1e-9):
     directions xi (s, 6) and points Z (s, N, 2, 2) give the list of the s
     reports, flow k moving point k along direction k.  All s (steps + 1)
     flow points are built as one stack, tested with one tube_mask, and
-    the kept ones evaluated with one dphi call.  Grid points past a
+    the kept ones evaluated with one moment_map call.  Grid points past a
     truncation may overflow; they are built without warnings and never
     evaluated.  DomainError unless every start lies in the tube.
     """
@@ -436,13 +436,11 @@ def flow_monotonicity(xi, Z, t_max, steps, slack=1e-9):
     owner = np.repeat(np.arange(len(Z)), kept)
     pairs = None
     points = points[keep]
-    # the steps between consecutive kept points and their norms, each as
-    # np.linalg.norm takes it, bit for bit; a step across two flows is
-    # computed but belongs to neither
-    D = (points[1:] - points[:-1]).reshape(len(points) - 1, 4 * Z.shape[-3])
-    displacements = np.sqrt(_dots(D.real, D.real) + _dots(D.imag, D.imag))
-    D = None
-    values = dphi(points, apply_J(real_vector_field(xi[owner], points)))
+    # the norms of the steps between consecutive kept points; a step
+    # across two flows is computed but belongs to neither
+    displacements = _norms((points[1:] - points[:-1]).reshape(len(points) - 1, 4 * Z.shape[-3]))
+    # mu_xi = dphi(J sum_k xi_k F_k) = sum_k xi_k mu_k, dphi being linear
+    values = _dots(moment_map(points), xi[owner])
     within = owner[1:] == owner[:-1]
     falls = within & ~(values[1:] >= values[:-1] - slack)
     flat = within & (displacements > 1e-9) & ~(values[1:] > values[:-1])

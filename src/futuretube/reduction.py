@@ -344,13 +344,13 @@ class CriticalityReport:
 
 
 def critical_iff_moment_zero(Z):
-    """Compare the moment norm with the orbit-restricted gradient of phi.
+    """Compare the moment norm with the orbit-restricted gradient of phi
+    at a tuple point Z (N, 2, 2).
 
     The twelve orbit directions are the six basis fields and their J
     images; invariance kills the first six, the J directions carry the
     moment components, so the two norms vanish together.
     """
-    Z = as_tuple_point(Z)
     m = moment_map(Z)
     F = orbit_fields(Z)
     gn = float(np.linalg.norm(dphi(Z, np.concatenate([F, apply_J(F)]))))
@@ -362,15 +362,14 @@ def critical_iff_moment_zero(Z):
 
 def section_probe(base):
     """Metric-orthogonal complement of the complex orbit tangent at a
-    reduced point, orthonormalized in the Kaehler metric of phi: a stack
-    (d, N, 2, 2) of directions.
+    reduced tuple point base (N, 2, 2), orthonormalized in the Kaehler
+    metric of phi: a stack (d, N, 2, 2) of directions.
 
     The metric Hermitian form is 4 x the Levi form (our omega convention
     gives omega(V, JV) = 4 <V, V>_Levi).  Orthogonality to the orbit makes
     the minimum-section through the probe flat to first order, which is
     the condition the Levi identity needs.
     """
-    base = as_tuple_point(base)
     n = base.shape[0]
     full = full_tangent_basis(n)
     dim = 4 * n

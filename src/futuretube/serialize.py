@@ -19,9 +19,7 @@ import numpy as np
 __all__ = [
     "encode_complex",
     "parse_complex",
-    "matrix_to_json",
     "parse_matrix",
-    "point_to_json",
     "parse_point",
     "parse_reals",
     "parse_algebra",
@@ -54,11 +52,6 @@ def parse_complex(v):
     raise ValueError(f"cannot parse finite complex scalar from {v!r}")
 
 
-def matrix_to_json(M):
-    M = np.asarray(M, dtype=complex)
-    return [[encode_complex(M[r, c]) for c in range(2)] for r in range(2)]
-
-
 def parse_matrix(doc):
     if not isinstance(doc, (list, tuple)) or len(doc) != 2:
         raise ValueError("matrix must be a 2x2 array")
@@ -68,13 +61,6 @@ def parse_matrix(doc):
             raise ValueError("matrix must be a 2x2 array")
         rows.append([parse_complex(c) for c in r])
     return np.array(rows, dtype=complex)
-
-
-def point_to_json(Z):
-    Z = np.asarray(Z, dtype=complex)
-    if Z.ndim == 2:
-        Z = Z[None]
-    return [matrix_to_json(M) for M in Z]
 
 
 def _looks_like_matrix(doc):

@@ -71,7 +71,7 @@ __all__ = [
     "report_body_bytes",
 ]
 
-ARTIFACT_VERSION = "0.6.0"
+ARTIFACT_VERSION = "0.7.0"
 
 
 @dataclass

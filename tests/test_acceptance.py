@@ -219,8 +219,8 @@ def test_criterion_9_kempf_ness():
 
 def test_criterion_10_boundary_behavior():
     c = Criterion(10, "weak exhaustion on i*I/k and compact normalized translates", 30.0)
-    zero = serialize.matrix_to_json(np.zeros((2, 2)))
-    eye = serialize.matrix_to_json(iI)
+    zero = serialize.jsonable(np.zeros((2, 2), complex))
+    eye = serialize.jsonable(iI)
     rep = boundary_scan({"type": "curve", "components": [{"num": [zero, eye]}], "k_count": 40})
     ok = rep.weak_exhaustion
     for r in rep.records:
@@ -232,7 +232,7 @@ def test_criterion_10_boundary_behavior():
         Z0 = G.sample_tube_point(s, 2)
         doc = {
             "type": "translate",
-            "base": serialize.point_to_json(Z0),
+            "base": serialize.jsonable(Z0),
             "generator": [1.0, 0, 0, 0, 0, 0],
             "times": {"start": 0.0, "step": 0.35, "count": 20},
         }

@@ -114,11 +114,16 @@ def test_act_complex_on_stacked_pairs_equals_the_one_pair_calls():
         assert np.array_equal(on_each[i], A.act_complex(np.stack([g[i], h[i]]), Zs[i]))
 
 
+def real_field(xi, Z):
+    # the field of xi under the real action, sum_k xi_k F_k
+    return np.tensordot(xi, A.orbit_fields(Z), 1)
+
+
 def test_real_vector_field_frozen_and_fd():
     # e1 at i*I: i(e1 + e1) = 2i e1
-    V = A.real_vector_field(E1, G.as_tuple_point(iI))
+    V = real_field(E1, G.as_tuple_point(iI))
     assert np.allclose(V[0], 2j * np.diag([1.0, -1.0]))
-    assert np.max(np.abs(A.real_vector_field(np.zeros(6), G.as_tuple_point(iI)))) == 0
+    assert np.max(np.abs(real_field(np.zeros(6), G.as_tuple_point(iI)))) == 0
 
     for i in range(50):
         s = stream_for(2, "act-field", i)
@@ -129,7 +134,7 @@ def test_real_vector_field_frozen_and_fd():
             return A.act_real(A.exp_algebra(xi, t), Z)
 
         fd = (curve(1e-5) - curve(-1e-5)) / 2e-5
-        assert np.max(np.abs(A.real_vector_field(xi, Z) - fd)) <= 1e-8 * (
+        assert np.max(np.abs(real_field(xi, Z) - fd)) <= 1e-8 * (
             1 + np.max(np.abs(fd))
         )
 
@@ -138,8 +143,8 @@ def test_real_vector_field_linear_in_xi():
     s = stream_for(2, "act-lin", 0)
     Z = G.sample_tube_point(s, 2)
     a, b = A.sample_algebra(s), A.sample_algebra(s)
-    lhs = A.real_vector_field(2.5 * a - 0.5 * b, Z)
-    rhs = 2.5 * A.real_vector_field(a, Z) - 0.5 * A.real_vector_field(b, Z)
+    lhs = real_field(2.5 * a - 0.5 * b, Z)
+    rhs = 2.5 * real_field(a, Z) - 0.5 * real_field(b, Z)
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * (1 + np.max(np.abs(rhs)))
 
 
@@ -155,7 +160,7 @@ def test_apply_J():
         return A.act_complex(A.flow_pairs(xi, 1j * t), Z)
 
     fd = (curve(1e-5) - curve(-1e-5)) / 2e-5
-    want = A.apply_J(A.real_vector_field(xi, Z))
+    want = A.apply_J(real_field(xi, Z))
     assert np.max(np.abs(want - fd)) <= 1e-8 * (1 + np.max(np.abs(fd)))
 
 

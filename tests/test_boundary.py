@@ -174,7 +174,7 @@ def test_parse_sequence_errors():
         parse_sequence(
             {
                 "type": "translate",
-                "base": serialize.point_to_json(iI),
+                "base": serialize.jsonable(iI),
                 "generator": [1, 0, 0, 0, 0, 0],
             }
         )
@@ -184,12 +184,12 @@ def test_parse_sequence_errors():
 
 def test_parse_sequence_generators():
     pts = parse_sequence(
-        {"type": "list", "points": [serialize.point_to_json(iI), serialize.point_to_json(2j * np.eye(2))]}
+        {"type": "list", "points": [serialize.jsonable(iI), serialize.jsonable(2j * np.eye(2))]}
     )
     assert len(pts) == 2 and np.allclose(pts[1], 2j * np.eye(2))
 
-    zero = serialize.matrix_to_json(np.zeros((2, 2)))
-    eye = serialize.matrix_to_json(1j * np.eye(2))
+    zero = serialize.jsonable(np.zeros((2, 2), complex))
+    eye = serialize.jsonable(1j * np.eye(2))
     pts = parse_sequence(
         {"type": "curve", "components": [{"num": [zero, eye]}], "k_count": 3, "k_start": 1}
     )
@@ -198,7 +198,7 @@ def test_parse_sequence_generators():
     pts = parse_sequence(
         {
             "type": "translate",
-            "base": serialize.point_to_json(iI),
+            "base": serialize.jsonable(iI),
             "generator": [1, 0, 0, 0, 0, 0],
             "times": {"start": 0.0, "step": np.log(2.0), "count": 2},
         }
@@ -207,8 +207,8 @@ def test_parse_sequence_generators():
 
 
 def test_boundary_scan_weak_exhaustion():
-    zero = serialize.matrix_to_json(np.zeros((2, 2)))
-    eye = serialize.matrix_to_json(1j * np.eye(2))
+    zero = serialize.jsonable(np.zeros((2, 2), complex))
+    eye = serialize.jsonable(1j * np.eye(2))
     doc = {"type": "curve", "components": [{"num": [zero, eye]}], "k_count": 40}
     rep = boundary_scan(doc)
     for r in rep.records:
@@ -225,7 +225,7 @@ def test_boundary_scan_weak_exhaustion():
 def test_boundary_scan_mod_real():
     doc = {
         "type": "translate",
-        "base": serialize.point_to_json(iI),
+        "base": serialize.jsonable(iI),
         "generator": [1, 0, 0, 0, 0, 0],
         "times": {"start": 0.0, "step": 0.5, "count": 15},
     }
@@ -240,7 +240,7 @@ def test_boundary_scan_mod_real():
 
 
 def test_boundary_scan_constant_sequence_no_verdict():
-    doc = {"type": "list", "points": [serialize.point_to_json(iI)] * 6}
+    doc = {"type": "list", "points": [serialize.jsonable(iI)] * 6}
     rep = boundary_scan(doc)
     assert not rep.weak_exhaustion_applicable and not rep.weak_exhaustion
     assert not rep.mod_real_applicable and not rep.mod_real_exhaustion
@@ -254,7 +254,7 @@ def test_boundary_scan_rejects_empty():
 def test_threshold_ladder_reads_the_last_psi():
     # psi = phi = 1/a^2 at i a I; an early psi of 16 clears the rung 10
     # but the last, 1, does not, so no tail stays above it
-    early, late = serialize.point_to_json(iI / 4.0), serialize.point_to_json(iI)
+    early, late = serialize.jsonable(iI / 4.0), serialize.jsonable(iI)
     rep = boundary_scan({"type": "list", "points": [early, late]})
     assert [round(r.psi, 6) for r in rep.records] == [16.0, 1.0]
     assert rep.thresholds_crossed == {10.0: False, 100.0: False, 1000.0: False}
@@ -278,13 +278,13 @@ def test_suite_scans_equal_the_sequence_documents(monkeypatch):
     monkeypatch.setattr(suites, "boundary_scan", spy)
     suites.run_suite(suites.ExperimentConfig(suite="boundary-weak-exhaustion", n=2, samples=6))
     suites.run_suite(suites.ExperimentConfig(suite="boundary-mod-greal", seed=7, samples=1))
-    comp = {"num": [serialize.matrix_to_json(np.zeros((2, 2))), serialize.matrix_to_json(iI)]}
+    comp = {"num": [serialize.jsonable(np.zeros((2, 2), complex)), serialize.jsonable(iI)]}
     Z0 = G.sample_tube_point(stream_for(7, "boundary-mod-greal", 0), 2)
     docs = [
         {"type": "curve", "components": [comp, comp], "k_count": 6, "k_start": 1},
         {
             "type": "translate",
-            "base": serialize.point_to_json(Z0),
+            "base": serialize.jsonable(Z0),
             "generator": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
             "times": {"start": 0.0, "step": 0.35, "count": 20},
         },
@@ -297,13 +297,17 @@ def test_suite_scans_equal_the_sequence_documents(monkeypatch):
         assert serialize.canonical_bytes(rep) == expect
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP known defect: boundary_scan's Frobenius-norm Gram tail test "
-    "grows with n, so the curve i I/k reads weak_exhaustion false at n >= 2",
-)
 def test_boundary_weak_exhaustion_passes_at_n_2():
     from futuretube import suites
 
     rep = suites.run_suite(suites.ExperimentConfig(suite="boundary-weak-exhaustion", n=2))
     assert rep.verdict == "pass"
+
+
+def test_gram_tail_test_does_not_depend_on_the_tuple_size():
+    # the curve i I/k in n components: every Gram entry is -1/k^2 at
+    # every n, so the tail settles over 40 points and not over 10 alike
+    for n in range(1, 6):
+        for count, settled in ((40, True), (10, False)):
+            points = [np.stack([iI / k] * n) for k in range(1, count + 1)]
+            assert boundary_scan(points).gram_converged is settled

@@ -17,7 +17,7 @@ def write_json(path, doc):
 
 
 def test_phi_command(tmp_path, capsys):
-    p = write_json(tmp_path / "pt.json", serialize.point_to_json(np.stack([iI, iI])))
+    p = write_json(tmp_path / "pt.json", serialize.jsonable(np.stack([iI, iI])))
     assert cli_entry(["phi", p]) == 0
     assert "2.0" in capsys.readouterr().out
 
@@ -28,8 +28,8 @@ def test_phi_command(tmp_path, capsys):
 
 def test_point_commands_print_plain_floats(tmp_path, capsys):
     # the exact text lines: a numpy scalar would print as np.float64(2.0)
-    pair = write_json(tmp_path / "pair.json", serialize.point_to_json(np.stack([iI, iI])))
-    one = write_json(tmp_path / "one.json", serialize.point_to_json(iI))
+    pair = write_json(tmp_path / "pair.json", serialize.jsonable(np.stack([iI, iI])))
+    one = write_json(tmp_path / "one.json", serialize.jsonable(iI))
     expected = [
         (["phi", pair], "phi = 2.0\n"),
         (["moment", pair], "moment = [-0.0, -0.0, -0.0, -0.0, -0.0, -0.0]\nnorm = 0.0\n"),
@@ -47,7 +47,7 @@ def test_point_commands_print_plain_floats(tmp_path, capsys):
 
 
 def test_reduce_command(tmp_path, capsys):
-    p = write_json(tmp_path / "pt.json", serialize.matrix_to_json(np.array([[1j, 1.0], [0.0, 1j]])))
+    p = write_json(tmp_path / "pt.json", serialize.jsonable(np.array([[1j, 1.0], [0.0, 1j]])))
     assert cli_entry(["--json", "reduce", p]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert abs(doc["phi_min"] - 1.0) <= 1e-4
@@ -56,7 +56,7 @@ def test_reduce_command(tmp_path, capsys):
 
 
 def test_moment_gram_normal_form_scan(tmp_path, capsys):
-    p = write_json(tmp_path / "pt.json", serialize.point_to_json(iI))
+    p = write_json(tmp_path / "pt.json", serialize.jsonable(iI))
     assert cli_entry(["--json", "moment", p]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["norm"] == 0.0
@@ -69,8 +69,8 @@ def test_moment_gram_normal_form_scan(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["r"] == 1.0
 
-    zero = serialize.matrix_to_json(np.zeros((2, 2)))
-    eye = serialize.matrix_to_json(iI)
+    zero = serialize.jsonable(np.zeros((2, 2), complex))
+    eye = serialize.jsonable(iI)
     seq = write_json(
         tmp_path / "seq.json",
         {"type": "curve", "components": [{"num": [zero, eye]}], "k_count": 35},
@@ -138,7 +138,7 @@ def test_non_finite_point_is_a_usage_error(tmp_path, capsys):
         tmp_path / "seq.json",
         {
             "type": "translate",
-            "base": serialize.point_to_json(iI),
+            "base": serialize.jsonable(iI),
             "generator": [1.0, float("inf"), 0.0, 0.0, 0.0, 0.0],
             "times": [0.0, 1.0],
         },
@@ -149,7 +149,7 @@ def test_non_finite_point_is_a_usage_error(tmp_path, capsys):
 
 
 def test_phi_of_huge_point_is_a_usage_error(tmp_path, capsys):
-    p = write_json(tmp_path / "pt.json", serialize.point_to_json(np.stack([1e308 * iI, 1e308 * iI])))
+    p = write_json(tmp_path / "pt.json", serialize.jsonable(np.stack([1e308 * iI, 1e308 * iI])))
     assert cli_entry(["phi", p]) == 2
     assert "error" in capsys.readouterr().err
 
@@ -157,7 +157,7 @@ def test_reduce_exits_1_without_convergence(tmp_path, capsys, monkeypatch):
     from futuretube import reduction
 
     monkeypatch.setattr(reduction, "_MAX_ITERS", 1)
-    p = write_json(tmp_path / "pt.json", serialize.matrix_to_json(np.array([[1j, 1.0], [0.0, 1j]])))
+    p = write_json(tmp_path / "pt.json", serialize.jsonable(np.array([[1j, 1.0], [0.0, 1j]])))
     assert cli_entry(["--json", "reduce", p]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["converged"] is False and doc["iterations"] == 1
@@ -165,7 +165,7 @@ def test_reduce_exits_1_without_convergence(tmp_path, capsys, monkeypatch):
 
 def test_moment_of_overflowing_point_is_a_usage_error(tmp_path, capsys):
     big = np.stack([1e155 * iI + 1e154 * np.array([[1.0, 2.0], [3.0, 0.0]]), 1e155 * iI])
-    p = write_json(tmp_path / "pt.json", serialize.point_to_json(big))
+    p = write_json(tmp_path / "pt.json", serialize.jsonable(big))
     assert cli_entry(["moment", p]) == 2
     assert "error" in capsys.readouterr().err
 
@@ -185,17 +185,17 @@ def test_unconverged_reductions_fail_their_records(tmp_path, capsys, monkeypatch
 
 def test_gram_of_overflowing_point_names_the_overflow(tmp_path, capsys):
     big = np.stack([1e155 * iI + 1e154 * np.array([[1.0, 2.0], [3.0, 0.0]]), 1e155 * iI])
-    p = write_json(tmp_path / "pt.json", serialize.point_to_json(big))
+    p = write_json(tmp_path / "pt.json", serialize.jsonable(big))
     assert cli_entry(["gram", p]) == 2
     err = capsys.readouterr().err
     assert "overflow" in err
     assert "SVD" not in err
 
 
-_ZERO, _EYE = serialize.matrix_to_json(np.zeros((2, 2))), serialize.matrix_to_json(iI)
+_ZERO, _EYE = serialize.jsonable(np.zeros((2, 2), complex)), serialize.jsonable(iI)
 _TRANSLATE = {
     "type": "translate",
-    "base": serialize.point_to_json(iI),
+    "base": serialize.jsonable(iI),
     "generator": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
 }
 
@@ -289,7 +289,7 @@ def test_output_path_in_a_missing_directory_fails_before_the_suite_runs(
 
 
 def _run(tmp_path, capsys, command, Z):
-    p = write_json(tmp_path / "pt.json", serialize.point_to_json(Z))
+    p = write_json(tmp_path / "pt.json", serialize.jsonable(Z))
     code = cli_entry([command, p])
     out, err = capsys.readouterr()
     return code, out, err

@@ -194,7 +194,7 @@ def test_reduce_of_an_overflowing_point_is_a_usage_error(tmp_path):
     huge = np.stack([1e308 * iI, 1e308 * iI])
     for big, named in ((found, "det Im overflows"), (huge, "phi underflows")):
         path = tmp_path / "pt.json"
-        path.write_text(json.dumps(serialize.point_to_json(big)))
+        path.write_text(json.dumps(serialize.jsonable(big)))
         done = subprocess.run(
             [sys.executable, "-W", "error", "-m", "futuretube.cli", "reduce", str(path)],
             capture_output=True,

@@ -264,6 +264,23 @@ def test_flow_truncates_at_domain_exit():
     assert len(rep.values) == rep.truncated_at
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_flow_values_are_dphi_along_the_J_field(n):
+    # mu_xi read from the moment map against its definition, dphi along J
+    # of the field sum_k xi_k F_k, at every kept point of seeded flows
+    for i in range(8):
+        s = stream_for(5, "psh-flow-dphi", i)
+        Z = G.sample_tube_point(s, n)
+        xi = A.sample_algebra(s)
+        xi /= np.linalg.norm(xi)
+        rep = psh.flow_monotonicity(xi[None], Z[None], t_max=0.5, steps=20)[0]
+        Zt = A.act_complex(A.flow_pairs(xi, 1j * np.array(rep.ts))[:, None], Z)
+        field = np.einsum("k,tk...->t...", xi, A.orbit_fields(Zt))
+        want = psh.dphi(Zt, A.apply_J(field))
+        assert len(want) >= 2
+        assert np.max(np.abs(np.array(rep.values) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 # det Im of both components overflows to inf; phi is 2.0025e-310 by rescaling
 OVERFLOWING = np.stack([1e155 * iI + 1e154 * np.array([[1.0, 2.0], [3.0, 0.0]]), 1e155 * iI])
 

@@ -211,10 +211,10 @@ def test_lagrangian_needs_convergence():
 
 
 def test_criticality_report():
-    rep = critical_iff_moment_zero(iI)
+    rep = critical_iff_moment_zero(G.as_tuple_point(iI))
     assert rep.consistent and rep.moment_norm <= 1e-12
 
-    rep = critical_iff_moment_zero(np.eye(2) + 1j * np.diag([2.0, 0.5]))
+    rep = critical_iff_moment_zero(G.as_tuple_point(np.eye(2) + 1j * np.diag([2.0, 0.5])))
     assert rep.consistent
     assert rep.moment_norm > 1e-3 and rep.orbit_gradient_norm > 1e-3
     # the J-directions carry exactly the moment components

@@ -54,11 +54,11 @@ def test_complex_roundtrip():
 def test_matrix_and_point_roundtrip():
     s = stream_for(9, "ser", 0)
     M = s.matrix()
-    assert np.array_equal(serialize.parse_matrix(serialize.matrix_to_json(M)), M)
+    assert np.array_equal(serialize.parse_matrix(serialize.jsonable(M)), M)
     Z = np.stack([s.matrix(), s.matrix()])
-    assert np.array_equal(serialize.parse_point(serialize.point_to_json(Z)), Z)
+    assert np.array_equal(serialize.parse_point(serialize.jsonable(Z)), Z)
     # a bare matrix parses as a 1-tuple
-    one = serialize.parse_point(serialize.matrix_to_json(M))
+    one = serialize.parse_point(serialize.jsonable(M))
     assert one.shape == (1, 2, 2)
     with pytest.raises(ValueError):
         serialize.parse_point([[1, 2], [3]])

@@ -327,7 +327,7 @@ def _reference_flow(xi, Z, t_max, steps):
         if not G.tube_mask(Zt):
             truncated_at = i
             break
-        values.append(psh.dphi(Zt, A.apply_J(A.real_vector_field(xi, Zt))))
+        values.append(float(np.dot(psh.moment_map(Zt), xi)))
         kept_ts.append(t)
         displacements.append(0.0 if prev is None else float(np.linalg.norm(Zt - prev)))
         prev = Zt
