@@ -70,10 +70,8 @@ def _cmd_run(args):
 
 
 def _cmd_run_all(args):
-    seed = args.seed if args.seed is not None else 7
     env = _env_seed()
-    if env is not None:
-        seed = env
+    seed = args.seed if env is None else env
     worst = 0
     payloads = {}
     for name in SUITE_NAMES:
@@ -199,7 +197,7 @@ def _build_parser():
     q.set_defaults(fn=_cmd_run)
 
     q = sub.add_parser("run-all", help="run every suite with defaults")
-    q.add_argument("--seed", type=int, default=None)
+    q.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     q.add_argument("--output-dir", default=None)
     q.set_defaults(fn=_cmd_run_all)
 

@@ -168,17 +168,17 @@ def saturation_probe_all(Zs):
     orbit.  One orbit_minimize_all call reduces all witnesses; a witness
     is certified when its reduction converges to a tube point.  Without a witness, or
     when the reduction does not certify, the probe reports "probe
-    failed", never a refutation.  Raises ValueError when any start lies
-    outside the tube.
+    failed", never a refutation.  Raises DomainError, a ValueError, when
+    any start lies outside the tube.
     """
     from .reduction import orbit_minimize_all
 
     Z = np.asarray(Zs, dtype=complex)
     kn = kempf_ness_minimize_all(Z)  # checks the shape of the stack
     if not tube_mask(Z).all():
-        raise ValueError("saturation probe starts from a tube point")
+        raise DomainError("saturation probe starts from a tube point")
     W = np.array([r.point for r in kn]).reshape(Z.shape)
-    inside = tube_margin(W) > 0.0
+    inside = tube_mask(W)
     have = inside | np.array([r.classification == "closed" for r in kn], dtype=bool)
     witness = np.where(inside[:, None, None, None], W, Z)
     reduced = orbit_minimize_all(witness[have])

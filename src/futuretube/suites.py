@@ -4,9 +4,10 @@ Every suite draws each sample from its own stream keyed by
 (seed, suite name, sample index), so records are independent of
 evaluation order and a fixed config reproduces a byte-identical report
 body (wall time excluded).  A per-sample suite takes its samples in
-chunks: it draws the normals of a chunk's samples as one block and
-stages them, doing all their numerical work in one stacked call per
-kernel and returning one record per sample.
+chunks: the normals of a chunk's samples are drawn as one block, and
+the suite's stage reads its inputs from that block, does all their
+numerical work in one stacked call per kernel and returns one record
+per sample.
 The registry is closed; adding a suite is a code change recorded in the
 artifact version.
 """
@@ -14,7 +15,7 @@ artifact version.
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -87,7 +88,7 @@ class ExperimentConfig:
     def from_dict(cls, doc):
         if not isinstance(doc, dict) or "suite" not in doc:
             raise ValueError("config must be a mapping with a 'suite' name")
-        known = {"suite", "seed", "n", "samples", "tolerances", "output_path"}
+        known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -156,7 +157,7 @@ def report_body_bytes(report):
 
 @dataclass
 class _SuiteEntry:
-    runner: object
+    runner: object  # runner(seed, name, n, samples, tol) returns the records
     default_samples: int
     default_n: int
     tolerances: dict
@@ -177,52 +178,36 @@ class _EachSample:
     """Runner of a suite whose records are one per sample.
 
     This is the one loop over samples and the one place that keys
-    streams: sample i reads the first draws(n) normals of
+    streams: sample i of the suite registered as name reads
     stream_for(seed, name, i).  The samples go through in chunks of at
-    most _CHUNK, and each chunk in two steps: its normals are drawn as
-    one Block, then its samples are staged.  draw(rng, n) returns the
-    tuple of inputs that need no rejection sampling, read in stream
-    order; on the Block it gives them for every sample of the chunk at
-    once, stacked along a leading axis.  stage(index, inputs, rngs, n,
-    tol) gets the range index of the chunk's sample indices, their
-    stacked inputs and their RowStreams, which go on where draw stopped;
-    it makes each sample's remaining reads, in stream order, does the
-    chunk's numerical work in one stacked call per kernel, and returns
-    one record per sample.  Only one chunk's inputs and RowStreams are
-    alive at a time.  On one scalar stream, the stage of a stack of one
-    reads the same normals in the same order, and the runner gives the
-    same records for every chunk size.  A record gets "index": i unless
-    it carries its own index.  units(tol), when given, returns fixed
-    records placed first.
+    most _CHUNK, each drawn as one Block of draws(n) normals per sample;
+    only one chunk's Block is alive at a time.  stage(index, block, n,
+    tol) gets the range index of the chunk's sample indices and their
+    Block.  It reads its inputs from the Block in stream order, each
+    sampler stacking every sample of the chunk along a leading axis; a
+    rejection sampler reads block.row(k), which goes on past the block on
+    sample k's own stream.  It does the chunk's numerical work in one
+    stacked call per kernel and returns one record per sample.  So the
+    stage on a Block of one at start i gives sample i's record, whatever
+    the chunk size.  A record gets "index": i unless it carries its own
+    index.  units(tol), when given, returns fixed records placed first.
     """
 
-    name: str
     draws: Callable
-    draw: Callable
     stage: Callable
     units: Callable | None = None
 
-    def __call__(self, seed, n, samples, tol):
+    def __call__(self, seed, name, n, samples, tol):
         records = self.units(tol) if self.units is not None else []
         for start in range(0, samples, _CHUNK):
             index = range(start, min(start + _CHUNK, samples))
-            block = Block(seed, self.name, len(index), self.draws(n), start)
-            inputs = self.draw(block, n)
-            staged = self.stage(index, inputs, [block.row(k) for k in range(len(index))], n, tol)
+            staged = self.stage(index, Block(seed, name, len(index), self.draws(n), start), n, tol)
             records.extend({"index": i, **record} for i, record in zip(index, staged))
         return records
 
 
-def _tube_point(rng, n):
-    return (sample_tube_point(rng, n),)
-
-
-def _coordinate_draw(rng, n):
-    return sample_four_vector(rng), sample_tube_matrix(rng)
-
-
-def _coordinate_stage(index, inputs, rngs, n, tol):
-    z, W = inputs
+def _coordinate_stage(index, block, n, tol):
+    z, W = sample_four_vector(block), sample_tube_matrix(block)
     eps = tol["det_identity"]
     Z = to_matrix(z)
     zz = lorentz_product(z, z)
@@ -244,12 +229,12 @@ def _coordinate_stage(index, inputs, rngs, n, tol):
     ]
 
 
-def _psh_levi_stage(index, inputs, rngs, n, tol):
-    (Z,) = inputs
+def _psh_levi_stage(index, block, n, tol):
+    Z = sample_tube_point(block, n)
     basis = full_tangent_basis(n)
     L = levi_form_phi(Z, basis)
     mineig = np.linalg.eigvalsh(L)[:, 0]
-    g = np.stack([sample_sl2(rng) for rng in rngs])
+    g = np.stack([sample_sl2(block.row(k)) for k in range(len(index))])
     phi_g, phi_0 = phi(np.concatenate([act_real(g[:, None], Z), Z])).reshape(2, -1)
     inv_err = (np.abs(phi_g - phi_0) / phi_0).tolist()
     records = []
@@ -274,12 +259,8 @@ def _psh_levi_stage(index, inputs, rngs, n, tol):
     return records
 
 
-def _moment_draw(rng, n):
-    return sample_tube_point(rng, n), rng.matrix()
-
-
-def _moment_stage(index, inputs, rngs, n, tol):
-    Z, A = inputs
+def _moment_stage(index, block, n, tol):
+    Z, A = sample_tube_point(block, n), block.matrix()
     m = moment_map(Z)
     fd = directional_derivative(phi, Z, apply_J(orbit_fields(Z)))
     worst = np.max(np.abs(m - fd) / (1.0 + np.abs(fd)), axis=-1)
@@ -287,7 +268,8 @@ def _moment_stage(index, inputs, rngs, n, tol):
     m_ip = moment_map(iP[:, None])
     zero_norm = np.sqrt(_dots(m_ip, m_ip))
     # each sample draws g, then xi
-    g, xi = (np.stack(a) for a in zip(*[(sample_sl2(rng), sample_algebra(rng)) for rng in rngs]))
+    rows = [block.row(k) for k in range(len(index))]
+    g, xi = (np.stack(a) for a in zip(*[(sample_sl2(r), sample_algebra(r)) for r in rows]))
     lhs = _dots(moment_map(act_real(g[:, None], Z)), xi)
     rhs = _dots(m, adjoint(adj2(g), xi))
     equi = np.abs(lhs - rhs) / (1.0 + np.abs(lhs))
@@ -304,12 +286,8 @@ def _moment_stage(index, inputs, rngs, n, tol):
     ]
 
 
-def _flow_draw(rng, n):
-    return sample_tube_point(rng, n), sample_algebra(rng)
-
-
-def _flow_stage(index, inputs, rngs, n, tol):
-    Z, xi = inputs
+def _flow_stage(index, block, n, tol):
+    Z, xi = sample_tube_point(block, n), sample_algebra(block)
     xi = xi / np.sqrt(_dots(xi, xi))[:, None]
     return [
         {
@@ -325,10 +303,10 @@ def _flow_stage(index, inputs, rngs, n, tol):
     ]
 
 
-def _reduce_stage(index, inputs, rngs, n, tol):
+def _reduce_stage(index, block, n, tol):
     # both starts of every sample, Z and a real translate g Z, in one solve
-    (Z,) = inputs
-    g = np.stack([sample_sl2(rng) for rng in rngs])
+    Z = sample_tube_point(block, n)
+    g = np.stack([sample_sl2(block.row(k)) for k in range(len(index))])
     rs = orbit_minimize_all(np.concatenate([Z, act_real(g[:, None], Z)]), tol["moment_tol"])
     records = []
     for Z0, r0, r1 in zip(Z, rs[: len(Z)], rs[len(Z) :]):
@@ -375,11 +353,10 @@ def _reduce_bases(Z):
     return orbit_minimize_all(Z, 1e-10)
 
 
-def _levi_identity_stage(index, inputs, rngs, n, tol):
+def _levi_identity_stage(index, block, n, tol):
     # the unit record holds index 0, so sample i is record i + 1
-    (Z,) = inputs
     records = []
-    for i, rr in zip(index, _reduce_bases(Z)):
+    for i, rr in zip(index, _reduce_bases(sample_tube_point(block, n))):
         if rr.converged:
             records.append(_levi_record(i + 1, n, rr.reduced_point, tol))
         else:
@@ -389,8 +366,8 @@ def _levi_identity_stage(index, inputs, rngs, n, tol):
     return records
 
 
-def _lagrangian_stage(index, inputs, rngs, n, tol):
-    (Z,) = inputs
+def _lagrangian_stage(index, block, n, tol):
+    Z = sample_tube_point(block, n)
     fields = ("max_omega", "orbit_dim", "complex_orbit_dim", "normal_hessian_positive")
     records = []
     for Z0, rr in zip(Z, _reduce_bases(Z)):
@@ -433,14 +410,8 @@ def _kn_units(tol):
     return out
 
 
-def _kempf_ness_draw(rng, n):
-    # max(n, 3) matrices, each as rng.matrix() draws it
-    c = rng.complex_normals(4 * max(n, 3))
-    return (c.reshape(c.shape[:-1] + (-1, 2, 2)),)
-
-
-def _kempf_ness_stage(index, inputs, rngs, n, tol):
-    (Z,) = inputs
+def _kempf_ness_stage(index, block, n, tol):
+    Z = np.stack([block.matrix() for _ in range(max(n, 3))], axis=1)
     records = []
     for r, G in zip(kempf_ness_minimize_all(Z), gram_map(Z)):
         rank = gram_rank(G)
@@ -473,17 +444,12 @@ def _saturation_unit(tol):
     return [{"index": "unit-degenerate", **_saturation_record(saturation_probe_all(deg[None])[0])}]
 
 
-def _saturation_stage(index, inputs, rngs, n, tol):
-    (Z,) = inputs
-    return [_saturation_record(sp) for sp in saturation_probe_all(Z)]
+def _saturation_stage(index, block, n, tol):
+    return [_saturation_record(sp) for sp in saturation_probe_all(sample_tube_point(block, n))]
 
 
-def _normal_form_draw(rng, n):
-    return (sample_tube_matrix(rng),)
-
-
-def _normal_form_stage(index, inputs, rngs, n, tol):
-    (W,) = inputs
+def _normal_form_stage(index, block, n, tol):
+    W = sample_tube_matrix(block)
     nf = normal_form(W)
     X = nf.X
     recon = np.abs(act_real(nf.group_element(), W) - X).max(axis=(-2, -1))
@@ -494,7 +460,7 @@ def _normal_form_stage(index, inputs, rngs, n, tol):
     Xc = X.copy()
     Xc[:, 1, 0] = 0.0
     tb = triangular_bounds_check(Xc)
-    u = np.stack([sample_su2(rng) for rng in rngs])
+    u = np.stack([sample_su2(block.row(k)) for k in range(len(index))])
     star_conj = np.abs(act_real(u, W) - u @ W @ u.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     bounds_ok = tb.strict_lower_ok & tb.det_upper_ok
     fields = (recon, offdiag, balance, bounds_ok, star_conj)
@@ -517,7 +483,7 @@ def _normal_form_stage(index, inputs, rngs, n, tol):
     ]
 
 
-def _suite_boundary_weak(seed, n, samples, tol):
+def _suite_boundary_weak(seed, name, n, samples, tol):
     # the curve i I / k in every component, k = 1 .. samples
     points = [np.stack([1j * IDENTITY * (1.0 / k)] * n) for k in range(1, samples + 1)]
     rep = boundary_scan(points, ScanOptions())
@@ -548,9 +514,9 @@ def _suite_boundary_weak(seed, n, samples, tol):
     return records
 
 
-def _mod_greal_stage(index, inputs, rngs, n, tol):
+def _mod_greal_stage(index, block, n, tol):
     # one scan per sample, over the 20 real translates exp(0.35 k e1) Z
-    (Z,) = inputs
+    Z = sample_tube_point(block, n)
     g = np.stack([exp_algebra(np.eye(6)[0], 0.35 * k) for k in range(20)])[:, None]
     records = []
     for Z0, phi0 in zip(Z, phi(Z).tolist()):
@@ -586,67 +552,61 @@ def _mod_greal_stage(index, inputs, rngs, n, tol):
 
 SUITES = {
     "coordinate-identities": _SuiteEntry(
-        _EachSample("coordinate-identities", lambda n: 20, _coordinate_draw, _coordinate_stage),
+        _EachSample(lambda n: 20, _coordinate_stage),
         1000,
         1,
         {"det_identity": 1e-12, "roundtrip": 1e-12},
     ),
     "psh-levi": _SuiteEntry(
-        _EachSample("psh-levi", lambda n: 12 * n + 8, _tube_point, _psh_levi_stage),
+        _EachSample(lambda n: 12 * n + 8, _psh_levi_stage),
         40,
         2,
         {"invariance": 1e-10, "stencil_match": 1e-4},
     ),
     "moment-oracle": _SuiteEntry(
-        _EachSample("moment-oracle", lambda n: 12 * n + 22, _moment_draw, _moment_stage),
+        _EachSample(lambda n: 12 * n + 22, _moment_stage),
         150,
         2,
         {"fd_match": 1e-6, "ip_zero": 1e-10, "equivariance": 1e-6},
     ),
     "flow-monotone": _SuiteEntry(
-        _EachSample("flow-monotone", lambda n: 12 * n + 6, _flow_draw, _flow_stage),
+        _EachSample(lambda n: 12 * n + 6, _flow_stage),
         60,
         2,
         {"slack": 1e-9},
     ),
     "reduce-minimum": _SuiteEntry(
-        _EachSample("reduce-minimum", lambda n: 12 * n + 8, _tube_point, _reduce_stage),
+        _EachSample(lambda n: 12 * n + 8, _reduce_stage),
         15,
         2,
         {"moment_tol": 1e-8, "translate_agreement": 1e-5},
     ),
     "levi-identity": _SuiteEntry(
-        _EachSample(
-            "levi-identity", lambda n: 12 * n, _tube_point, _levi_identity_stage, units=_levi_unit
-        ),
+        _EachSample(lambda n: 12 * n, _levi_identity_stage, units=_levi_unit),
         1,
         2,
         {"deviation": 1e-3, "min_eig": 1e-6},
     ),
     "lagrangian": _SuiteEntry(
-        _EachSample("lagrangian", lambda n: 12 * n, _tube_point, _lagrangian_stage),
+        _EachSample(lambda n: 12 * n, _lagrangian_stage),
         8,
         2,
         {"omega_tol": 1e-5},
     ),
     "kempf-ness": _SuiteEntry(
-        _EachSample(
-            "kempf-ness", lambda n: 8 * max(n, 3), _kempf_ness_draw, _kempf_ness_stage, units=_kn_units
-        ),
+        _EachSample(lambda n: 8 * max(n, 3), _kempf_ness_stage, units=_kn_units),
         30,
         3,
         {"unit_norm": 1e-6, "collapse_norm": 1e-6},
     ),
     "saturation-probe": _SuiteEntry(
-        _EachSample(
-            "saturation-probe", lambda n: 12 * n, _tube_point, _saturation_stage, units=_saturation_unit
-        ),
+        _EachSample(lambda n: 12 * n, _saturation_stage, units=_saturation_unit),
         8,
         2,
         {},
     ),
     "normal-form": _SuiteEntry(
-        _EachSample("normal-form", lambda n: 16, _normal_form_draw, _normal_form_stage),
+        _EachSample(lambda n: 16, _normal_form_stage),
         300,
         1,
         {
@@ -660,7 +620,7 @@ SUITES = {
         _suite_boundary_weak, 40, 1, {"phi_exact": 1e-12}
     ),
     "boundary-mod-greal": _SuiteEntry(
-        _EachSample("boundary-mod-greal", lambda n: 12 * n, _tube_point, _mod_greal_stage),
+        _EachSample(lambda n: 12 * n, _mod_greal_stage),
         3,
         2,
         {"compact_bound": 100.0, "det_floor": 1e-6, "psi_spread": 1e-8},
@@ -675,7 +635,7 @@ def run_suite(cfg):
     n, samples, tol = cfg.resolve()
     entry = SUITES[cfg.suite]
     t0 = time.perf_counter()
-    records = entry.runner(cfg.seed, n, samples, tol)
+    records = entry.runner(cfg.seed, cfg.suite, n, samples, tol)
     wall = time.perf_counter() - t0
     verdicts = [r.get("verdict") for r in records]
     passed, failed = verdicts.count("pass"), verdicts.count("fail")

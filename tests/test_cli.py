@@ -118,6 +118,23 @@ def test_env_seed_override(tmp_path, capsys, monkeypatch):
     assert cli_entry(["run", cfg]) == 2
 
 
+def test_run_all_seed_defaults_to_the_config_seed(capsys, monkeypatch):
+    from futuretube import cli
+    from futuretube.suites import ExperimentConfig
+
+    def seeds(argv):
+        assert cli_entry(["--json", "run-all", *argv]) == 0
+        docs = json.loads(capsys.readouterr().out)
+        assert sorted(docs) == ["flow-monotone", "kempf-ness"]
+        return {doc["config"]["seed"] for doc in docs.values()}
+
+    monkeypatch.setattr(cli, "SUITE_NAMES", ("flow-monotone", "kempf-ness"))
+    assert seeds([]) == {ExperimentConfig.seed} == {7}
+    assert seeds(["--seed", "2"]) == {2}
+    monkeypatch.setenv("TUBE_SEED", "11")
+    assert seeds(["--seed", "2"]) == {11}
+
+
 def test_usage_error_on_bad_point(tmp_path, capsys):
     p = write_json(tmp_path / "pt.json", {"not": "a point"})
     assert cli_entry(["phi", p]) == 2

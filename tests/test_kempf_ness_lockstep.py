@@ -6,6 +6,7 @@ calls."""
 import numpy as np
 import pytest
 
+from futuretube.geometry import DomainError, sample_tube_point
 from futuretube.quotient import (
     kempf_ness_minimize,
     kempf_ness_minimize_all,
@@ -20,9 +21,8 @@ iI = 1j * np.eye(2)
 
 def kempf_ness_draws(seed, n):
     """The starts of the default kempf-ness samples, as the suite draws them."""
-    runner = SUITES["kempf-ness"].runner
-    (Z,) = runner.draw(Block(seed, "kempf-ness", 30, runner.draws(n)), n)
-    return Z
+    block = Block(seed, "kempf-ness", 30, SUITES["kempf-ness"].runner.draws(n))
+    return np.stack([block.matrix() for _ in range(max(n, 3))], axis=1)
 
 
 def assert_same_report(r, one):
@@ -73,8 +73,7 @@ def test_input_that_is_not_a_stack_raises():
 
 
 def test_stacked_saturation_probe_equals_the_one_start_probes():
-    runner = SUITES["saturation-probe"].runner
-    (Z,) = runner.draw(Block(7, "saturation-probe", 8, runner.draws(2)), 2)
+    Z = sample_tube_point(Block(7, "saturation-probe", 8, SUITES["saturation-probe"].runner.draws(2)), 2)
     degenerate = np.stack([iI, iI + 0.5 * np.array([[0.0, 1.0], [0.0, 0.0]])])
     starts = np.concatenate([Z, degenerate[None]])
     reports = saturation_probe_all(starts)
@@ -93,5 +92,5 @@ def test_stacked_saturation_probe_equals_the_one_start_probes():
 def test_stacked_saturation_probe_of_nothing_and_outside_the_tube():
     assert saturation_probe_all(np.zeros((0, 2, 2, 2), dtype=complex)) == []
     starts = np.stack([np.stack([iI, 2.0 * iI]), np.stack([iI, np.eye(2, dtype=complex)])])
-    with pytest.raises(ValueError, match="saturation probe starts from a tube point"):
+    with pytest.raises(DomainError, match="saturation probe starts from a tube point"):
         saturation_probe_all(starts)

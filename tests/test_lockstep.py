@@ -24,9 +24,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 def reduce_minimum_starts(seed, n):
     """Both starts of every default reduce-minimum sample, as the suite draws them."""
-    runner = SUITES["reduce-minimum"].runner
-    block = Block(seed, "reduce-minimum", 15, runner.draws(n))
-    (Z,) = runner.draw(block, n)
+    block = Block(seed, "reduce-minimum", 15, SUITES["reduce-minimum"].runner.draws(n))
+    Z = G.sample_tube_point(block, n)
     g = np.stack([A.sample_sl2(block.row(i)) for i in range(15)])
     return np.concatenate([Z, A.act_real(g[:, None], Z)])
 

@@ -320,3 +320,17 @@ def test_a_tolerance_below_the_rounding_floor_ends_in_bounded_work():
     results = orbit_minimize_all(Z, moment_tol=1e-12)
     assert max(r.iterations for r in results) < reduction._MAX_ITERS
     assert all(r.converged or r.moment_norm <= 1e-10 for r in results)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
+@pytest.mark.parametrize("j", [-20, 14, 20])
+def test_the_reduction_commutes_with_a_power_of_two_scale(j):
+    # phi(s Z) = phi(Z) / s^2, so the minimum over the orbit of 2^j Z is
+    # the minimum of Z times 4^-j.  The stop test on the moment is
+    # absolute: 2^14 Z and 2^20 Z stop early, 21-55% above the minimum,
+    # and 2^-20 Z ends unconverged
+    Z = G.sample_tube_point(stream_for(3, "x", 0), 2)
+    want = orbit_minimize(Z)
+    r = orbit_minimize(2.0**j * Z)
+    assert want.converged and r.converged
+    assert abs(r.phi_min * 4.0**j - want.phi_min) <= 1e-9 * want.phi_min

@@ -9,7 +9,7 @@ import pytest
 from futuretube import actions as A
 from futuretube import geometry as G
 from futuretube import rng, serialize, suites
-from futuretube.rng import Block, RowStream, Stream, normal_block, stream_for
+from futuretube.rng import Block, RowStream, normal_block, stream_for
 from futuretube.suites import SUITES, ExperimentConfig, run_suite
 
 MASK64 = (1 << 64) - 1
@@ -124,66 +124,48 @@ def tuple_point(s, n):
     return np.stack([G.sample_tube_matrix(s) for _ in range(n)])
 
 
-# each suite's inputs drawn one sample at a time, one matrix at a time
-REFERENCE_DRAWS = {
-    "coordinate-identities": lambda s, n: (G.sample_four_vector(s), G.sample_tube_matrix(s)),
-    "moment-oracle": lambda s, n: (tuple_point(s, n), s.matrix()),
-    "flow-monotone": lambda s, n: (tuple_point(s, n), A.sample_algebra(s)),
-    "kempf-ness": lambda s, n: (np.stack([s.matrix() for _ in range(max(n, 3))]),),
-    "normal-form": lambda s, n: (G.sample_tube_matrix(s),),
+def same(draw):
+    return draw, draw
+
+
+TUBE_POINT = (G.sample_tube_point, tuple_point)
+# the samplers each stage reads from its Block, in stream order: a pair of
+# the draw on a Block and the same draw on one sample's scalar stream, one
+# matrix at a time; the rejection samplers on rows are tested above
+STAGE_DRAWS = {
+    "coordinate-identities": [
+        same(lambda s, n: G.sample_four_vector(s)),
+        same(lambda s, n: G.sample_tube_matrix(s)),
+    ],
+    "moment-oracle": [TUBE_POINT, same(lambda s, n: s.matrix())],
+    "flow-monotone": [TUBE_POINT, same(lambda s, n: A.sample_algebra(s))],
+    "kempf-ness": [same(lambda s, n: np.stack([s.matrix() for _ in range(max(n, 3))], axis=-3))],
+    "normal-form": [same(lambda s, n: G.sample_tube_matrix(s))],
 }
 
 
 @pytest.mark.parametrize("name", PER_SAMPLE)
 @pytest.mark.parametrize("n", [1, 3])
 def test_stacked_draws_equal_the_per_sample_draws(name, n):
-    runner = SUITES[name].runner
-    reference = REFERENCE_DRAWS.get(name, lambda s, n: (tuple_point(s, n),))
-    inputs = runner.draw(Block(11, name, 4, runner.draws(n)), n)
+    draws = STAGE_DRAWS.get(name, [TUBE_POINT])
+    block = Block(11, name, 4, SUITES[name].runner.draws(n))
+    stacked = [draw(block, n) for draw, _ in draws]
     for i in range(4):
-        want = reference(stream_for(11, name, i), n)
-        assert len(inputs) == len(want)
-        for got, w in zip(inputs, want):
-            assert got[i].shape == w.shape
-            assert np.array_equal(got[i].view(np.uint64), w.view(np.uint64))
+        s = stream_for(11, name, i)
+        for got, (_, reference) in zip(stacked, draws):
+            want = reference(s, n)
+            assert got[i].shape == want.shape
+            assert np.array_equal(got[i].view(np.uint64), want.view(np.uint64))
 
 
-class CountingStream(Stream):
-    def __init__(self, base):
-        super().__init__(base._state, base._inc)
-        self.count = 0
-
-    def normal(self):
-        self.count += 1
-        return super().normal()
+def stage_of_one(runner, seed, name, i, n, tol, k=None):
+    """Sample i's record: the stage on a Block of one at start i, whose
+    row holds k normals, draws(n) unless given."""
+    block = Block(seed, name, 1, runner.draws(n) if k is None else k, start=i)
+    return runner.stage(range(i, i + 1), block, n, tol)[0]
 
 
-def stage_of_one(runner, i, rng, n, tol):
-    """Sample i's record from its own scalar stream rng: draw's inputs
-    through the stage of a stack of one."""
-    x = runner.draw(rng, n)
-    return runner.stage(range(i, i + 1), tuple(a[None] for a in x), [rng], n, tol)[0]
-
-
-@pytest.mark.parametrize("name", PER_SAMPLE)
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_declared_draws_equal_the_scalar_path(name, n):
-    entry = SUITES[name]
-    runner, tol = entry.runner, dict(entry.tolerances)
-    spy = CountingStream(stream_for(7, name, 0))
-    record = stage_of_one(runner, 0, spy, n, tol)
-    assert spy.count == runner.draws(n)
-    if n == 1:
-        # the same sample drawn from the block gives the same record
-        block_record = runner(7, n, 1, tol)[-1]
-        scalar_record = {"index": 0, **record}
-        assert serialize.canonical_bytes(serialize.jsonable(block_record)) == (
-            serialize.canonical_bytes(serialize.jsonable(scalar_record))
-        )
-
-
-@pytest.mark.parametrize("seed", [7, 11])
-def test_pointwise_suites_draw_nothing_past_their_blocks(seed, monkeypatch):
+def count_scalar_normals(monkeypatch):
     calls = []
     scalar_normal = rng.Stream.normal
 
@@ -192,6 +174,39 @@ def test_pointwise_suites_draw_nothing_past_their_blocks(seed, monkeypatch):
         return scalar_normal(self)
 
     monkeypatch.setattr(rng.Stream, "normal", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", PER_SAMPLE)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_declared_draws_equal_the_scalar_path(name, n, monkeypatch):
+    # a Block of one holds the first draws(n) normals of the sample's
+    # scalar stream, bit for bit, and the stage reads no further: it never
+    # goes on to the scalar stream.  One normal fewer does not suffice
+    entry = SUITES[name]
+    runner, tol = entry.runner, dict(entry.tolerances)
+    calls = count_scalar_normals(monkeypatch)
+    record = stage_of_one(runner, 7, name, 0, n, tol)
+    assert calls == []
+    try:
+        short = stage_of_one(runner, 7, name, 0, n, tol, runner.draws(n) - 1)
+    except ValueError as exc:
+        assert "used up" in str(exc)
+    else:
+        # past its row, the sample's RowStream went on on its scalar stream
+        assert calls
+        assert serialize.canonical_bytes(short) == serialize.canonical_bytes(record)
+    if n == 1:
+        # the runner gives the same record
+        block_record = runner(7, name, n, 1, tol)[-1]
+        assert serialize.canonical_bytes(serialize.jsonable(block_record)) == (
+            serialize.canonical_bytes(serialize.jsonable({"index": 0, **record}))
+        )
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_pointwise_suites_draw_nothing_past_their_blocks(seed, monkeypatch):
+    calls = count_scalar_normals(monkeypatch)
     for name in POINTWISE:
         assert run_suite(ExperimentConfig(suite=name, seed=seed)).verdict == "pass"
     assert calls == []
@@ -201,15 +216,14 @@ def test_pointwise_suites_draw_nothing_past_their_blocks(seed, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_chunked_records_equal_the_scalar_check(name, n, monkeypatch):
     # 5 samples take three chunks of at most 2; the fixed unit records come
-    # first, and each sample's record equals the stage of a stack of one on
-    # the sample's own scalar stream
+    # first, and each sample's record equals the stage on a Block of one
     monkeypatch.setattr(suites, "_CHUNK", 2)
     entry = SUITES[name]
     runner, tol = entry.runner, dict(entry.tolerances)
     units = runner.units(tol) if runner.units is not None else []
-    records = runner(11, n, 5, tol)
+    records = runner(11, name, n, 5, tol)
     assert len(records) - len(units) == 5 > 2 * suites._CHUNK
     assert serialize.canonical_bytes(records[: len(units)]) == serialize.canonical_bytes(units)
     for i, record in enumerate(records[len(units) :]):
-        want = {"index": i, **stage_of_one(runner, i, stream_for(11, name, i), n, tol)}
+        want = {"index": i, **stage_of_one(runner, 11, name, i, n, tol)}
         assert serialize.canonical_bytes(record) == serialize.canonical_bytes(want)

@@ -102,6 +102,8 @@ def test_config_validation():
         ExperimentConfig(suite="psh-levi", tolerances={"bogus": 1.0}).resolve()
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"suite": "psh-levi", "extra": 1})
+    doc = {"suite": "psh-levi", "seed": 3, "n": 2, "samples": 5, "tolerances": {}, "output_path": None}
+    assert ExperimentConfig.from_dict(doc) == ExperimentConfig(**doc)
     n, samples, tol = ExperimentConfig(
         suite="psh-levi", tolerances={"invariance": 1e-9}
     ).resolve()

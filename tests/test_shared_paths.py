@@ -1,5 +1,6 @@
 """Shared paths: edges of the orbit solver's descent (budget exits,
-stops, aliasing) and realize against its tensordot reference."""
+stops, a halved step, aliasing) and realize against its tensordot
+reference."""
 
 import numpy as np
 
@@ -82,6 +83,43 @@ def test_a_reduced_start_whose_floor_trials_leave_the_tube_stops_unmoved(monkeyp
     trials, moment_norm = _solve_with_the_first_start_blocked(monkeypatch, act_complex(flow_pairs(xi, 1e-8j), Y))
     assert trials == 1
     assert 1e-8 < moment_norm < 1e-6
+
+
+def test_a_start_whose_first_trial_leaves_the_tube_accepts_the_halved_step(monkeypatch):
+    # only the very first trial of the first start is moved out of the
+    # tube: that start backtracks once, accepts s = 1/2 and then descends
+    # with full steps to its unblocked minimum; the second start descends
+    # as it does alone.  No suite or natural start takes this branch
+    Z = np.stack([_unreduced_point(), 3 * G.sample_tube_point(stream_for(4, "descent-edge", 0), 2)])
+    steps = []
+    trials = []
+
+    def recorded_flow_pairs(xi, tau):
+        steps.append(np.asarray(tau).imag.tolist())
+        return flow_pairs(xi, tau)
+
+    def first_trial_leaves_tube(p, Y):
+        Yt = act_complex(p, Y)
+        if not trials:
+            Yt[0] *= -1.0
+        trials.append(len(Yt))
+        return Yt
+
+    monkeypatch.setattr(reduction, "flow_pairs", recorded_flow_pairs)
+    monkeypatch.setattr(reduction, "act_complex", first_trial_leaves_tube)
+    r0, r1 = reduction.orbit_minimize_all(Z)
+    monkeypatch.undo()
+    assert steps[:2] == [[1.0, 1.0], [0.5]]
+    assert all(s == 1.0 for step in steps[2:] for s in step)
+    assert trials[:2] == [2, 1] and len(trials) == len(steps)
+    unblocked = orbit_minimize(Z[0])
+    assert r0.converged and unblocked.converged
+    assert abs(r0.phi_min - unblocked.phi_min) <= 1e-12 * unblocked.phi_min
+    alone = orbit_minimize(Z[1])
+    assert r1.iterations == alone.iterations > 0 and r1.converged
+    assert np.array_equal(r1.reduced_point, alone.reduced_point)
+    assert np.array_equal(r1.minimizer, alone.minimizer)
+    assert (r1.phi_min, r1.moment_norm) == (alone.phi_min, alone.moment_norm)
 
 
 def test_realize_matches_tensordot_reference():
