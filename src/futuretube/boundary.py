@@ -219,7 +219,8 @@ def parse_sequence(doc):
     component as a polynomial in u = 1/k over matrix coefficients with an
     optional scalar denominator polynomial, and `translate` moving a base
     point by the one-parameter subgroup of an algebra vector.
-    Malformed documents raise ValueError.
+    Malformed documents raise ValueError, and so does a curve or a
+    translate whose built points are not finite.
     """
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError("sequence specification must be a mapping with a 'type'")
@@ -251,18 +252,18 @@ def parse_sequence(doc):
                 raise ValueError("curve component has empty or zero polynomials")
             parsed.append((num, den))
         out = []
-        for k in range(start, start + count):
-            u = 1.0 / k
-            mats = []
-            for num, den in parsed:
-                numv = sum(A * u**m for m, A in enumerate(num))
-                denv = sum(c * u**m for m, c in enumerate(den))
-                if abs(denv) < 1e-300:
-                    raise ValueError(f"curve denominator vanishes at k={k}")
-                mats.append(numv / denv)
-            out.append(np.stack(mats))
-        return out
-    if kind == "translate":
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(start, start + count):
+                u = 1.0 / k
+                mats = []
+                for num, den in parsed:
+                    numv = sum(A * u**m for m, A in enumerate(num))
+                    denv = sum(c * u**m for m, c in enumerate(den))
+                    if abs(denv) < 1e-300:
+                        raise ValueError(f"curve denominator vanishes at k={k}")
+                    mats.append(numv / denv)
+                out.append(np.stack(mats))
+    elif kind == "translate":
         base = serialize.parse_point(doc.get("base"))
         gen = serialize.parse_algebra(doc.get("generator"))
         times = doc.get("times")
@@ -275,8 +276,16 @@ def parse_sequence(doc):
             ts = [t0 + dt * i for i in range(count)]
         else:
             ts = serialize.parse_reals(times, "translate sequence 'times'")
-        return [act_real(exp_algebra(gen, t), base) for t in ts]
-    raise ValueError(f"unknown sequence type {kind!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = [act_real(exp_algebra(gen, t), base) for t in ts]
+    else:
+        raise ValueError(f"unknown sequence type {kind!r}")
+    # a point whose entries overflow as it is built, by its coefficients
+    # or its group element, is no point of the document
+    for i, p in enumerate(out):
+        if not np.isfinite(p).all():
+            raise ValueError(f"{kind} point {i} is not finite")
+    return out
 
 
 def boundary_scan(seq, opts=None):

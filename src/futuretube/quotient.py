@@ -148,7 +148,6 @@ class SaturationReport:
     closed_point: np.ndarray
     witness_kind: str
     reduced_margin: float | None
-    verdict: str  # certified | probe failed
 
 
 def saturation_probe(Z):
@@ -166,10 +165,10 @@ def saturation_probe_all(Zs):
     orbit.  The witness is that point when it lies in the tube, else, for
     a `closed` classification, the start itself, which lies on the same
     orbit.  One orbit_minimize_all call reduces all witnesses; a witness
-    is certified when its reduction converges to a tube point.  Without a witness, or
-    when the reduction does not certify, the probe reports "probe
-    failed", never a refutation.  Raises DomainError, a ValueError, when
-    any start lies outside the tube.
+    is certified when its reduction converges to a tube point.  Without a
+    witness, or when the reduction does not certify, the report is not
+    certified, which is no refutation.  Raises DomainError, a ValueError,
+    when any start lies outside the tube.
     """
     from .reduction import orbit_minimize_all
 
@@ -200,7 +199,6 @@ def saturation_probe_all(Zs):
                 closed_point=W[b],
                 witness_kind=kind,
                 reduced_margin=float(margin[b]) if certified[b] else None,
-                verdict="certified" if certified[b] else "probe failed",
             )
         )
     return reports

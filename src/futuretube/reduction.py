@@ -33,7 +33,6 @@ from .actions import (
     apply_J,
     flow_pairs,
     full_tangent_basis,
-    make_unimodular,
     orbit_fields,
 )
 from .psh import (
@@ -69,8 +68,6 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class ReductionResult:
-    start: np.ndarray
-    minimizer: np.ndarray  # the pair (g, h) as one (2, 2, 2) array
     reduced_point: np.ndarray
     phi_min: float
     moment_norm: float
@@ -120,8 +117,7 @@ def orbit_minimize_all(Zs, moment_tol=1e-8):
     group: g = det(P)^(1/4) P^(-1/2) with P = Im of its first component
     makes that Im scalar, so only SU(2) is left free along the real
     orbit, and the cost of a solve no longer depends on where its start
-    lies on that orbit.  g is folded into the returned minimizer, the
-    pair (g, h) as one (2, 2, 2) array.
+    lies on that orbit.
     Moves are then Z <- exp(i s xi) . Z.  The moment value is the
     gradient of phi in the exp(i g) chart, and its derivative along the
     chart is the normal Hessian
@@ -147,11 +143,10 @@ def orbit_minimize_all(Zs, moment_tol=1e-8):
     if not tube_mask(Z0).all():
         raise DomainError("orbit_minimize starts from a tube point")
     g0 = _gauge(Z0)
-    # y, v, p, it: point, phi, pair (g, h) and moves of the live starts,
-    # written back to Y, value, pairs, its whenever some of them stop
+    # y, v, it: point, phi and moves of the live starts, written back to
+    # Y, value, its whenever some of them stop
     y = Y = act_real(g0[:, None], Z0)
     v = value = phi_in_tube(Y)
-    p = pairs = np.repeat(IDENTITY[None, None], len(Y), axis=0).repeat(2, axis=1)
     it = its = np.zeros(len(Y), dtype=int)
     moment_norm = np.zeros(len(Y))
     live = np.arange(len(Y))
@@ -162,10 +157,10 @@ def orbit_minimize_all(Zs, moment_tol=1e-8):
         # a NaN norm does not stop here: the tube test rejects all its steps
         go = ~(mn <= moment_tol) & (it < _MAX_ITERS)
         if np.count_nonzero(go) < len(go):
-            Y[live], value[live], pairs[live], its[live] = y, v, p, it
+            Y[live], value[live], its[live] = y, v, it
             if not go.any():
                 break
-            live, y, v, p, it = live[go], y[go], v[go], p[go], it[go]
+            live, y, v, it = live[go], y[go], v[go], it[go]
         # the normal Hessian only where the descent goes on
         mn = mn[go]
         xi, deriv = _newton_step(m[go], 4.0 * np.real(levi(go)), 0.01 * mn + 1e-300)
@@ -180,14 +175,13 @@ def orbit_minimize_all(Zs, moment_tol=1e-8):
         # same, but the in-process orbit-solvers pass median was about
         # 1 ms (2.5%) slower on 2 vCPUs
         if np.count_nonzero(ok) == len(ok):
-            y, v, it, p = Yt, vt, it + 1, make_unimodular(E @ p)
+            y, v, it = Yt, vt, it + 1
             continue
         rows = np.arange(len(live))
         moved = np.zeros(len(live), dtype=bool)
         while True:
             acc = rows[ok]
             y[acc], v[acc], it[acc] = Yt[ok], vt[ok], it[acc] + 1
-            p[acc] = make_unimodular(E[ok] @ p[acc])
             moved[acc] = True
             # a shorter step than a rejected floor trial is at the floor too
             rows = rows[~ok & ~floor]
@@ -200,14 +194,10 @@ def orbit_minimize_all(Zs, moment_tol=1e-8):
             vt = phi_in_tube(Yt)
             ok, floor = _accepted(Yt, vt, v[rows], mn[rows], s[rows], deriv[rows])
         if np.count_nonzero(moved) < len(moved):
-            Y[live], value[live], pairs[live], its[live] = y, v, p, it
-            live, y, v, p, it = live[moved], y[moved], v[moved], p[moved], it[moved]
-    # det g0 = 1 up to rounding, so the products stay unimodular
-    minimizers = pairs @ np.stack([g0, np.conj(g0)], axis=1)
+            Y[live], value[live], its[live] = y, v, it
+            live, y, v, it = live[moved], y[moved], v[moved], it[moved]
     return [
         ReductionResult(
-            start=Z0[b],
-            minimizer=minimizers[b],
             reduced_point=Y[b],
             phi_min=float(value[b]),
             moment_norm=float(moment_norm[b]),

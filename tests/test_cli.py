@@ -1,14 +1,19 @@
 """Command line behavior: subcommands, exit codes, JSON mode, env seed."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from futuretube import serialize
+from futuretube.actions import act_real, exp_algebra
 from futuretube.cli import cli_entry
 
 iI = 1j * np.eye(2)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_json(path, doc):
@@ -162,6 +167,61 @@ def test_non_finite_point_is_a_usage_error(tmp_path, capsys):
     )
     assert cli_entry(["scan", seq]) == 2
     capsys.readouterr()
+
+
+_HUGE_EYE = serialize.jsonable(1e308 * iI)
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        # g Z g^H overflows at t = 400, where it is about e^800 / 4
+        (
+            {
+                "type": "translate",
+                "base": serialize.jsonable(iI),
+                "generator": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                "times": {"count": 3, "start": 0, "step": 400},
+            },
+            "translate point 1 is not finite",
+        ),
+        # 1e308 i I + 1e308 i I / k overflows at k = 1
+        ({"type": "curve", "k_count": 3, "components": [{"num": [_HUGE_EYE, _HUGE_EYE]}]}, "curve point 0 is not finite"),
+    ],
+    ids=["translate", "curve"],
+)
+def test_a_sequence_whose_points_overflow_is_a_usage_error(tmp_path, doc, named):
+    p = write_json(tmp_path / "seq.json", doc)
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "futuretube.cli", "scan", p],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: {named}\n"
+    assert "Traceback" not in done.stderr
+
+
+def test_a_finite_translate_scans_its_built_points(tmp_path, capsys):
+    # the same bytes as the list of the points the translate document
+    # names, exp(t xi) . base for t = 0, 0.5, 1, 1.5
+    base = np.stack([iI, 2.0 * iI])
+    xi = np.array([1.0, 0.0, 0.3, 0.0, 0.2, 0.0])
+    doc = {
+        "type": "translate",
+        "base": serialize.jsonable(base),
+        "generator": xi.tolist(),
+        "times": {"count": 4, "start": 0, "step": 0.5},
+    }
+    points = [serialize.jsonable(act_real(exp_algebra(xi, t), base)) for t in (0.0, 0.5, 1.0, 1.5)]
+    outputs = []
+    for d in (doc, {"type": "list", "points": points}):
+        assert cli_entry(["--json", "scan", write_json(tmp_path / "seq.json", d)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0])["records"]) == 4
 
 
 

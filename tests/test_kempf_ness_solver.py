@@ -116,5 +116,5 @@ def test_unit_degenerate_leaves_the_sublinear_tail():
     assert abs(r.achieved_norm_sq - 4.0) <= 1e-13
 
     rep = saturation_probe(UNIT_DEGENERATE)
-    assert rep.verdict == "certified"
+    assert rep.certified_in_extended_tube
     assert rep.reduced_margin is not None and rep.reduced_margin > 0

@@ -109,7 +109,6 @@ def test_saturation_probe_random():
         Z = G.sample_tube_point(s, 2)
         rep = saturation_probe(Z)
         assert rep.certified_in_extended_tube
-        assert rep.verdict == "certified"
         assert rep.gram_distance <= 1e-9 * (1 + np.linalg.norm(gram_map(Z)))
 
 

@@ -6,7 +6,7 @@ import pytest
 from futuretube import actions as A
 from futuretube import geometry as G
 from futuretube import psh, reduction
-from futuretube.quotient import kempf_ness_minimize_all, saturation_probe
+from futuretube.quotient import gram_map, kempf_ness_minimize_all, saturation_probe
 from futuretube.reduction import (
     ConvergenceError,
     big_psi,
@@ -84,9 +84,9 @@ def test_orbit_minimize_against_fiber_oracle():
         # reduced point stays in the tube and on the fiber
         assert G.tube_mask(r.reduced_point)
         assert abs(G.det2(r.reduced_point[0]) - G.det2(W)) <= 1e-9 * (1 + abs(G.det2(W)))
-        # reconstruction through the recorded minimizer
-        back = A.act_complex(r.minimizer, r.start)
-        assert np.max(np.abs(back - r.reduced_point)) <= 1e-8 * (1 + np.max(np.abs(back)))
+        # the quotient map, G_C-invariant, is unchanged by the reduction
+        want = gram_map(G.as_tuple_point(W))
+        assert np.max(np.abs(gram_map(r.reduced_point) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_orbit_minimize_against_brute_force():
